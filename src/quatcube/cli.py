@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 
 from .decompose import decompose, member_cube_subgroup, verify
@@ -25,6 +26,21 @@ from .search import (
     three_cube_residues_mod9,
     two_cube_obstruction,
 )
+
+
+# a token such as "-5+3i" or "-k+2j" is a target, never an option
+_SIGNED_TARGET = re.compile(r"-\s*[0-9ijk]")
+
+
+class _Parser(argparse.ArgumentParser):
+    """Reads a quaternion that starts with a minus sign as a positional
+    argument, so it needs no ``--`` before it.  Every option of this CLI
+    starts with ``--`` or is ``-h``, so no option looks like a target."""
+
+    def _parse_optional(self, arg_string):
+        if _SIGNED_TARGET.match(arg_string):
+            return None
+        return super()._parse_optional(arg_string)
 
 
 def _ring(text: str) -> RingParams:
@@ -183,13 +199,23 @@ def _cmd_member(args) -> int:
     return 0 if ok else 1
 
 
+def _usage_error(message: str) -> int:
+    print(f"usage error: {message}", file=sys.stderr)
+    return 2
+
+
 def _cmd_search(args) -> int:
+    if args.workers < 1:
+        return _usage_error(f"--workers must be at least 1, got {args.workers}")
+    try:
+        cfg = SearchConfig(
+            max_cubes=args.max_cubes,
+            coeff_bound=args.bound,
+            outer_bound=args.outer_bound,
+        )
+    except ValueError as exc:
+        return _usage_error(str(exc))
     alpha = parse_quaternion(args.quaternion, args.ring)
-    cfg = SearchConfig(
-        max_cubes=args.max_cubes,
-        coeff_bound=args.bound,
-        outer_bound=args.outer_bound,
-    )
     payload = search_payload(alpha, cfg, workers=args.workers)
     found = payload["found"]
     if args.json:
@@ -262,7 +288,7 @@ def _cmd_check_lower_bounds(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="quatcube",
         description="Sums of cubes in integer quaternion rings with "
         "i^2 = -a, j^2 = -b, ij = -ji = k.",
@@ -304,7 +330,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--outer-bound", type=int, default=None, metavar="B1",
                    help="reduced box for the outermost root (3- and 4-cube searches)")
     p.add_argument("--workers", type=int, default=1, metavar="N",
-                   help="parallel workers for the 3-cube search; output is identical")
+                   help="processes for the 3-cube search, at most one per CPU; "
+                   "output is identical to a serial run")
     p.set_defaults(func=_cmd_search)
 
     p = sub.add_parser("check-lemmas", help="certify the residue-class recipes")

@@ -10,15 +10,24 @@ decomposition pipeline, so the two can certify each other:
 * :func:`lemma_residue_check` -- exhaustive certification of the
   congruence recipes and pair tables over whole residue classes.
 
-The searches prune with attainable mod-9 coefficient patterns of cubes
-(and of sums of two or three cubes).  Pruning only ever skips regions
-proven empty, so results are identical with and without it, and parallel
-runs return exactly what a serial run returns.
+The cube table packs each cube of the box into one int, exactly (see
+:class:`_SearchSpace`), and groups the packed cubes into sets by their
+mod-9 signature.  Two cubes meet a target ``T`` by set intersection:
+for each pair of signature groups summing to the target's signature,
+``big & {T - h for h in small}`` runs in C.  Three cubes scan the outer
+root in lexicographic order and meet the remainder; with several
+workers, the outer box is cut into ``(w0, w1)`` cells whose results are
+taken in order.  The mod-9 patterns of cubes (and of sums of two or
+three cubes) prune only regions proven empty, so results are identical
+with and without them, and parallel runs return exactly what a serial
+run returns.
 """
 
 from __future__ import annotations
 
+import contextlib
 import multiprocessing
+import os
 from dataclasses import dataclass
 from itertools import product
 
@@ -38,9 +47,6 @@ from .residues import (
 Coeffs = tuple[int, int, int, int]
 
 _DIV3 = (0, 3)
-
-# keep the (root, cube) list in memory only for boxes up to this many points
-_ENTRY_CACHE_LIMIT = 600_000
 
 
 @dataclass(frozen=True)
@@ -124,26 +130,13 @@ class _Mod9Tables:
     signatures.
     """
 
-    __slots__ = (
-        "cube_sig",
-        "single",
-        "by_cube_sig",
-        "_pairs",
-        "_triples",
-        "_first_ok_memo",
-        "_admissible_memo",
-    )
+    __slots__ = ("cube_sig", "single", "_pairs", "_triples", "_first_ok_memo")
 
     def __init__(self, a9: int, b9: int) -> None:
-        cube_sig: dict[Coeffs, Coeffs] = {}
-        by_cube_sig: dict[Coeffs, list[Coeffs]] = {}
-        for s in product(range(9), repeat=4):
-            cs = _sig(_cube_coeffs(a9, b9, s))
-            cube_sig[s] = cs
-            by_cube_sig.setdefault(cs, []).append(s)
-        self.cube_sig = cube_sig
-        self.single = frozenset(by_cube_sig)
-        self.by_cube_sig = by_cube_sig
+        self.cube_sig: dict[Coeffs, Coeffs] = {
+            s: _sig(_cube_coeffs(a9, b9, s)) for s in product(range(9), repeat=4)
+        }
+        self.single = frozenset(self.cube_sig.values())
 
         codes = sorted({_encode(*s) for s in self.single})
         mask = 0
@@ -158,7 +151,6 @@ class _Mod9Tables:
         self._pairs = _BitGrid(pair)
         self._triples = _BitGrid(triple)
         self._first_ok_memo: dict[Coeffs, frozenset[Coeffs]] = {}
-        self._admissible_memo: dict[Coeffs, tuple[Coeffs, ...]] = {}
 
     def pair_attainable(self, s: Coeffs) -> bool:
         test = self._pairs.test
@@ -195,23 +187,6 @@ class _Mod9Tables:
             self._first_ok_memo[target_sig] = got
         return got
 
-    def admissible_root_classes(self, target_sig: Coeffs) -> tuple[Coeffs, ...]:
-        """Root classes mod 9 whose cube leaves a single-cube-attainable
-        remainder; a root outside these classes cannot be half of a pair
-        summing to the target."""
-        got = self._admissible_memo.get(target_sig)
-        if got is None:
-            t0, t1, t2, t3 = target_sig
-            out: list[Coeffs] = []
-            for c in self.single:
-                need = ((t0 - c[0]) % 9, (t1 - c[1]) % 9, (t2 - c[2]) % 9, (t3 - c[3]) % 9)
-                roots = self.by_cube_sig.get(need)
-                if roots is not None:
-                    out.extend(roots)
-            got = tuple(out)
-            self._admissible_memo[target_sig] = got
-        return got
-
 
 _MOD9_CACHE: dict[tuple[int, int], _Mod9Tables] = {}
 
@@ -226,90 +201,165 @@ def _mod9_tables(params: RingParams) -> _Mod9Tables:
 
 
 class _SearchSpace:
-    """Lazily built cube table for one (ring, coeff_bound) box."""
+    """Lazily built cube table for one (ring, coeff_bound) box.
+
+    A cube (c0, c1, c2, c3) is stored as the int
+    ``((c0*R + c1)*R + c2)*R + c3`` in radix ``R = 4*M + 1``, where M
+    bounds every cube coefficient in the box.  Packing is linear, so
+    ``pack(t) - pack(c) == pack(t - c)``, and two tuples whose
+    coefficients differ by less than R pack equal only when they are
+    equal.  A target with a coefficient beyond 2*M is no sum of two box
+    cubes and is never packed.  For any other target t and box cubes c
+    and g, t - c and g differ by at most 4*M per coefficient, so
+    ``pack(t) - pack(c) == pack(g)`` only when t - c == g: no lookup can
+    hit by accident.
+
+    Roots are identified by their index in lexicographic order of the
+    box, so comparing indices compares roots.
+    """
 
     def __init__(self, params: RingParams, bound: int) -> None:
         self.params = params
         self.bound = bound
-        self._table: dict[Coeffs, Coeffs] | None = None
-        self._entries: list[tuple[Coeffs, Coeffs]] | None = None
-        self._by_class: dict[Coeffs, list[tuple[Coeffs, Coeffs]]] | None = None
+        a, b = params.a, params.b
+        # |c0| <= B*(B^2 + 3p) and |ci| <= B*(3B^2 + p), with p <= (a+b+ab)B^2
+        self.max_coeff = bound**3 * (1 + 3 * (a + b + a * b))
+        self.radix = 4 * self.max_coeff + 1
+        # the table keeps no (root, cube) list; perfbench/tracing.py reads this
+        self._entries = None
+        self._keys: list[int] | None = None
+        self._least: dict[int, int] | None = None
+        self._by_class: dict[Coeffs, set[int]] | None = None
+        self._pair_memo: dict[Coeffs, list[tuple[set[int], set[int]]]] = {}
 
-    def _box(self) -> int:
-        return (2 * self.bound + 1) ** 4
-
-    def iter_entries(self):
-        """(root, cube) pairs in lexicographic root order."""
-        if self._entries is not None:
-            return iter(self._entries)
-        a, b = self.params.a, self.params.b
-        rng = range(-self.bound, self.bound + 1)
-        gen = ((c, _cube_coeffs(a, b, c)) for c in product(rng, rng, rng, rng))
-        if self._box() <= _ENTRY_CACHE_LIMIT:
-            self._entries = list(gen)
-            return iter(self._entries)
-        return gen
-
-    def by_class(self) -> dict[Coeffs, list[tuple[Coeffs, Coeffs]]] | None:
-        """Entries grouped by root class mod 9, each group in lexicographic
-        root order.  None for boxes too large to keep in memory."""
-        if self._box() > _ENTRY_CACHE_LIMIT:
+    def pack(self, t: Coeffs) -> int | None:
+        """The packed form of t, or None when a coefficient exceeds 2*M."""
+        m = 2 * self.max_coeff
+        if not (-m <= t[0] <= m and -m <= t[1] <= m and -m <= t[2] <= m and -m <= t[3] <= m):
             return None
+        r = self.radix
+        return ((t[0] * r + t[1]) * r + t[2]) * r + t[3]
+
+    def root(self, idx: int) -> Coeffs:
+        """The root at lexicographic index idx of the box."""
+        n, b = 2 * self.bound + 1, self.bound
+        idx, x3 = divmod(idx, n)
+        idx, x2 = divmod(idx, n)
+        x0, x1 = divmod(idx, n)
+        return (x0 - b, x1 - b, x2 - b, x3 - b)
+
+    def table(self) -> dict[int, int]:
+        """Packed cube -> index of the lexicographically least root
+        producing it."""
+        if self._least is None:
+            a, b, r = self.params.a, self.params.b, self.radix
+            rng = range(-self.bound, self.bound + 1)
+            # per (x1, x2, x3): the norm part p and the packed (x1, x2, x3),
+            # so the cube of x packs to (x0^2 - 3p)x0 R^3 + (3x0^2 - p) low
+            tails = [
+                (a * x1 * x1 + b * x2 * x2 + a * b * x3 * x3, (x1 * r + x2) * r + x3)
+                for x1, x2, x3 in product(rng, repeat=3)
+            ]
+            keys: list[int] = []
+            for x0 in rng:
+                sq, hi = x0 * x0, x0 * r**3
+                keys.extend([(sq - 3 * p) * hi + (3 * sq - p) * low for p, low in tails])
+            # filled from the last root back, so each cube keeps its least root
+            self._least = dict(zip(reversed(keys), range(len(keys) - 1, -1, -1)))
+            self._keys = keys
+        return self._least
+
+    def by_class(self) -> dict[Coeffs, set[int]]:
+        """Packed cubes grouped by their signature mod 9."""
         if self._by_class is None:
-            grouped: dict[Coeffs, list[tuple[Coeffs, Coeffs]]] = {}
-            for root, cub in self.iter_entries():
-                key = (root[0] % 9, root[1] % 9, root[2] % 9, root[3] % 9)
-                grouped.setdefault(key, []).append((root, cub))
+            self.table()
+            keys = self._keys
+            cube_sig = _mod9_tables(self.params).cube_sig
+            rng = range(-self.bound, self.bound + 1)
+            tail_classes: dict[tuple[int, int, int], list[int]] = {}
+            for pos, (x1, x2, x3) in enumerate(product(rng, repeat=3)):
+                tail_classes.setdefault((x1 % 9, x2 % 9, x3 % 9), []).append(pos)
+            span = len(rng) ** 3
+            grouped: dict[Coeffs, set[int]] = {}
+            for i, x0 in enumerate(rng):
+                block = keys[i * span:(i + 1) * span]
+                for cls, positions in tail_classes.items():
+                    sig = cube_sig[(x0 % 9, *cls)]
+                    grouped.setdefault(sig, set()).update(map(block.__getitem__, positions))
             self._by_class = grouped
+            self._keys = None
         return self._by_class
 
-    def table(self) -> dict[Coeffs, Coeffs]:
-        """Cube value -> lexicographically least root producing it."""
-        if self._table is None:
-            t: dict[Coeffs, Coeffs] = {}
-            for root, cub in self.iter_entries():
-                if cub not in t:
-                    t[cub] = root
-            self._table = t
-        return self._table
+    def pair_sets(self, target_sig: Coeffs) -> list[tuple[set[int], set[int]]]:
+        """(smaller, larger) groups whose signatures sum to target_sig
+        mod 9, each unordered pair once."""
+        got = self._pair_memo.get(target_sig)
+        if got is None:
+            grouped = self.by_class()
+            t0, t1, t2, t3 = target_sig
+            got = []
+            for s, group in grouped.items():
+                mate_sig = ((t0 - s[0]) % 9, (t1 - s[1]) % 9, (t2 - s[2]) % 9, (t3 - s[3]) % 9)
+                mate = grouped.get(mate_sig)
+                if mate is not None and s <= mate_sig:
+                    got.append((group, mate) if len(group) <= len(mate) else (mate, group))
+            self._pair_memo[target_sig] = got
+        return got
 
 
 def _scan_two(space: _SearchSpace, tabs: _Mod9Tables, t: Coeffs) -> tuple[Coeffs, Coeffs] | None:
     """Least (x, y) with x**3 + y**3 = t, both in the coeff box.
 
-    A first root x can only work when the remainder t - x**3 has an
-    attainable mod-9 pattern, which restricts x to the admissible classes
-    (typically well under a tenth of the box).  Scanning each admissible
-    class list in order and taking the minimum over per-class first hits
-    yields exactly the pair a full lexicographic scan would find.
+    Every hit h of ``big & (T - small)`` is a box cube whose partner
+    T - h is one too, and every solution shows up as such a hit, so x is
+    the least root cubing to either half of any hit, and y the least
+    root cubing to what x's cube leaves.  That is the pair a full
+    lexicographic scan would find.
     """
-    if not tabs.pair_attainable(_sig(t)):
+    sig = _sig(t)
+    if not tabs.pair_attainable(sig):
         return None
-    table = space.table()
-    get = table.get
-    t0, t1, t2, t3 = t
-    grouped = space.by_class()
-    if grouped is None:
-        # box too large to partition: plain streaming scan
-        for root, cub in space.iter_entries():
-            got = get((t0 - cub[0], t1 - cub[1], t2 - cub[2], t3 - cub[3]))
-            if got is not None:
-                return root, got
+    packed = space.pack(t)
+    if packed is None:
         return None
-    best: tuple[Coeffs, Coeffs] | None = None
-    for cls in tabs.admissible_root_classes(_sig(t)):
-        for root, cub in grouped.get(cls, ()):
-            if best is not None and root >= best[0]:
-                break  # later roots in this class are larger still
-            got = get((t0 - cub[0], t1 - cub[1], t2 - cub[2], t3 - cub[3]))
-            if got is not None:
-                best = (root, got)
-                break  # first hit in a class is that class's least
-    return best
+    hits = [
+        h
+        for small, big in space.pair_sets(sig)
+        for h in big.intersection(map(packed.__sub__, small))
+    ]
+    if not hits:
+        return None
+    least = space.table()
+    x_cube = min((c for h in hits for c in (h, packed - h)), key=least.__getitem__)
+    return space.root(least[x_cube]), space.root(least[packed - x_cube])
 
 
 def _sub4(t: Coeffs, c: Coeffs) -> Coeffs:
     return (t[0] - c[0], t[1] - c[1], t[2] - c[2], t[3] - c[3])
+
+
+def _scan_three_cell(
+    space: _SearchSpace,
+    tabs: _Mod9Tables,
+    t: Coeffs,
+    outer: int,
+    first_ok: frozenset[Coeffs],
+    w0: int,
+    w1: int,
+) -> tuple[Coeffs, Coeffs, Coeffs] | None:
+    """Least 3-cube witness whose outer root starts with (w0, w1)."""
+    a, b = space.params.a, space.params.b
+    rng = range(-outer, outer + 1)
+    r0, r1 = w0 % 9, w1 % 9
+    for w2 in rng:
+        for w3 in rng:
+            if (r0, r1, w2 % 9, w3 % 9) not in first_ok:
+                continue
+            w = (w0, w1, w2, w3)
+            res = _scan_two(space, tabs, _sub4(t, _cube_coeffs(a, b, w)))
+            if res is not None:
+                return (w, *res)
+    return None
 
 
 def _scan_three_range(
@@ -320,28 +370,60 @@ def _scan_three_range(
     first_ok: frozenset[Coeffs],
     w0_values,
 ) -> tuple[Coeffs, Coeffs, Coeffs] | None:
-    a, b = space.params.a, space.params.b
-    rng = range(-outer, outer + 1)
+    """Least 3-cube witness whose outer root starts with one of w0_values,
+    taken in order."""
     for w0 in w0_values:
-        for w1 in rng:
-            for w2 in rng:
-                for w3 in rng:
-                    if (w0 % 9, w1 % 9, w2 % 9, w3 % 9) not in first_ok:
-                        continue
-                    w = (w0, w1, w2, w3)
-                    res = _scan_two(space, tabs, _sub4(t, _cube_coeffs(a, b, w)))
-                    if res is not None:
-                        return (w, *res)
+        for w1 in range(-outer, outer + 1):
+            res = _scan_three_cell(space, tabs, t, outer, first_ok, w0, w1)
+            if res is not None:
+                return res
     return None
 
 
-# worker context inherited through fork; set immediately before Pool creation
-_PARALLEL_CTX: tuple | None = None
+def _clamp_workers(requested: int, chunks: int) -> int:
+    """Processes worth starting for ``requested`` workers over ``chunks``
+    chunks: never more than the CPUs or the chunks, and at least one."""
+    return max(1, min(requested, os.cpu_count() or 1, chunks))
 
 
-def _scan_three_chunk(w0: int):
-    space, tabs, t, outer, first_ok = _PARALLEL_CTX
-    return _scan_three_range(space, tabs, t, outer, first_ok, (w0,))
+# the search context of a pool worker process, set once by _init_worker
+# when the worker starts; the process that owns the pool never sets it
+_worker_ctx: tuple | None = None
+
+
+def _init_worker(params: RingParams, bound: int, t: Coeffs, outer: int) -> None:
+    global _worker_ctx
+    tabs = _mod9_tables(params)
+    space = _SearchSpace(params, bound)
+    space.by_class()
+    _worker_ctx = (space, tabs, t, outer, tabs.first_root_classes(_sig(t)))
+
+
+def _scan_three_chunk(cell: tuple[int, int]):
+    return _scan_three_cell(*_worker_ctx, *cell)
+
+
+def _three_cube_pool(params: RingParams, cfg: SearchConfig, t: Coeffs, workers: int):
+    """A process pool for the 3-cube scan, or a null context when that
+    scan runs serially or the mod-9 patterns rule it out.
+
+    The pool starts before the 1- and 2-cube stages, so its workers build
+    their cube tables while this process builds its own.  Workers are
+    spawned, not forked, so a caller's threads cannot leave them holding
+    a lock, and they get only small picklable arguments.
+    """
+    tabs = _mod9_tables(params)
+    workers = _clamp_workers(workers, (2 * cfg.outer + 1) ** 2)
+    if (
+        workers == 1
+        or cfg.max_cubes < 3
+        or not tabs.triple_attainable(_sig(t))
+        or not tabs.first_root_classes(_sig(t))
+    ):
+        return contextlib.nullcontext()
+    return multiprocessing.get_context("spawn").Pool(
+        workers, initializer=_init_worker, initargs=(params, cfg.coeff_bound, t, cfg.outer)
+    )
 
 
 def _scan_three(
@@ -349,35 +431,23 @@ def _scan_three(
     tabs: _Mod9Tables,
     t: Coeffs,
     outer: int,
-    workers: int,
+    pool,
 ) -> tuple[Coeffs, Coeffs, Coeffs] | None:
     if not tabs.triple_attainable(_sig(t)):
         return None
     first_ok = tabs.first_root_classes(_sig(t))
     if not first_ok:
         return None
-    w0_values = range(-outer, outer + 1)
-    if workers <= 1:
-        return _scan_three_range(space, tabs, t, outer, first_ok, w0_values)
-
-    # parallel: one chunk per leading coefficient, consumed in order, so
-    # the first hit is the same lexicographic minimum a serial run finds
-    space.table()  # force before fork so children share these copy-on-write
-    space.by_class()
-    global _PARALLEL_CTX
-    _PARALLEL_CTX = (space, tabs, t, outer, first_ok)
-    try:
-        ctx = multiprocessing.get_context("fork")
-    except ValueError:
-        return _scan_three_range(space, tabs, t, outer, first_ok, w0_values)
-    try:
-        with ctx.Pool(workers) as pool:
-            for res in pool.imap(_scan_three_chunk, w0_values):
-                if res is not None:
-                    return res
-        return None
-    finally:
-        _PARALLEL_CTX = None
+    rng = range(-outer, outer + 1)
+    if pool is None:
+        return _scan_three_range(space, tabs, t, outer, first_ok, rng)
+    # cells go out and come back in lexicographic order, so the first hit
+    # is the least witness, as in a serial run; leaving the pool's context
+    # terminates the workers still scanning later cells
+    for res in pool.imap(_scan_three_chunk, [(w0, w1) for w0 in rng for w1 in rng]):
+        if res is not None:
+            return res
+    return None
 
 
 def _scan_four(
@@ -410,36 +480,41 @@ def min_cubes_search(
     lexicographically least one the box contains (roots compared as
     coefficient tuples, first root most significant).  Returns None when
     no representation exists within the bounds, which proves nothing
-    beyond the box.  ``workers`` > 1 splits the outermost loop of the
-    3-cube search across processes; results are identical to a serial
-    run.
+    beyond the box.
+
+    Two cubes are met in the middle: the box's cubes, packed into ints
+    and grouped by signature mod 9, are intersected with the target
+    minus each cube of a matching group.  Three cubes scan the outer
+    root (in the outer_bound box) and meet the remainder.  ``workers``
+    > 1 cuts that scan into ``(w0, w1)`` cells of the outer root's first
+    two coefficients and hands them to up to ``workers`` processes (no
+    more than the CPUs or the cells), taking results back in order, so
+    the result is identical to a serial run.  The workers are spawned,
+    so a script that calls this with ``workers`` > 1 must guard its
+    entry point with ``if __name__ == "__main__":``.
     """
     params = alpha.params
     t = alpha.coefficients()
     space = _SearchSpace(params, cfg.coeff_bound)
     tabs = _mod9_tables(params)
 
-    for k in range(1, cfg.max_cubes + 1):
-        found: tuple[Coeffs, ...] | None = None
-        if k == 1:
-            if _sig(t) in tabs.single:
-                root = space.table().get(t)
-                if root is not None:
-                    found = (root,)
-        elif k == 2:
-            res = _scan_two(space, tabs, t)
-            if res is not None:
-                found = res
-        elif k == 3:
-            res = _scan_three(space, tabs, t, cfg.outer, workers)
-            if res is not None:
-                found = res
-        else:
-            res = _scan_four(space, tabs, t, cfg.outer)
-            if res is not None:
-                found = res
-        if found is not None:
-            return [Quaternion(params, *c) for c in found]
+    with _three_cube_pool(params, cfg, t, workers) as pool:
+        for k in range(1, cfg.max_cubes + 1):
+            found: tuple[Coeffs, ...] | None = None
+            if k == 1:
+                packed = space.pack(t) if _sig(t) in tabs.single else None
+                if packed is not None:
+                    idx = space.table().get(packed)
+                    if idx is not None:
+                        found = (space.root(idx),)
+            elif k == 2:
+                found = _scan_two(space, tabs, t)
+            elif k == 3:
+                found = _scan_three(space, tabs, t, cfg.outer, pool)
+            else:
+                found = _scan_four(space, tabs, t, cfg.outer)
+            if found is not None:
+                return [Quaternion(params, *c) for c in found]
     return None
 
 

@@ -83,6 +83,13 @@ class TestCliDecompose:
         assert code == 0
         assert "verified: true" in out
 
+    @pytest.mark.parametrize("text, target", [("-5+3i", ["-5", "3", "0", "0"]),
+                                              ("-k+2j", ["0", "0", "2", "-1"])])
+    def test_target_starting_with_minus(self, capsys, text, target):
+        code, out, _ = run_cli(capsys, "decompose", "--ring", "1,1", text, "--json")
+        assert code == 0
+        assert json.loads(out)["target"] == target
+
 
 class TestCliMember:
     def test_member_false_exit_1(self, capsys):
@@ -95,12 +102,22 @@ class TestCliMember:
         assert code == 0
         assert json.loads(out)["member"] is True
 
+    def test_target_starting_with_minus(self, capsys):
+        code, out, _ = run_cli(capsys, "member", "--ring", "3,3", "-1+i")
+        assert code == 1
+        assert out.strip() == "false"
+
 
 class TestCliCube:
     def test_cube(self, capsys):
         code, out, _ = run_cli(capsys, "cube", "--ring", "1,1", "--json", "1+i+j+k")
         assert code == 0
         assert json.loads(out)["cube"] == ["-8", "0", "0", "0"]
+
+    def test_target_starting_with_minus(self, capsys):
+        code, out, _ = run_cli(capsys, "cube", "--ring", "1,1", "--json", "-i")
+        assert code == 0
+        assert json.loads(out)["cube"] == ["0", "1", "0", "0"]
 
 
 class TestCliSearch:
@@ -124,6 +141,23 @@ class TestCliSearch:
         payload = json.loads(out)
         assert payload["found"] is False
         assert payload["roots"] is None
+
+    def test_target_starting_with_minus(self, capsys):
+        code, out, _ = run_cli(
+            capsys, "search", "--ring", "1,1", "--json", "--max-cubes", "1",
+            "--bound", "2", "-8-i",
+        )
+        assert code == 1
+        assert json.loads(out)["target"] == ["-8", "-1", "0", "0"]
+
+    @pytest.mark.parametrize("flag, value", [("--bound", "-1"), ("--outer-bound", "-1"),
+                                             ("--max-cubes", "7"), ("--workers", "0")])
+    def test_bad_search_arguments_exit_2(self, capsys, flag, value):
+        code, out, err = run_cli(capsys, "search", "--ring", "1,1", flag, value, "3+3i")
+        assert code == 2
+        assert out == ""
+        assert len(err.strip().splitlines()) == 1
+        assert "Traceback" not in err
 
     def test_workers_flag_same_output(self, capsys):
         argv = ["search", "--ring", "2,1", "--json", "--max-cubes", "3",

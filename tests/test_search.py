@@ -1,3 +1,5 @@
+import os
+import threading
 from itertools import product
 
 import pytest
@@ -16,6 +18,7 @@ from quatcube import (
     three_cube_residues_mod9,
     two_cube_obstruction,
 )
+from quatcube.search import _SearchSpace, _clamp_workers
 
 LIPSCHITZ = RingParams(1, 1)
 
@@ -133,7 +136,7 @@ class TestMinCubesSearch:
                 total = total + cube(r)
             assert total == target
 
-    @pytest.mark.parametrize("ring", [(1, 1), (2, 3)])
+    @pytest.mark.parametrize("ring", [(1, 1), (2, 3), (3, 2), (6, 9)])
     def test_matches_brute_force_small_boxes(self, ring):
         import random
 
@@ -143,7 +146,14 @@ class TestMinCubesSearch:
                    for _ in range(12)]
         # include guaranteed hits so both branches are exercised
         targets.append(cube(Quaternion(params, 1, -2, 0, 1)))
-        targets.append(cube(Quaternion(params, 1, 1, 0, 0)) + cube(Quaternion(params, -2, 0, 1, 0)))
+        pair = cube(Quaternion(params, 1, 1, 0, 0)) + cube(Quaternion(params, -2, 0, 1, 0))
+        targets.append(pair)
+        # far outside the packing range: one packs to the same int as a
+        # genuine two-cube sum, with the same signature mod 9, and neither
+        # may be reported as a hit
+        radix = _SearchSpace(params, 2).radix
+        targets.append(pair + Quaternion(params, 0, 0, 9, -9 * radix))
+        targets.append(Quaternion(params, 10**30, 1, 0, 0))
         for t in targets:
             got = min_cubes_search(t, SearchConfig(max_cubes=2, coeff_bound=2))
             assert got == _brute_min_cubes(t, 2, 2)
@@ -162,6 +172,40 @@ class TestMinCubesSearch:
         serial = min_cubes_search(target, cfg)
         parallel = min_cubes_search(target, cfg, workers=2)
         assert serial == parallel
+
+    def test_parallel_equals_serial_beyond_first_cells(self):
+        # the witness's outer root 2-2j sits in (w0, w1) cell 22 of 25
+        params = RingParams(2, 1)
+        target = Quaternion(params, -192, -16, -16, 0)
+        cfg = SearchConfig(max_cubes=3, coeff_bound=2, outer_bound=2)
+        serial = min_cubes_search(target, cfg)
+        assert serial[0] == Quaternion(params, 2, 0, -2, 0)
+        assert min_cubes_search(target, cfg, workers=2) == serial
+
+    def test_concurrent_parallel_searches_from_threads(self):
+        cfg = SearchConfig(max_cubes=3, coeff_bound=2, outer_bound=2)
+        targets = [Quaternion(RingParams(2, 1), -192, -16, -16, 0),
+                   Quaternion(RingParams(1, 1), -66, 8, 8, 10)]
+        expected = [min_cubes_search(t, cfg) for t in targets]
+        results = [None, None]
+
+        def run(i):
+            results[i] = min_cubes_search(targets[i], cfg, workers=2)
+
+        threads = [threading.Thread(target=run, args=(i,)) for i in range(2)]
+        for th in threads:
+            th.start()
+        for th in threads:
+            th.join(timeout=120)
+            assert not th.is_alive()
+        assert results == expected
+
+    def test_clamp_workers(self):
+        cpus = os.cpu_count() or 1
+        assert _clamp_workers(10**9, 10**9) == cpus
+        assert _clamp_workers(10**9, 3) == min(cpus, 3)
+        assert _clamp_workers(1, 169) == 1
+        assert _clamp_workers(2, 1) == 1
 
     def test_four_cube_search(self):
         params = RingParams(3, 3)
