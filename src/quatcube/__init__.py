@@ -23,9 +23,10 @@ from .errors import (
     ParseError,
     PreconditionViolated,
     QuatcubeError,
+    VerificationFailed,
 )
 from .parser import QuatExpr, parse_quaternion, render
-from .quat import Quaternion, RingParams, cube, p_value, swap_iso
+from .quat import Quaternion, RingParams, cube, cube_coeffs, p_value, swap_iso
 from .residues import (
     Case,
     CaseTag,
@@ -64,9 +65,11 @@ __all__ = [
     "ResidueClass",
     "RingParams",
     "SearchConfig",
+    "VerificationFailed",
     "classify_case",
     "congruent_mod",
     "cube",
+    "cube_coeffs",
     "cube_root_congruence",
     "decompose",
     "delta",

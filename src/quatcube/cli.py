@@ -15,7 +15,7 @@ import re
 import sys
 
 from .decompose import decompose, member_cube_subgroup, verify
-from .errors import NotRepresentable, ParseError
+from .errors import NotRepresentable, ParseError, QuatcubeError, VerificationFailed
 from .parser import parse_quaternion
 from .quat import Quaternion, RingParams, cube
 from .residues import Case, classify_case
@@ -68,7 +68,7 @@ def _residue_pair(text: str) -> tuple[int, int]:
 
 
 def _coeffs(q: Quaternion) -> list[str]:
-    return [str(c) for c in q.coefficients()]
+    return [str(q.c0), str(q.c1), str(q.c2), str(q.c3)]
 
 
 def _ring_json(params: RingParams) -> list[str]:
@@ -84,7 +84,8 @@ def decompose_payload(alpha: Quaternion) -> dict:
     never assumed."""
     dec = decompose(alpha)
     ok = verify(dec)
-    assert ok, "decompose returned an unverified decomposition"
+    if not ok:
+        raise VerificationFailed("decompose returned an unverified decomposition")
     return {
         "ring": _ring_json(alpha.params),
         "target": _coeffs(alpha),
@@ -106,7 +107,8 @@ def search_payload(alpha: Quaternion, cfg: SearchConfig, workers: int = 1) -> di
         for r in roots:
             total = total + cube(r)
         verified = total == alpha
-        assert verified, "search returned roots that do not sum to the target"
+        if not verified:
+            raise VerificationFailed("search returned roots that do not sum to the target")
     return {
         "ring": _ring_json(alpha.params),
         "target": _coeffs(alpha),
@@ -356,7 +358,7 @@ def main(argv: list[str] | None = None) -> int:
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return 2
-    except NotRepresentable as exc:
+    except QuatcubeError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -19,17 +19,23 @@ small "congruence roots" chosen from the target's residue class mod 6:
 
 Targets already reduced skip the congruence step and get 4 roots.  In
 cases 2b/2c with the parameters in the swapped orientation, the target
-is moved through the mirror-ring isomorphism, decomposed there, and the
-roots mapped back.
+is moved through the mirror-ring isomorphism (c0, c1, c2, c3) ->
+(c0, c2, c1, -c3), decomposed there, and the roots mapped back.
+
+The recipe runs on coefficient tuples; ``Quaternion`` objects are built
+only for the roots :func:`decompose` returns, after their cubes have
+been summed and compared with the target exactly.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import NotRepresentable, PreconditionViolated
-from .quat import Quaternion, cube, swap_iso
-from .residues import (
+from .errors import NotRepresentable, PreconditionViolated, VerificationFailed
+# cube, swap_iso, delta and lnr6 are not called here: perfbench/tracing.py
+# wraps them under these names
+from .quat import Coeffs, Quaternion, cube, cube_coeffs, swap_iso  # noqa: F401
+from .residues import (  # noqa: F401
     Case,
     CaseTag,
     ResidueClass,
@@ -40,11 +46,6 @@ from .residues import (
     in_T3,
     lnr6,
 )
-
-# residue alphabets mod 6: odd, not divisible by 3, divisible by 3
-_ODD = (1, 3, 5)
-_UNIT = (1, 2, 4, 5)
-_DIV3 = (0, 3)
 
 
 @dataclass(frozen=True, slots=True)
@@ -60,14 +61,27 @@ class Decomposition:
         return len(self.roots)
 
 
+def _identity(z0: int, z1: int, z2: int, z3: int, plus3: bool) -> list[Coeffs]:
+    # four roots whose cubes sum to 6z, or to 6z + 3
+    if plus3:
+        return [
+            (-z0 - 5, -z1, -z2, -z3),
+            (z0 + 1, z1, z2, z3),
+            (-2 * z0 - 6, -2 * z1, -2 * z2, -2 * z3),
+            (2 * z0 + 7, 2 * z1, 2 * z2, 2 * z3),
+        ]
+    neg = (-z0, -z1, -z2, -z3)
+    return [(z0 + 1, z1, z2, z3), (z0 - 1, z1, z2, z3), neg, neg]
+
+
 def identity_6z(z: Quaternion) -> list[Quaternion]:
     """Four roots whose cubes sum to 6z."""
-    return [z + 1, z - 1, -z, -z]
+    return [Quaternion(z.params, *r) for r in _identity(*z.coefficients(), False)]
 
 
 def identity_6z3(z: Quaternion) -> list[Quaternion]:
     """Four roots whose cubes sum to 6z + 3."""
-    return [-z - 5, z + 1, -2 * z - 6, 2 * z + 7]
+    return [Quaternion(z.params, *r) for r in _identity(*z.coefficients(), True)]
 
 
 def member_cube_subgroup(alpha: Quaternion) -> bool:
@@ -80,6 +94,19 @@ def member_cube_subgroup(alpha: Quaternion) -> bool:
     if classify_case(alpha.params).case is Case.CASE3:
         return all(c % 3 == 0 for c in alpha.imaginary())
     return True
+
+
+def _congruence_root(r: Coeffs, a: int, b: int, case: Case) -> Coeffs:
+    # the recipe root of the class with residues r (each in 0..5); delta
+    # is 1 when p_value is odd (cases 1/2), or when p_value and the real
+    # coefficient have the same parity (case 3)
+    r0, r1, r2, r3 = r
+    d = (a * r1 + b * r2 + a * b * r3) % 2
+    if case is Case.CASE3:
+        d = 1 if d == r0 % 2 else 0
+    if case is Case.CASE2C:
+        return (r0 - 3 * d, 6 - r1, 6 - r2, 6 - r3)
+    return (r0 - 3 * d, r1, r2, r3)
 
 
 def cube_root_congruence(alpha: Quaternion, case: CaseTag) -> Quaternion:
@@ -114,23 +141,43 @@ def cube_root_congruence(alpha: Quaternion, case: CaseTag) -> Quaternion:
     else:
         if not (in_T2(cls) or in_T3(cls)):
             raise PreconditionViolated(f"residue class {cls.residues()} not in T2 or T3")
+    root = _congruence_root(cls.residues(), alpha.params.a, alpha.params.b, case.case)
+    return Quaternion(alpha.params, *root)
 
-    x0 = lnr6(alpha.c0) - 3 * delta(alpha, case)
-    if case.case is Case.CASE2C:
-        imag = [6 - lnr6(c) for c in alpha.imaginary()]
+
+# residue alphabets mod 6: odd, not divisible by 3, divisible by 3
+_ODD = (1, 3, 5)
+_UNIT = (1, 2, 4, 5)
+_DIV3 = (0, 3)
+
+
+def _least_pairs(first: tuple[int, ...], second: tuple[int, ...], m: int) -> list:
+    # for each t in 0..5, the lexicographically least (u, v) in
+    # first x second with u + v = t mod m, or None
+    pairs = [(u, v) for u in first for v in second]
+    return [next((p for p in pairs if (sum(p) - t) % m == 0), None) for t in range(6)]
+
+
+_REAL = _least_pairs(_ODD, _ODD, 3)
+_UU = _least_pairs(_UNIT, _UNIT, 6)
+_DD = _least_pairs(_DIV3, _DIV3, 6)
+_DU = _least_pairs(_DIV3, _UNIT, 6)
+_UD = _least_pairs(_UNIT, _DIV3, 6)
+
+
+def _pair(r: Coeffs, case: Case) -> tuple[Coeffs, Coeffs]:
+    # the two classes select_pair documents, for target residues r
+    t0, t1, t2, t3 = r
+    if case is Case.CASE1:
+        p2, p3 = _UU, _UU
+    elif t2 % 3 == 0:
+        p2, p3 = _DD, _UU
+    elif t3 % 3 == 0:
+        p2, p3 = _UU, _DD
     else:
-        imag = [lnr6(c) for c in alpha.imaginary()]
-    return Quaternion(alpha.params, x0, imag[0], imag[1], imag[2])
-
-
-def _least_pair(first: tuple[int, ...], second: tuple[int, ...], t: int, m: int) -> tuple[int, int]:
-    # lexicographically least (u, v) in first x second with u + v = t mod m
-    for u in first:
-        need = (t - u) % m
-        for v in second:
-            if v % m == need:
-                return u, v
-    raise AssertionError("residue alphabets should cover every target")
+        p2, p3 = _DU, _UD
+    (u0, v0), (u1, v1), (u2, v2), (u3, v3) = _REAL[t0], _UU[t1], p2[t2], p3[t3]
+    return (u0, u1, u2, u3), (v0, v1, v2, v3)
 
 
 def select_pair(alpha: Quaternion, case: CaseTag) -> tuple[ResidueClass, ResidueClass]:
@@ -145,106 +192,72 @@ def select_pair(alpha: Quaternion, case: CaseTag) -> tuple[ResidueClass, Residue
     """
     if case.case is Case.CASE3:
         raise PreconditionViolated("pair selection applies to cases 1 and 2 only")
-    t0, t1, t2, t3 = (lnr6(c) for c in alpha.coefficients())
-    if case.case is Case.CASE1:
-        sets2 = sets3 = (_UNIT, _UNIT)
-    elif t2 % 3 == 0:
-        sets2, sets3 = (_DIV3, _DIV3), (_UNIT, _UNIT)
-    elif t3 % 3 == 0:
-        sets2, sets3 = (_UNIT, _UNIT), (_DIV3, _DIV3)
-    else:
-        sets2, sets3 = (_DIV3, _UNIT), (_UNIT, _DIV3)
-
-    u0, v0 = _least_pair(_ODD, _ODD, t0, 3)
-    u1, v1 = _least_pair(_UNIT, _UNIT, t1, 6)
-    u2, v2 = _least_pair(sets2[0], sets2[1], t2, 6)
-    u3, v3 = _least_pair(sets3[0], sets3[1], t3, 6)
-
     a6, b6 = alpha.params.a % 6, alpha.params.b % 6
-    return (
-        ResidueClass(u0, u1, u2, u3, a6, b6),
-        ResidueClass(v0, v1, v2, v3, a6, b6),
-    )
+    first, second = _pair(ResidueClass.of(alpha).residues(), case.case)
+    return ResidueClass(*first, a6, b6), ResidueClass(*second, a6, b6)
 
 
-def _reduced(alpha: Quaternion) -> bool:
-    # ready for the identities: real 0 mod 3, imaginary 0 mod 6
-    return alpha.c0 % 3 == 0 and all(c % 6 == 0 for c in alpha.imaginary())
+def _roots(c: Coeffs, a: int, b: int, case: Case) -> list[Coeffs]:
+    # the recipe in the normalized ring (a, b): congruence roots for the
+    # target's class (one in case 3, one per class of the pair otherwise),
+    # then the identity roots of what their cubes leave
+    c0, c1, c2, c3 = c
+    xs: list[Coeffs] = []
+    if c0 % 3 or c1 % 6 or c2 % 6 or c3 % 6:
+        r = (c0 % 6, c1 % 6, c2 % 6, c3 % 6)
+        classes = (r,) if case is Case.CASE3 else _pair(r, case)
+        xs = [_congruence_root(cls, a, b, case) for cls in classes]
+        for x in xs:
+            d0, d1, d2, d3 = cube_coeffs(a, b, x)
+            c0, c1, c2, c3 = c0 - d0, c1 - d1, c2 - d2, c3 - d3
+    return xs + _identity(c0 // 6, c1 // 6, c2 // 6, c3 // 6, c0 % 6 != 0)
 
 
-def _identity_roots(beta: Quaternion) -> list[Quaternion]:
-    params = beta.params
-    if beta.c0 % 6 == 0:
-        z = Quaternion(params, beta.c0 // 6, beta.c1 // 6, beta.c2 // 6, beta.c3 // 6)
-        return identity_6z(z)
-    # real part is 3 mod 6: peel the scalar 3 off the real coefficient
-    z = Quaternion(params, (beta.c0 - 3) // 6, beta.c1 // 6, beta.c2 // 6, beta.c3 // 6)
-    return identity_6z3(z)
+def _swap(c: Coeffs) -> Coeffs:
+    # swap_iso on coefficients; it is its own inverse
+    return (c[0], c[2], c[1], -c[3])
 
 
-def _odd_residue(n: int) -> int:
-    # the unique odd residue in {1,3,5} congruent to n mod 3
-    r = n % 6
-    return r if r % 2 else (r + 3) % 6
-
-
-def _roots_normalized(alpha: Quaternion, tag: CaseTag) -> list[Quaternion]:
-    if _reduced(alpha):
-        return _identity_roots(alpha)
-    if tag.case is Case.CASE3:
-        x1 = cube_root_congruence(alpha, tag)
-        beta = alpha - cube(x1)
-        assert _reduced(beta), "congruence root failed to reduce the target"
-        return [x1, *_identity_roots(beta)]
-
-    first, _second = select_pair(alpha, tag)
-    x1 = cube_root_congruence(first.lift(alpha.params), tag)
-    resid = alpha - cube(x1)
-    # lift the residual back into the class set: imaginary residues are
-    # already exact, the real part needs the odd representative mod 3
-    lift2 = Quaternion(
-        alpha.params,
-        _odd_residue(resid.c0),
-        lnr6(resid.c1),
-        lnr6(resid.c2),
-        lnr6(resid.c3),
-    )
-    x2 = cube_root_congruence(lift2, tag)
-    beta = resid - cube(x2)
-    assert _reduced(beta), "congruence roots failed to reduce the target"
-    return [x1, x2, *_identity_roots(beta)]
+def _verified(a: int, b: int, target: Coeffs, roots, case: Case) -> bool:
+    # the exact check: root count within the case bound, cubes sum to target
+    if len(roots) > (5 if case is Case.CASE3 else 6):
+        return False
+    s0 = s1 = s2 = s3 = 0
+    for r in roots:
+        d0, d1, d2, d3 = cube_coeffs(a, b, r)
+        s0, s1, s2, s3 = s0 + d0, s1 + d1, s2 + d2, s3 + d3
+    return (s0, s1, s2, s3) == target
 
 
 def decompose(alpha: Quaternion) -> Decomposition:
     """Write alpha as a sum of cubes: at most 6 in cases 1/2, 5 in case 3.
 
     Raises :class:`NotRepresentable` when alpha lies outside the cube
-    subgroup (possible only when 3 divides both a and b).  The returned
-    decomposition always verifies exactly; already-reduced targets get 4
-    roots.
+    subgroup (possible only when 3 divides both a and b).  The roots'
+    cubes are summed and compared with alpha exactly before anything is
+    returned; :class:`VerificationFailed` is raised if they differ.
+    Already-reduced targets get 4 roots.
     """
-    tag = classify_case(alpha.params)
+    params = alpha.params
+    a, b = params.a, params.b
+    tag = classify_case(params)
     if not member_cube_subgroup(alpha):
-        raise NotRepresentable(
-            f"{alpha} is not in the cube subgroup of "
-            f"({alpha.params.a},{alpha.params.b})"
-        )
+        raise NotRepresentable(f"{alpha} is not in the cube subgroup of ({a},{b})")
+    c = alpha.coefficients()
     if tag.swapped:
-        inner = decompose(swap_iso(alpha))
-        dec = Decomposition(alpha, tuple(swap_iso(r) for r in inner.roots), tag)
+        roots = [_swap(r) for r in _roots(_swap(c), b, a, tag.case)]
     else:
-        dec = Decomposition(alpha, tuple(_roots_normalized(alpha, tag)), tag)
-    assert verify(dec), "decomposition failed self-verification"
-    return dec
+        roots = _roots(c, a, b, tag.case)
+    if not _verified(a, b, c, roots, tag.case):
+        raise VerificationFailed(f"the root cubes do not sum to {alpha} in ({a},{b})")
+    return Decomposition(alpha, tuple([Quaternion(params, *r) for r in roots]), tag)
 
 
 def verify(dec: Decomposition) -> bool:
     """Exact check: the cubes of the roots sum to the target and the root
     count respects the case bound (6 for cases 1/2, 5 for case 3)."""
-    total = Quaternion.scalar(dec.target.params, 0)
-    for r in dec.roots:
-        if r.params != dec.target.params:
-            return False
-        total = total + cube(r)
-    bound = 5 if dec.case.case is Case.CASE3 else 6
-    return total == dec.target and len(dec.roots) <= bound
+    params = dec.target.params
+    if any(r.params is not params and r.params != params for r in dec.roots):
+        return False
+    roots = [(r.c0, r.c1, r.c2, r.c3) for r in dec.roots]
+    return _verified(params.a, params.b, dec.target.coefficients(), roots, dec.case.case)

@@ -17,6 +17,10 @@ class NotRepresentable(QuatcubeError):
     """The target lies outside the cube subgroup of its ring."""
 
 
+class VerificationFailed(QuatcubeError):
+    """A computed result failed its exact check; the result is withheld."""
+
+
 class InvalidResidues(QuatcubeError):
     """A residue argument lies outside the canonical range 0..5."""
 

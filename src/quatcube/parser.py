@@ -9,14 +9,15 @@ coefficients summed, so ``-k + 2j - k`` parses to (0, 0, 2, -2).
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 
 from .errors import ParseError
 from .quat import Quaternion, RingParams
 
-_UNIT_INDEX = {"i": 1, "j": 2, "k": 3}
-_DIGITS = "0123456789"
-_SIGNS = "+-−"
+# one term: an optional sign (ASCII or Unicode minus), digits, a unit
+_TERM = re.compile(r"([+\-−]?)([0-9]*)([ijk]?)")
+_UNIT_INDEX = {"": 0, "i": 1, "j": 2, "k": 3}
 
 
 def parse_quaternion(text: str, params: RingParams) -> Quaternion:
@@ -25,49 +26,30 @@ def parse_quaternion(text: str, params: RingParams) -> Quaternion:
     Raises :class:`ParseError` with the 0-based position of the offending
     character in the original string.
     """
-    compact = []
-    positions = []
-    for idx, ch in enumerate(text):
-        if not ch.isspace():
-            compact.append(ch)
-            positions.append(idx)
+    # str.split() and str.isspace() agree on what whitespace is
+    compact = "".join(text.split())
 
     def fail(message: str, at: int) -> None:
-        pos = positions[at] if at < len(positions) else len(text)
-        raise ParseError(message, pos)
+        positions = [idx for idx, ch in enumerate(text) if not ch.isspace()]
+        raise ParseError(message, positions[at] if at < len(positions) else len(text))
 
     n = len(compact)
     if n == 0:
         raise ParseError("empty expression", 0)
-
     coeffs = [0, 0, 0, 0]
     i = 0
-    first = True
     while i < n:
-        sign = 1
-        ch = compact[i]
-        if ch in _SIGNS:
-            sign = -1 if ch != "+" else 1
-            i += 1
-        elif not first:
+        sign, digits, unit = (m := _TERM.match(compact, i)).groups()
+        if not sign and i:
             fail("expected '+' or '-' between terms", i)
-        if i >= n:
-            fail("expected a term", i)
-
-        digits = ""
-        while i < n and compact[i] in _DIGITS:
-            digits += compact[i]
-            i += 1
-        if i < n and compact[i] in _UNIT_INDEX:
-            coeffs[_UNIT_INDEX[compact[i]]] += sign * (int(digits) if digits else 1)
-            i += 1
-        elif digits:
-            coeffs[0] += sign * int(digits)
-        else:
-            fail("expected a digit or one of i, j, k", i)
-        first = False
-
-    return Quaternion(params, coeffs[0], coeffs[1], coeffs[2], coeffs[3])
+        if sign and i + 1 == n:
+            fail("expected a term", n)
+        if not (digits or unit):
+            fail("expected a digit or one of i, j, k", i + len(sign))
+        value = int(digits) if digits else 1
+        coeffs[_UNIT_INDEX[unit]] += -value if sign and sign != "+" else value
+        i = m.end()
+    return Quaternion(params, *coeffs)
 
 
 def render(q: Quaternion) -> str:

@@ -17,6 +17,8 @@ from dataclasses import dataclass
 
 from .errors import MixedRings
 
+Coeffs = tuple[int, int, int, int]
+
 
 @dataclass(frozen=True, slots=True)
 class RingParams:
@@ -161,25 +163,26 @@ def p_value(x: Quaternion) -> int:
     return a * x.c1 * x.c1 + b * x.c2 * x.c2 + a * b * x.c3 * x.c3
 
 
-def cube(x: Quaternion) -> Quaternion:
-    """The cube of x, computed by the closed form.
+def cube_coeffs(a: int, b: int, c: Coeffs) -> Coeffs:
+    """The cube of c0 + c1*i + c2*j + c3*k in the ring (a, b), on coefficients.
 
-    With P = p_value(x),
+    With P = a*c1**2 + b*c2**2 + a*b*c3**2 (see :func:`p_value`),
 
         x**3 == (c0**2 - 3P)*c0  +  (3*c0**2 - P) * (c1*i + c2*j + c3*k)
 
     which agrees with the direct product x*x*x (the test suite certifies
-    this identity on random inputs across rings).
+    this identity on random inputs across rings).  Every cube in the
+    package is computed here.
     """
-    p = p_value(x)
-    f = 3 * x.c0 * x.c0 - p
-    return Quaternion(
-        x.params,
-        (x.c0 * x.c0 - 3 * p) * x.c0,
-        f * x.c1,
-        f * x.c2,
-        f * x.c3,
-    )
+    c0, c1, c2, c3 = c
+    p = a * c1 * c1 + b * c2 * c2 + a * b * c3 * c3
+    f = 3 * c0 * c0 - p
+    return ((c0 * c0 - 3 * p) * c0, f * c1, f * c2, f * c3)
+
+
+def cube(x: Quaternion) -> Quaternion:
+    """The cube of x, by the closed form of :func:`cube_coeffs`."""
+    return Quaternion(x.params, *cube_coeffs(x.params.a, x.params.b, x.coefficients()))
 
 
 def swap_iso(x: Quaternion) -> Quaternion:

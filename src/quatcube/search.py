@@ -32,8 +32,8 @@ from dataclasses import dataclass
 from itertools import product
 
 from .decompose import cube_root_congruence, select_pair
-from .errors import InvalidResidues, MixedRings
-from .quat import Quaternion, RingParams, cube, swap_iso
+from .errors import InvalidResidues, MixedRings, QuatcubeError
+from .quat import Coeffs, Quaternion, RingParams, cube, cube_coeffs, swap_iso
 from .residues import (
     Case,
     CaseTag,
@@ -43,8 +43,6 @@ from .residues import (
     in_T2,
     in_T3,
 )
-
-Coeffs = tuple[int, int, int, int]
 
 _DIV3 = (0, 3)
 
@@ -90,13 +88,6 @@ class LemmaReport:
         return not self.failures
 
 
-def _cube_coeffs(a: int, b: int, c: Coeffs) -> Coeffs:
-    c0, c1, c2, c3 = c
-    p = a * c1 * c1 + b * c2 * c2 + a * b * c3 * c3
-    f = 3 * c0 * c0 - p
-    return ((c0 * c0 - 3 * p) * c0, f * c1, f * c2, f * c3)
-
-
 def _sig(c: Coeffs) -> Coeffs:
     return (c[0] % 9, c[1] % 9, c[2] % 9, c[3] % 9)
 
@@ -134,7 +125,7 @@ class _Mod9Tables:
 
     def __init__(self, a9: int, b9: int) -> None:
         self.cube_sig: dict[Coeffs, Coeffs] = {
-            s: _sig(_cube_coeffs(a9, b9, s)) for s in product(range(9), repeat=4)
+            s: _sig(cube_coeffs(a9, b9, s)) for s in product(range(9), repeat=4)
         }
         self.single = frozenset(self.cube_sig.values())
 
@@ -356,7 +347,7 @@ def _scan_three_cell(
             if (r0, r1, w2 % 9, w3 % 9) not in first_ok:
                 continue
             w = (w0, w1, w2, w3)
-            res = _scan_two(space, tabs, _sub4(t, _cube_coeffs(a, b, w)))
+            res = _scan_two(space, tabs, _sub4(t, cube_coeffs(a, b, w)))
             if res is not None:
                 return (w, *res)
     return None
@@ -385,6 +376,9 @@ def _clamp_workers(requested: int, chunks: int) -> int:
     chunks: never more than the CPUs or the chunks, and at least one."""
     return max(1, min(requested, os.cpu_count() or 1, chunks))
 
+
+# how long to wait for a 3-cube cell before checking that no worker died
+_WORKER_POLL_S = 0.1
 
 # the search context of a pool worker process, set once by _init_worker
 # when the worker starts; the process that owns the pool never sets it
@@ -444,10 +438,41 @@ def _scan_three(
     # cells go out and come back in lexicographic order, so the first hit
     # is the least witness, as in a serial run; leaving the pool's context
     # terminates the workers still scanning later cells
-    for res in pool.imap(_scan_three_chunk, [(w0, w1) for w0 in rng for w1 in rng]):
+    cells = [(w0, w1) for w0 in rng for w1 in rng]
+    for res in _watched_imap(pool, _scan_three_chunk, cells):
         if res is not None:
             return res
     return None
+
+
+def _watched_imap(pool, fn, items: list):
+    """``pool.imap(fn, items)``, raising :class:`QuatcubeError` once a
+    worker process has died.
+
+    ``multiprocessing.Pool`` silently replaces a dead worker.  A worker
+    that dies while starting (the calling script has no ``__main__``
+    guard, or building its tables fails) is replaced forever, and a plain
+    ``imap`` never returns.  No worker of this pool exits on its own, so
+    an exit code on any worker it started with (``pool._pool``, CPython's
+    worker list) means one died.  The check runs only while a result is
+    late, so results that arrive in time cost nothing extra.
+    """
+    workers = list(pool._pool)
+    results = pool.imap(fn, items)
+    for _ in items:
+        while True:
+            try:
+                res = results.next(timeout=_WORKER_POLL_S)
+                break
+            except multiprocessing.TimeoutError:
+                dead = [p.exitcode for p in workers if p.exitcode is not None]
+                if dead:
+                    raise QuatcubeError(
+                        f"a search worker process exited with code {dead[0]}; a script "
+                        "that searches with workers > 1 must guard its entry point "
+                        "with if __name__ == '__main__':"
+                    ) from None
+        yield res
 
 
 def _scan_four(
@@ -459,7 +484,7 @@ def _scan_four(
     a, b = space.params.a, space.params.b
     rng = range(-outer, outer + 1)
     for w in product(rng, rng, rng, rng):
-        t1 = _sub4(t, _cube_coeffs(a, b, w))
+        t1 = _sub4(t, cube_coeffs(a, b, w))
         if not tabs.triple_attainable(_sig(t1)):
             continue
         first_ok = tabs.first_root_classes(_sig(t1))
@@ -549,7 +574,7 @@ def two_cube_obstruction(params: RingParams, target: Quaternion) -> bool:
     a9, b9 = params.a % 9, params.b % 9
     patterns = set()
     for x in product(range(9), repeat=4):
-        c = _cube_coeffs(a9, b9, x)
+        c = cube_coeffs(a9, b9, x)
         patterns.add((c[0] % 9, c[1] % 3, c[2] % 3, c[3] % 3))
     g0 = target.c0 % 9
     g1, g2, g3 = (c % 3 for c in target.imaginary())
