@@ -67,8 +67,24 @@ def _residue_pair(text: str) -> tuple[int, int]:
     return a6, b6
 
 
+def _too_many_digits() -> QuatcubeError:
+    return QuatcubeError(
+        f"a coefficient has more than {sys.get_int_max_str_digits()} digits, too many to print"
+    )
+
+
 def _coeffs(q: Quaternion) -> list[str]:
-    return [str(q.c0), str(q.c1), str(q.c2), str(q.c3)]
+    try:
+        return [str(q.c0), str(q.c1), str(q.c2), str(q.c3)]
+    except ValueError:  # beyond sys.get_int_max_str_digits()
+        raise _too_many_digits() from None
+
+
+def _text(q: Quaternion) -> str:
+    try:
+        return str(q)
+    except ValueError:  # beyond sys.get_int_max_str_digits()
+        raise _too_many_digits() from None
 
 
 def _ring_json(params: RingParams) -> list[str]:
@@ -166,7 +182,7 @@ def _cmd_decompose(args) -> int:
         _emit(payload)
     else:
         print(f"ring: ({args.ring.a},{args.ring.b})   case: {payload['case']}")
-        print(f"target: {alpha}")
+        print(f"target: {_text(alpha)}")
         for idx, r in enumerate(payload["roots"], 1):
             print(f"  root {idx}: {Quaternion(args.ring, *(int(c) for c in r))}")
         print(f"count: {payload['count']}   verified: {str(payload['verified']).lower()}")
@@ -183,7 +199,7 @@ def _cmd_cube(args) -> int:
             "cube": _coeffs(c),
         })
     else:
-        print(f"({x})^3 = {c}")
+        print(f"({_text(x)})^3 = {_text(c)}")
     return 0
 
 
@@ -224,7 +240,7 @@ def _cmd_search(args) -> int:
         _emit(payload)
     else:
         if found:
-            print(f"{alpha} is a sum of {payload['count']} cubes within the box:")
+            print(f"{_text(alpha)} is a sum of {payload['count']} cubes within the box:")
             for idx, r in enumerate(payload["roots"], 1):
                 print(f"  root {idx}: {Quaternion(args.ring, *(int(c) for c in r))}")
             print(f"verified: {str(payload['verified']).lower()}")

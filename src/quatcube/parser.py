@@ -10,6 +10,7 @@ coefficients summed, so ``-k + 2j - k`` parses to (0, 0, 2, -2).
 from __future__ import annotations
 
 import re
+import sys
 from dataclasses import dataclass
 
 from .errors import ParseError
@@ -46,7 +47,14 @@ def parse_quaternion(text: str, params: RingParams) -> Quaternion:
             fail("expected a term", n)
         if not (digits or unit):
             fail("expected a digit or one of i, j, k", i + len(sign))
-        value = int(digits) if digits else 1
+        try:
+            value = int(digits) if digits else 1
+        except ValueError:  # more digits than sys.get_int_max_str_digits()
+            fail(
+                f"integer of {len(digits)} digits exceeds the limit of "
+                f"{sys.get_int_max_str_digits()} digits",
+                i + len(sign),
+            )
         coeffs[_UNIT_INDEX[unit]] += -value if sign and sign != "+" else value
         i = m.end()
     return Quaternion(params, *coeffs)

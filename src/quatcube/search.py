@@ -12,15 +12,16 @@ decomposition pipeline, so the two can certify each other:
 
 The cube table packs each cube of the box into one int, exactly (see
 :class:`_SearchSpace`), and groups the packed cubes into sets by their
-mod-9 signature.  Two cubes meet a target ``T`` by set intersection:
-for each pair of signature groups summing to the target's signature,
-``big & {T - h for h in small}`` runs in C.  Three cubes scan the outer
-root in lexicographic order and meet the remainder; with several
-workers, the outer box is cut into ``(w0, w1)`` cells whose results are
-taken in order.  The mod-9 patterns of cubes (and of sums of two or
-three cubes) prune only regions proven empty, so results are identical
-with and without them, and parallel runs return exactly what a serial
-run returns.
+mod-9 signature and, within it, by their parity pattern (coefficients
+mod 2).  Two cubes meet a target ``T`` by set intersection: for each
+pair of groups whose signatures sum to the target's signature and whose
+parities XOR to the target's parity, ``big & {T - h for h in small}``
+runs in C.  Three cubes scan the outer root in lexicographic order and
+meet the remainder; with several workers, the outer box is cut into
+``(w0, w1)`` cells whose results are taken in order.  The mod-9 and
+mod-2 patterns of cubes (and of sums of two or three cubes) prune only
+regions proven empty, so results are identical with and without them,
+and parallel runs return exactly what a serial run returns.
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ from __future__ import annotations
 import contextlib
 import multiprocessing
 import os
+from collections import deque
 from dataclasses import dataclass
 from itertools import product
 
@@ -90,6 +92,11 @@ class LemmaReport:
 
 def _sig(c: Coeffs) -> Coeffs:
     return (c[0] % 9, c[1] % 9, c[2] % 9, c[3] % 9)
+
+
+def _parity(c: Coeffs) -> int:
+    """The parity pattern of c as a 4-bit int, c0 in the high bit."""
+    return (c[0] & 1) << 3 | (c[1] & 1) << 2 | (c[2] & 1) << 1 | c[3] & 1
 
 
 def _encode(s0: int, s1: int, s2: int, s3: int) -> int:
@@ -191,6 +198,10 @@ def _mod9_tables(params: RingParams) -> _Mod9Tables:
     return tabs
 
 
+# the packed cubes of one mod-9 signature, by parity pattern
+_ParityGroups = dict[int, set[int]]
+
+
 class _SearchSpace:
     """Lazily built cube table for one (ring, coeff_bound) box.
 
@@ -220,8 +231,9 @@ class _SearchSpace:
         self._entries = None
         self._keys: list[int] | None = None
         self._least: dict[int, int] | None = None
-        self._by_class: dict[Coeffs, set[int]] | None = None
-        self._pair_memo: dict[Coeffs, list[tuple[set[int], set[int]]]] = {}
+        self._by_class: dict[Coeffs, _ParityGroups] | None = None
+        self._sig_pair_memo: dict[Coeffs, list[tuple[_ParityGroups, _ParityGroups]]] = {}
+        self._pair_memo: dict[tuple[Coeffs, int], list[tuple[set[int], set[int]]]] = {}
 
     def pack(self, t: Coeffs) -> int | None:
         """The packed form of t, or None when a coefficient exceeds 2*M."""
@@ -260,52 +272,97 @@ class _SearchSpace:
             self._keys = keys
         return self._least
 
-    def by_class(self) -> dict[Coeffs, set[int]]:
-        """Packed cubes grouped by their signature mod 9."""
+    def by_class(self) -> dict[Coeffs, _ParityGroups]:
+        """Packed cubes grouped by their signature mod 9, then by their
+        parity pattern (see :func:`_parity`)."""
         if self._by_class is None:
             self.table()
             keys = self._keys
+            a, b = self.params.a, self.params.b
             cube_sig = _mod9_tables(self.params).cube_sig
+            sigs = sorted(set(cube_sig.values()))
+            # a cube's parity depends only on its root's, indexed by _parity;
+            # cubes take few parities, numbered by their place in pars
+            cube_par = [_parity(cube_coeffs(a & 1, b & 1, r)) for r in product((0, 1), repeat=4)]
+            pars = sorted(set(cube_par))
+            # group n holds the cubes of signature sigs[n // len(pars)] and
+            # parity pars[n % len(pars)]; sig_base numbers root classes mod 9
+            # in product order, so class (r0, c) is at 729 * r0 + c
+            sig_index = {s: len(pars) * n for n, s in enumerate(sigs)}
+            sig_base = [sig_index[cube_sig[r]] for r in product(range(9), repeat=4)]
+            par_slot = [pars.index(p) for p in cube_par]
+            groups = [set() for _ in range(len(sigs) * len(pars))]
             rng = range(-self.bound, self.bound + 1)
-            tail_classes: dict[tuple[int, int, int], list[int]] = {}
-            for pos, (x1, x2, x3) in enumerate(product(rng, repeat=3)):
-                tail_classes.setdefault((x1 % 9, x2 % 9, x3 % 9), []).append(pos)
-            span = len(rng) ** 3
-            grouped: dict[Coeffs, set[int]] = {}
+            # each tail (x1, x2, x3) as one small int: parity * 729 + class mod 9
+            tails = [
+                ((x1 & 1) << 2 | (x2 & 1) << 1 | x3 & 1) * 729 + (x1 % 9 * 9 + x2 % 9) * 9 + x3 % 9
+                for x1, x2, x3 in product(rng, repeat=3)
+            ]
+            span = len(tails)
             for i, x0 in enumerate(rng):
-                block = keys[i * span:(i + 1) * span]
-                for cls, positions in tail_classes.items():
-                    sig = cube_sig[(x0 % 9, *cls)]
-                    grouped.setdefault(sig, set()).update(map(block.__getitem__, positions))
+                by_sig = sig_base[729 * (x0 % 9):729 * (x0 % 9 + 1)]
+                group_of: list[set[int]] = []
+                for slot in par_slot[8 * (x0 & 1):8 * (x0 & 1) + 8]:
+                    group_of.extend(map(groups.__getitem__, map(slot.__add__, by_sig)))
+                # one pass in C over the block, adding each cube to its group
+                deque(
+                    map(set.add, map(group_of.__getitem__, tails), keys[i * span:(i + 1) * span]),
+                    maxlen=0,
+                )
+            grouped: dict[Coeffs, _ParityGroups] = {}
+            for n, group in enumerate(groups):
+                if group:
+                    sig, slot = divmod(n, len(pars))
+                    grouped.setdefault(sigs[sig], {})[pars[slot]] = group
             self._by_class = grouped
             self._keys = None
         return self._by_class
 
-    def pair_sets(self, target_sig: Coeffs) -> list[tuple[set[int], set[int]]]:
-        """(smaller, larger) groups whose signatures sum to target_sig
-        mod 9, each unordered pair once."""
-        got = self._pair_memo.get(target_sig)
+    def _sig_pairs(self, target_sig: Coeffs) -> list[tuple[_ParityGroups, _ParityGroups]]:
+        """Signature groups whose signatures sum to target_sig mod 9, each
+        unordered pair once."""
+        got = self._sig_pair_memo.get(target_sig)
         if got is None:
             grouped = self.by_class()
             t0, t1, t2, t3 = target_sig
             got = []
-            for s, group in grouped.items():
+            for s, groups in grouped.items():
                 mate_sig = ((t0 - s[0]) % 9, (t1 - s[1]) % 9, (t2 - s[2]) % 9, (t3 - s[3]) % 9)
-                mate = grouped.get(mate_sig)
-                if mate is not None and s <= mate_sig:
-                    got.append((group, mate) if len(group) <= len(mate) else (mate, group))
-            self._pair_memo[target_sig] = got
+                mates = grouped.get(mate_sig)
+                if mates is not None and s <= mate_sig:
+                    got.append((groups, mates))
+            self._sig_pair_memo[target_sig] = got
+        return got
+
+    def pair_sets(self, target_sig: Coeffs, target_par: int) -> list[tuple[set[int], set[int]]]:
+        """(smaller, larger) groups whose signatures sum to target_sig mod 9
+        and whose parities XOR to target_par, each unordered pair once."""
+        key = (target_sig, target_par)
+        got = self._pair_memo.get(key)
+        if got is None:
+            got = []
+            for groups, mates in self._sig_pairs(target_sig):
+                for p, group in groups.items():
+                    q = p ^ target_par
+                    mate = mates.get(q)
+                    # a signature paired with itself: (p, q) and (q, p) meet
+                    # the same cube pairs, so keep one
+                    if mate is not None and (groups is not mates or p <= q):
+                        got.append((group, mate) if len(group) <= len(mate) else (mate, group))
+            self._pair_memo[key] = got
         return got
 
 
 def _scan_two(space: _SearchSpace, tabs: _Mod9Tables, t: Coeffs) -> tuple[Coeffs, Coeffs] | None:
     """Least (x, y) with x**3 + y**3 = t, both in the coeff box.
 
-    Every hit h of ``big & (T - small)`` is a box cube whose partner
-    T - h is one too, and every solution shows up as such a hit, so x is
-    the least root cubing to either half of any hit, and y the least
-    root cubing to what x's cube leaves.  That is the pair a full
-    lexicographic scan would find.
+    Only groups that can sum to t are met: their signatures sum to t's
+    mod 9 and their parities XOR to t's.  Every hit h of
+    ``big & (T - small)`` is a box cube whose partner T - h is one too,
+    and every solution shows up as such a hit, so x is the least root
+    cubing to either half of any hit, and y the least root cubing to
+    what x's cube leaves.  That is the pair a full lexicographic scan
+    would find.
     """
     sig = _sig(t)
     if not tabs.pair_attainable(sig):
@@ -315,7 +372,7 @@ def _scan_two(space: _SearchSpace, tabs: _Mod9Tables, t: Coeffs) -> tuple[Coeffs
         return None
     hits = [
         h
-        for small, big in space.pair_sets(sig)
+        for small, big in space.pair_sets(sig, _parity(t))
         for h in big.intersection(map(packed.__sub__, small))
     ]
     if not hits:
@@ -337,12 +394,19 @@ def _scan_three_cell(
     first_ok: frozenset[Coeffs],
     w0: int,
     w1: int,
+    stop=None,
 ) -> tuple[Coeffs, Coeffs, Coeffs] | None:
-    """Least 3-cube witness whose outer root starts with (w0, w1)."""
+    """Least 3-cube witness whose outer root starts with (w0, w1).
+
+    ``stop`` is a pool's stop event, checked before each w2 row; once it
+    is set the cell's result is no longer wanted and None comes back.
+    """
     a, b = space.params.a, space.params.b
     rng = range(-outer, outer + 1)
     r0, r1 = w0 % 9, w1 % 9
     for w2 in rng:
+        if stop is not None and stop.is_set():
+            return None
         for w3 in rng:
             if (r0, r1, w2 % 9, w3 % 9) not in first_ok:
                 continue
@@ -385,26 +449,32 @@ _WORKER_POLL_S = 0.1
 _worker_ctx: tuple | None = None
 
 
-def _init_worker(params: RingParams, bound: int, t: Coeffs, outer: int) -> None:
+def _init_worker(params: RingParams, bound: int, t: Coeffs, outer: int, stop) -> None:
     global _worker_ctx
     tabs = _mod9_tables(params)
     space = _SearchSpace(params, bound)
     space.by_class()
-    _worker_ctx = (space, tabs, t, outer, tabs.first_root_classes(_sig(t)))
+    _worker_ctx = (space, tabs, t, outer, tabs.first_root_classes(_sig(t)), stop)
 
 
 def _scan_three_chunk(cell: tuple[int, int]):
-    return _scan_three_cell(*_worker_ctx, *cell)
+    space, tabs, t, outer, first_ok, stop = _worker_ctx
+    return _scan_three_cell(space, tabs, t, outer, first_ok, *cell, stop)
 
 
+@contextlib.contextmanager
 def _three_cube_pool(params: RingParams, cfg: SearchConfig, t: Coeffs, workers: int):
-    """A process pool for the 3-cube scan, or a null context when that
-    scan runs serially or the mod-9 patterns rule it out.
+    """A process pool for the 3-cube scan and the event that stops its
+    cells, or None when that scan runs serially or the mod-9 patterns
+    rule it out.
 
     The pool starts before the 1- and 2-cube stages, so its workers build
     their cube tables while this process builds its own.  Workers are
     spawned, not forked, so a caller's threads cannot leave them holding
-    a lock, and they get only small picklable arguments.
+    a lock, and they get only small picklable arguments.  Leaving the
+    context terminates the pool, which is safe once no worker can be
+    writing a result: before any cell went out, or after every cell's
+    result came back.
     """
     tabs = _mod9_tables(params)
     workers = _clamp_workers(workers, (2 * cfg.outer + 1) ** 2)
@@ -414,10 +484,14 @@ def _three_cube_pool(params: RingParams, cfg: SearchConfig, t: Coeffs, workers: 
         or not tabs.triple_attainable(_sig(t))
         or not tabs.first_root_classes(_sig(t))
     ):
-        return contextlib.nullcontext()
-    return multiprocessing.get_context("spawn").Pool(
-        workers, initializer=_init_worker, initargs=(params, cfg.coeff_bound, t, cfg.outer)
-    )
+        yield None
+        return
+    ctx = multiprocessing.get_context("spawn")
+    stop = ctx.Event()
+    with ctx.Pool(
+        workers, initializer=_init_worker, initargs=(params, cfg.coeff_bound, t, cfg.outer, stop)
+    ) as pool:
+        yield pool, stop
 
 
 def _scan_three(
@@ -425,7 +499,7 @@ def _scan_three(
     tabs: _Mod9Tables,
     t: Coeffs,
     outer: int,
-    pool,
+    parallel,
 ) -> tuple[Coeffs, Coeffs, Coeffs] | None:
     if not tabs.triple_attainable(_sig(t)):
         return None
@@ -433,16 +507,22 @@ def _scan_three(
     if not first_ok:
         return None
     rng = range(-outer, outer + 1)
-    if pool is None:
+    if parallel is None:
         return _scan_three_range(space, tabs, t, outer, first_ok, rng)
-    # cells go out and come back in lexicographic order, so the first hit
-    # is the least witness, as in a serial run; leaving the pool's context
-    # terminates the workers still scanning later cells
+    pool, stop = parallel
+    # Cells go out and come back in lexicographic order, so the first hit
+    # is the least witness, as in a serial run.  The cells still out are
+    # then told to stop at their next w2 row, and their results are read
+    # anyway: leaving the pool's context kills the workers, and one killed
+    # while writing a result would leave the result queue's lock held,
+    # on which the pool's shutdown would wait forever.
     cells = [(w0, w1) for w0 in rng for w1 in rng]
+    hit = None
     for res in _watched_imap(pool, _scan_three_chunk, cells):
-        if res is not None:
-            return res
-    return None
+        if hit is None and res is not None:
+            hit = res
+            stop.set()
+    return hit
 
 
 def _watched_imap(pool, fn, items: list):
@@ -508,22 +588,22 @@ def min_cubes_search(
     beyond the box.
 
     Two cubes are met in the middle: the box's cubes, packed into ints
-    and grouped by signature mod 9, are intersected with the target
-    minus each cube of a matching group.  Three cubes scan the outer
-    root (in the outer_bound box) and meet the remainder.  ``workers``
-    > 1 cuts that scan into ``(w0, w1)`` cells of the outer root's first
-    two coefficients and hands them to up to ``workers`` processes (no
-    more than the CPUs or the cells), taking results back in order, so
-    the result is identical to a serial run.  The workers are spawned,
-    so a script that calls this with ``workers`` > 1 must guard its
-    entry point with ``if __name__ == "__main__":``.
+    and grouped by signature mod 9 and parity, are intersected with the
+    target minus each cube of a matching group.  Three cubes scan the
+    outer root (in the outer_bound box) and meet the remainder.
+    ``workers`` > 1 cuts that scan into ``(w0, w1)`` cells of the outer
+    root's first two coefficients and hands them to up to ``workers``
+    processes (no more than the CPUs or the cells), taking results back
+    in order, so the result is identical to a serial run.  The workers
+    are spawned, so a script that calls this with ``workers`` > 1 must
+    guard its entry point with ``if __name__ == "__main__":``.
     """
     params = alpha.params
     t = alpha.coefficients()
     space = _SearchSpace(params, cfg.coeff_bound)
     tabs = _mod9_tables(params)
 
-    with _three_cube_pool(params, cfg, t, workers) as pool:
+    with _three_cube_pool(params, cfg, t, workers) as parallel:
         for k in range(1, cfg.max_cubes + 1):
             found: tuple[Coeffs, ...] | None = None
             if k == 1:
@@ -535,7 +615,7 @@ def min_cubes_search(
             elif k == 2:
                 found = _scan_two(space, tabs, t)
             elif k == 3:
-                found = _scan_three(space, tabs, t, cfg.outer, pool)
+                found = _scan_three(space, tabs, t, cfg.outer, parallel)
             else:
                 found = _scan_four(space, tabs, t, cfg.outer)
             if found is not None:

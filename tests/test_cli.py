@@ -1,4 +1,5 @@
 import json
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -203,6 +204,36 @@ class TestCliErrors:
         with pytest.raises(SystemExit) as exc:
             main([])
         assert exc.value.code == 2
+
+
+_DIGIT_LIMIT = sys.get_int_max_str_digits()
+
+
+@pytest.mark.skipif(_DIGIT_LIMIT == 0, reason="int/str conversion has no digit limit")
+class TestCliDigitLimit:
+    def test_literal_beyond_the_limit_exit_2(self, capsys):
+        code, out, err = run_cli(capsys, "decompose", "--ring", "1,1", "1" * (_DIGIT_LIMIT + 700))
+        assert code == 2
+        assert out == ""
+        assert err == (
+            f"parse error: integer of {_DIGIT_LIMIT + 700} digits exceeds the limit of "
+            f"{_DIGIT_LIMIT} digits (at position 0)\n"
+        )
+
+    def test_literal_at_the_limit_parses(self, capsys):
+        code, out, _ = run_cli(capsys, "decompose", "--ring", "1,1", "--json", "1" * _DIGIT_LIMIT)
+        assert code == 0
+        assert json.loads(out)["target"][0] == "1" * _DIGIT_LIMIT
+
+    @pytest.mark.parametrize("flags", [("--json",), ()])
+    def test_result_beyond_the_limit_exit_1(self, capsys, flags):
+        # the cube of a coefficient with n digits has about 3n digits
+        text = "7" * (_DIGIT_LIMIT // 3 + 100) + "+i"
+        code, out, err = run_cli(capsys, "cube", "--ring", "1,1", *flags, text)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert str(_DIGIT_LIMIT) in err
 
 
 def test_json_stable_across_runs(capsys):

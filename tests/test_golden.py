@@ -1,9 +1,10 @@
-"""Golden outputs: decompose JSON bytes and parser error messages.
+"""Golden outputs: decompose and search JSON bytes, parser error messages.
 
 The expected values were recorded from the object-based decomposer and
 the character-by-character parser that preceded the tuple core and the
-regex parser.  Both are part of the CLI's contract, so any change to
-them is a change of behaviour, not a refactor.
+regex parser, and from the search whose cube groups were split by
+signature mod 9 alone.  All are part of the CLI's contract, so any
+change to them is a change of behaviour, not a refactor.
 """
 
 import hashlib
@@ -12,8 +13,8 @@ import random
 
 import pytest
 
-from quatcube import ParseError, Quaternion, RingParams, parse_quaternion
-from quatcube.cli import decompose_payload
+from quatcube import ParseError, Quaternion, RingParams, SearchConfig, cube, parse_quaternion
+from quatcube.cli import decompose_payload, search_payload
 
 # All five cases, with both orientations of 2b ((2,3)/(3,2)) and 2c ((1,3)/(3,1)).
 SHOWCASE_RINGS = [
@@ -96,3 +97,38 @@ def test_parse_error_message_and_position(text, message, position):
 @pytest.mark.parametrize("text, coeffs", PARSES)
 def test_whitespace_is_ignored_everywhere(text, coeffs):
     assert parse_quaternion(text, RingParams(1, 1)).coefficients() == coeffs
+
+
+# search --json payloads: seeded two- and three-cube sums and plain
+# random targets in every showcase ring, in small boxes
+SEARCH_GOLDEN_TARGETS = 176
+SEARCH_GOLDEN_SHA256 = "ebd39e06f3eb9e54b93d29ed46335b73398126965d54124f7d7fa35d737b7006"
+
+
+def _search_golden_cases():
+    rng = random.Random(20261019)
+
+    def box_root(params, bound):
+        return Quaternion(params, *(rng.randint(-bound, bound) for _ in range(4)))
+
+    for a, b in SHOWCASE_RINGS:
+        params = RingParams(a, b)
+        for _ in range(6):
+            target = cube(box_root(params, 3)) + cube(box_root(params, 3))
+            yield target, SearchConfig(max_cubes=2, coeff_bound=3)
+        for _ in range(6):
+            x, y, z = box_root(params, 1), box_root(params, 2), box_root(params, 2)
+            target = cube(x) + cube(y) + cube(z)
+            yield target, SearchConfig(max_cubes=3, coeff_bound=2, outer_bound=1)
+        for _ in range(4):
+            target = Quaternion(params, *(rng.randint(-30, 30) for _ in range(4)))
+            yield target, SearchConfig(max_cubes=3, coeff_bound=2, outer_bound=1)
+
+
+def test_search_json_bytes_match_recorded_hash():
+    lines = [
+        json.dumps(search_payload(target, cfg), separators=(",", ":")).encode()
+        for target, cfg in _search_golden_cases()
+    ]
+    assert len(lines) == SEARCH_GOLDEN_TARGETS
+    assert hashlib.sha256(b"\n".join(lines)).hexdigest() == SEARCH_GOLDEN_SHA256

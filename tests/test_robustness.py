@@ -1,11 +1,13 @@
 """Failures that must surface as errors, checked in fresh interpreters.
 
 The verification gates must hold under ``python -O``, which strips
-``assert`` statements, and a parallel search whose worker processes die
-must fail instead of waiting for results that never come.
+``assert`` statements, a parallel search whose worker processes die
+must fail instead of waiting for results that never come, and a
+parallel search must always shut its pool down.
 """
 
 import os
+import signal
 import subprocess
 import sys
 from pathlib import Path
@@ -15,11 +17,14 @@ import pytest
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 
 
-def _run(argv, timeout=120):
+def _env():
     path = os.pathsep.join(p for p in (SRC, os.environ.get("PYTHONPATH")) if p)
-    env = dict(os.environ, PYTHONPATH=path)
+    return dict(os.environ, PYTHONPATH=path)
+
+
+def _run(argv, timeout=120):
     return subprocess.run(
-        [sys.executable, *argv], env=env, capture_output=True, text=True, timeout=timeout
+        [sys.executable, *argv], env=_env(), capture_output=True, text=True, timeout=timeout
     )
 
 
@@ -94,3 +99,52 @@ def test_dying_search_workers_raise_instead_of_hanging(tmp_path):
     assert proc.returncode != 0
     assert "QuatcubeError" in proc.stderr
     assert "__main__" in proc.stderr
+
+
+_THREADED_POOLS = """
+import sys
+import threading
+
+from quatcube import Quaternion, RingParams, SearchConfig, min_cubes_search
+
+if __name__ == "__main__":
+    cfg = SearchConfig(max_cubes=3, coeff_bound=2, outer_bound=2)
+    targets = [Quaternion(RingParams(2, 1), -192, -16, -16, 0),
+               Quaternion(RingParams(1, 1), -66, 8, 8, 10)]
+    expected = [min_cubes_search(t, cfg) for t in targets]
+    for _ in range(int(sys.argv[1])):
+        results = [None, None]
+
+        def run(i):
+            results[i] = min_cubes_search(targets[i], cfg, workers=2)
+
+        threads = [threading.Thread(target=run, args=(i,)) for i in range(2)]
+        for th in threads:
+            th.start()
+        for th in threads:
+            th.join()
+        if results != expected:
+            sys.exit(f"parallel results {results} differ from serial {expected}")
+"""
+
+
+@pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="a 3-cube pool needs two CPUs")
+def test_repeated_parallel_searches_from_threads_never_hang(tmp_path):
+    # Killing pool workers once a hit is found could leave a queue lock
+    # held and hang the pool's shutdown, in a fraction of a percent of
+    # searches, so many rounds run.
+    # The searches run in their own session so that a hang, workers
+    # included, can be killed and fail the test instead of stalling it.
+    script = tmp_path / "threaded_pools.py"
+    script.write_text(_THREADED_POOLS)
+    proc = subprocess.Popen(
+        [sys.executable, str(script), "30"], env=_env(), stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE, text=True, start_new_session=True,
+    )
+    try:
+        _, err = proc.communicate(timeout=180)
+    except subprocess.TimeoutExpired:
+        os.killpg(proc.pid, signal.SIGKILL)
+        proc.communicate()
+        pytest.fail("30 rounds of two threaded parallel searches did not end in 180 s")
+    assert proc.returncode == 0, err

@@ -1,6 +1,7 @@
 import os
 import threading
 from itertools import product
+from multiprocessing.pool import Pool
 
 import pytest
 from hypothesis import given, settings
@@ -18,7 +19,8 @@ from quatcube import (
     three_cube_residues_mod9,
     two_cube_obstruction,
 )
-from quatcube.search import _SearchSpace, _clamp_workers
+from quatcube.quat import cube_coeffs
+from quatcube.search import _SearchSpace, _clamp_workers, _parity, _sig
 
 LIPSCHITZ = RingParams(1, 1)
 
@@ -136,7 +138,7 @@ class TestMinCubesSearch:
                 total = total + cube(r)
             assert total == target
 
-    @pytest.mark.parametrize("ring", [(1, 1), (2, 3), (3, 2), (6, 9)])
+    @pytest.mark.parametrize("ring", [(1, 1), (2, 3), (3, 2), (6, 9), (2, 1), (4, 4)])
     def test_matches_brute_force_small_boxes(self, ring):
         import random
 
@@ -158,12 +160,42 @@ class TestMinCubesSearch:
             got = min_cubes_search(t, SearchConfig(max_cubes=2, coeff_bound=2))
             assert got == _brute_min_cubes(t, 2, 2)
 
+    @pytest.mark.parametrize("ring, coeffs", [((1, 1), (0, 12, 0, 0)), ((2, 1), (0, 10, 0, 10))])
+    def test_two_cube_witness_among_parity_subpairs(self, ring, coeffs):
+        # the target has many two-cube sums in the box, whose cubes fall in
+        # four different pairs of parity patterns
+        a, b = ring
+        cubes = {cube_coeffs(a, b, x) for x in product(range(-2, 3), repeat=4)}
+        parity_pairs = {
+            frozenset((_parity(c), _parity(tuple(t - u for t, u in zip(coeffs, c)))))
+            for c in cubes
+            if tuple(t - u for t, u in zip(coeffs, c)) in cubes
+        }
+        assert len(parity_pairs) == 4
+        target = Quaternion(RingParams(a, b), *coeffs)
+        got = min_cubes_search(target, SearchConfig(max_cubes=2, coeff_bound=2))
+        assert len(got) == 2
+        assert got == _brute_min_cubes(target, 2, 2)
+
     def test_matches_brute_force_three_cubes(self):
-        params = RingParams(1, 1)
+        # (2, 2) has both parameters even, so cubes mod 2 follow other patterns
         cfg = SearchConfig(max_cubes=3, coeff_bound=1, outer_bound=1)
-        for c in product(range(-3, 4), repeat=2):
-            t = Quaternion(params, c[0], c[1], 0, 0)
-            assert min_cubes_search(t, cfg) == _brute_min_cubes(t, 3, 1, 1)
+        for params in (RingParams(1, 1), RingParams(2, 2)):
+            for c in product(range(-3, 4), repeat=2):
+                t = Quaternion(params, c[0], c[1], 0, 0)
+                assert min_cubes_search(t, cfg) == _brute_min_cubes(t, 3, 1, 1)
+
+    @pytest.mark.parametrize("ring", [(1, 1), (2, 1), (4, 4), (3, 6)])
+    def test_groups_partition_the_table_by_signature_and_parity(self, ring):
+        params = RingParams(*ring)
+        space = _SearchSpace(params, 2)
+        grouped = space.by_class()
+        keys = set(space.table())
+        assert sum(len(g) for groups in grouped.values() for g in groups.values()) == len(keys)
+        assert set().union(*(g for groups in grouped.values() for g in groups.values())) == keys
+        for x in product(range(-2, 3), repeat=4):
+            c = cube_coeffs(params.a, params.b, x)
+            assert space.pack(c) in grouped[_sig(c)][_parity(c)]
 
     def test_parallel_equals_serial(self):
         params = RingParams(2, 1)
@@ -199,6 +231,26 @@ class TestMinCubesSearch:
             th.join(timeout=120)
             assert not th.is_alive()
         assert results == expected
+
+    @pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="a 3-cube pool needs two CPUs")
+    @pytest.mark.parametrize("coeffs", [(175, 13, -4, -16), (3, 37, -3, 0)])
+    def test_parallel_search_kills_no_worker_with_a_cell_out(self, monkeypatch, coeffs):
+        # a worker killed while it writes a result would leave the result
+        # queue's lock held, and the pool's shutdown would wait on it
+        # forever; so the pool ends only once every cell has come back,
+        # whether a witness turned up in the first cell (first target) or
+        # in none (second)
+        target = Quaternion(RingParams(2, 1), *coeffs)
+        cfg = SearchConfig(max_cubes=3, coeff_bound=2, outer_bound=2)
+        serial = min_cubes_search(target, cfg)
+        assert serial is None or serial[0].coefficients()[:2] == (-2, -2)
+        cells_out = []
+        terminate = Pool.terminate
+        monkeypatch.setattr(
+            Pool, "terminate", lambda pool: (cells_out.append(len(pool._cache)), terminate(pool))[1]
+        )
+        assert min_cubes_search(target, cfg, workers=2) == serial
+        assert cells_out == [0]
 
     def test_clamp_workers(self):
         cpus = os.cpu_count() or 1
