@@ -229,6 +229,15 @@ def _verified(a: int, b: int, target: Coeffs, roots, case: Case) -> bool:
     return (s0, s1, s2, s3) == target
 
 
+def _shown(alpha: Quaternion) -> str:
+    """alpha as text for a message, or "the target" when a coefficient has
+    more digits than ``sys.get_int_max_str_digits()`` allows to print."""
+    try:
+        return str(alpha)
+    except ValueError:
+        return "the target"
+
+
 def decompose(alpha: Quaternion) -> Decomposition:
     """Write alpha as a sum of cubes: at most 6 in cases 1/2, 5 in case 3.
 
@@ -242,14 +251,14 @@ def decompose(alpha: Quaternion) -> Decomposition:
     a, b = params.a, params.b
     tag = classify_case(params)
     if not member_cube_subgroup(alpha):
-        raise NotRepresentable(f"{alpha} is not in the cube subgroup of ({a},{b})")
+        raise NotRepresentable(f"{_shown(alpha)} is not in the cube subgroup of ({a},{b})")
     c = alpha.coefficients()
     if tag.swapped:
         roots = [_swap(r) for r in _roots(_swap(c), b, a, tag.case)]
     else:
         roots = _roots(c, a, b, tag.case)
     if not _verified(a, b, c, roots, tag.case):
-        raise VerificationFailed(f"the root cubes do not sum to {alpha} in ({a},{b})")
+        raise VerificationFailed(f"the root cubes do not sum to {_shown(alpha)} in ({a},{b})")
     return Decomposition(alpha, tuple([Quaternion(params, *r) for r in roots]), tag)
 
 

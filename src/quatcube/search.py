@@ -4,19 +4,23 @@ Everything here is deliberately independent of the constructive
 decomposition pipeline, so the two can certify each other:
 
 * :func:`min_cubes_search` -- box-bounded minimal-representation search
-  by meet-in-the-middle over a table of single cubes;
+  by meet-in-the-middle over groups of single cubes;
 * :func:`three_cube_residues_mod9` / :func:`two_cube_obstruction` --
   modular enumerators proving the two non-representability witnesses;
 * :func:`lemma_residue_check` -- exhaustive certification of the
   congruence recipes and pair tables over whole residue classes.
 
-The cube table packs each cube of the box into one int, exactly (see
-:class:`_SearchSpace`), and groups the packed cubes into sets by their
-mod-9 signature and, within it, by their parity pattern (coefficients
-mod 2).  Two cubes meet a target ``T`` by set intersection: for each
-pair of groups whose signatures sum to the target's signature and whose
-parities XOR to the target's parity, ``big & {T - h for h in small}``
-runs in C.  Three cubes scan the outer root in lexicographic order and
+Each cube of the box is packed into one int, exactly (see
+:class:`_SearchSpace`), and the packed cubes are grouped by their mod-9
+signature and, within it, by their parity pattern (coefficients mod 2).
+Each group maps its cubes to their least roots.  A signature's groups
+are built the first time a search meets that signature, from the box
+roots of the root classes mod 9 that cube to it, so a two-cube search
+builds only the few signatures that can sum to its target.  Two cubes
+meet a target ``T`` by set intersection: for each pair of groups whose
+signatures sum to the target's signature and whose parities XOR to the
+target's parity, ``big.keys() & {T - h for h in small}`` runs in C.
+Three cubes scan the outer root in lexicographic order and
 meet the remainder; with several workers, the outer box is cut into
 ``(w0, w1)`` cells whose results are taken in order.  The mod-9 and
 mod-2 patterns of cubes (and of sums of two or three cubes) prune only
@@ -27,7 +31,6 @@ and parallel runs return exactly what a serial run returns.
 from __future__ import annotations
 
 import contextlib
-import multiprocessing
 import os
 from collections import deque
 from dataclasses import dataclass
@@ -123,31 +126,38 @@ class _Mod9Tables:
     """Attainable mod-9 coefficient patterns of cubes in one ring.
 
     Depends only on (a mod 9, b mod 9).  ``cube_sig`` maps each root
-    signature to its cube's signature; the grids answer whether a target
-    signature is attainable as a sum of one, two or three cube
-    signatures.
+    signature to its cube's signature, and ``root_classes`` inverts it;
+    the grids answer whether a target signature is attainable as a sum
+    of one, two or three cube signatures.  The triple grid is built on
+    first use, since two-cube searches never need it.  Instances are
+    shared between threads through ``_MOD9_CACHE``, so a lazy attribute
+    is assigned only once it is complete.
     """
 
-    __slots__ = ("cube_sig", "single", "_pairs", "_triples", "_first_ok_memo")
+    __slots__ = ("cube_sig", "root_classes", "single", "_codes", "_pair_mask", "_pairs",
+                 "_triples", "_first_ok_memo")
 
     def __init__(self, a9: int, b9: int) -> None:
         self.cube_sig: dict[Coeffs, Coeffs] = {
             s: _sig(cube_coeffs(a9, b9, s)) for s in product(range(9), repeat=4)
         }
-        self.single = frozenset(self.cube_sig.values())
+        # each cube signature's root classes, numbered in product order, so
+        # class (r0, r1, r2, r3) is 729 * r0 + (81 * r1 + 9 * r2 + r3)
+        self.root_classes: dict[Coeffs, list[int]] = {}
+        for n, cs in enumerate(self.cube_sig.values()):
+            self.root_classes.setdefault(cs, []).append(n)
+        self.single = frozenset(self.root_classes)
 
-        codes = sorted({_encode(*s) for s in self.single})
+        self._codes = sorted({_encode(*s) for s in self.single})
         mask = 0
-        for c in codes:
+        for c in self._codes:
             mask |= 1 << c
         pair = 0
-        for c in codes:
+        for c in self._codes:
             pair |= mask << c
-        triple = 0
-        for c in codes:
-            triple |= pair << c
+        self._pair_mask = pair
         self._pairs = _BitGrid(pair)
-        self._triples = _BitGrid(triple)
+        self._triples: _BitGrid | None = None
         self._first_ok_memo: dict[Coeffs, frozenset[Coeffs]] = {}
 
     def pair_attainable(self, s: Coeffs) -> bool:
@@ -161,7 +171,13 @@ class _Mod9Tables:
         return False
 
     def triple_attainable(self, s: Coeffs) -> bool:
-        test = self._triples.test
+        grid = self._triples
+        if grid is None:
+            triple = 0
+            for c in self._codes:
+                triple |= self._pair_mask << c
+            grid = self._triples = _BitGrid(triple)
+        test = grid.test
         for u0 in (s[0], s[0] + 9, s[0] + 18):
             for u1 in (s[1], s[1] + 9, s[1] + 18):
                 for u2 in (s[2], s[2] + 9, s[2] + 18):
@@ -198,12 +214,14 @@ def _mod9_tables(params: RingParams) -> _Mod9Tables:
     return tabs
 
 
-# the packed cubes of one mod-9 signature, by parity pattern
-_ParityGroups = dict[int, set[int]]
+# the packed cubes of one mod-9 signature by parity pattern, each cube
+# mapped to the box index of its least root
+_ParityGroups = dict[int, dict[int, int]]
 
 
 class _SearchSpace:
-    """Lazily built cube table for one (ring, coeff_bound) box.
+    """Cube groups for one (ring, coeff_bound) box, built one mod-9
+    signature at a time, the first time a search meets it.
 
     A cube (c0, c1, c2, c3) is stored as the int
     ``((c0*R + c1)*R + c2)*R + c3`` in radix ``R = 4*M + 1``, where M
@@ -217,7 +235,12 @@ class _SearchSpace:
     hit by accident.
 
     Roots are identified by their index in lexicographic order of the
-    box, so comparing indices compares roots.
+    box, so comparing indices compares roots.  :meth:`groups` maps each
+    packed cube of one signature, split by parity pattern, to the index
+    of its least root.  A cube's signature follows from any of its
+    roots' classes mod 9, so all its roots lie in the root classes that
+    ``_Mod9Tables.root_classes`` lists for that signature, and the
+    signature's groups alone decide its least root.
     """
 
     def __init__(self, params: RingParams, bound: int) -> None:
@@ -229,11 +252,11 @@ class _SearchSpace:
         self.radix = 4 * self.max_coeff + 1
         # the table keeps no (root, cube) list; perfbench/tracing.py reads this
         self._entries = None
-        self._keys: list[int] | None = None
-        self._least: dict[int, int] | None = None
-        self._by_class: dict[Coeffs, _ParityGroups] | None = None
+        self._tabs = _mod9_tables(params)
+        self._tails: tuple | None = None
+        self._groups: dict[Coeffs, _ParityGroups] = {}
         self._sig_pair_memo: dict[Coeffs, list[tuple[_ParityGroups, _ParityGroups]]] = {}
-        self._pair_memo: dict[tuple[Coeffs, int], list[tuple[set[int], set[int]]]] = {}
+        self._pair_memo: dict[tuple[Coeffs, int], list[tuple[dict[int, int], dict[int, int]]]] = {}
 
     def pack(self, t: Coeffs) -> int | None:
         """The packed form of t, or None when a coefficient exceeds 2*M."""
@@ -251,90 +274,100 @@ class _SearchSpace:
         x0, x1 = divmod(idx, n)
         return (x0 - b, x1 - b, x2 - b, x3 - b)
 
-    def table(self) -> dict[int, int]:
-        """Packed cube -> index of the lexicographically least root
-        producing it."""
-        if self._least is None:
+    def _tail_table(self) -> tuple:
+        """Per tail (x1, x2, x3) of the box, indexed in box order: the norm
+        part p with the packed (x1, x2, x3), and the tail's parity; then
+        the tails of each class mod 9, and the cube parity of each root
+        parity (see :func:`_parity`)."""
+        if self._tails is None:
             a, b, r = self.params.a, self.params.b, self.radix
             rng = range(-self.bound, self.bound + 1)
-            # per (x1, x2, x3): the norm part p and the packed (x1, x2, x3),
-            # so the cube of x packs to (x0^2 - 3p)x0 R^3 + (3x0^2 - p) low
-            tails = [
-                (a * x1 * x1 + b * x2 * x2 + a * b * x3 * x3, (x1 * r + x2) * r + x3)
-                for x1, x2, x3 in product(rng, repeat=3)
-            ]
-            keys: list[int] = []
-            for x0 in rng:
-                sq, hi = x0 * x0, x0 * r**3
-                keys.extend([(sq - 3 * p) * hi + (3 * sq - p) * low for p, low in tails])
-            # filled from the last root back, so each cube keeps its least root
-            self._least = dict(zip(reversed(keys), range(len(keys) - 1, -1, -1)))
-            self._keys = keys
-        return self._least
+            norms, pars = [], []
+            by_class: list[list[int]] = [[] for _ in range(729)]
+            for n, (x1, x2, x3) in enumerate(product(rng, repeat=3)):
+                norms.append((a * x1 * x1 + b * x2 * x2 + a * b * x3 * x3, (x1 * r + x2) * r + x3))
+                pars.append((x1 & 1) << 2 | (x2 & 1) << 1 | x3 & 1)
+                by_class[(x1 % 9 * 9 + x2 % 9) * 9 + x3 % 9].append(n)
+            cube_par = [_parity(cube_coeffs(a & 1, b & 1, x)) for x in product((0, 1), repeat=4)]
+            self._tails = (norms, pars, by_class, cube_par)
+        return self._tails
+
+    def groups(self, sig: Coeffs) -> _ParityGroups:
+        """The packed cubes of signature sig, by parity pattern, each mapped
+        to the index of its least root; built on first use."""
+        got = self._groups.get(sig)
+        if got is not None:
+            return got
+        norms, pars, by_class, cube_par = self._tail_table()
+        # the signature's tails in box order, by x0 mod 9
+        rows: dict[int, list[int]] = {}
+        for n in self._tabs.root_classes.get(sig, ()):
+            r0, c = divmod(n, 729)
+            rows.setdefault(r0, []).extend(by_class[c])
+        for row in rows.values():
+            row.sort()
+        by_par: _ParityGroups = {p: {} for p in cube_par}
+        # the group of a root, indexed by x0's parity, then by the tail's
+        slots = [[by_par[p] for p in cube_par[:8]], [by_par[p] for p in cube_par[8:]]]
+        r3, span = self.radix**3, len(norms)
+        for i, x0 in enumerate(range(-self.bound, self.bound + 1)):
+            row = rows.get(x0 % 9)
+            if row is None:
+                continue
+            sq, hi = x0 * x0, x0 * r3
+            # the cube of x packs to (x0^2 - 3p)x0 R^3 + (3x0^2 - p) low; one
+            # pass in C adds each cube to its group, in box order, so each
+            # cube keeps its least root
+            deque(
+                map(
+                    dict.setdefault,
+                    map(slots[x0 & 1].__getitem__, map(pars.__getitem__, row)),
+                    [
+                        (sq - 3 * p) * hi + (3 * sq - p) * low
+                        for p, low in map(norms.__getitem__, row)
+                    ],
+                    map((i * span).__add__, row),
+                ),
+                maxlen=0,
+            )
+        got = self._groups[sig] = {p: group for p, group in by_par.items() if group}
+        return got
 
     def by_class(self) -> dict[Coeffs, _ParityGroups]:
-        """Packed cubes grouped by their signature mod 9, then by their
-        parity pattern (see :func:`_parity`)."""
-        if self._by_class is None:
-            self.table()
-            keys = self._keys
-            a, b = self.params.a, self.params.b
-            cube_sig = _mod9_tables(self.params).cube_sig
-            sigs = sorted(set(cube_sig.values()))
-            # a cube's parity depends only on its root's, indexed by _parity;
-            # cubes take few parities, numbered by their place in pars
-            cube_par = [_parity(cube_coeffs(a & 1, b & 1, r)) for r in product((0, 1), repeat=4)]
-            pars = sorted(set(cube_par))
-            # group n holds the cubes of signature sigs[n // len(pars)] and
-            # parity pars[n % len(pars)]; sig_base numbers root classes mod 9
-            # in product order, so class (r0, c) is at 729 * r0 + c
-            sig_index = {s: len(pars) * n for n, s in enumerate(sigs)}
-            sig_base = [sig_index[cube_sig[r]] for r in product(range(9), repeat=4)]
-            par_slot = [pars.index(p) for p in cube_par]
-            groups = [set() for _ in range(len(sigs) * len(pars))]
-            rng = range(-self.bound, self.bound + 1)
-            # each tail (x1, x2, x3) as one small int: parity * 729 + class mod 9
-            tails = [
-                ((x1 & 1) << 2 | (x2 & 1) << 1 | x3 & 1) * 729 + (x1 % 9 * 9 + x2 % 9) * 9 + x3 % 9
-                for x1, x2, x3 in product(rng, repeat=3)
-            ]
-            span = len(tails)
-            for i, x0 in enumerate(rng):
-                by_sig = sig_base[729 * (x0 % 9):729 * (x0 % 9 + 1)]
-                group_of: list[set[int]] = []
-                for slot in par_slot[8 * (x0 & 1):8 * (x0 & 1) + 8]:
-                    group_of.extend(map(groups.__getitem__, map(slot.__add__, by_sig)))
-                # one pass in C over the block, adding each cube to its group
-                deque(
-                    map(set.add, map(group_of.__getitem__, tails), keys[i * span:(i + 1) * span]),
-                    maxlen=0,
-                )
-            grouped: dict[Coeffs, _ParityGroups] = {}
-            for n, group in enumerate(groups):
-                if group:
-                    sig, slot = divmod(n, len(pars))
-                    grouped.setdefault(sigs[sig], {})[pars[slot]] = group
-            self._by_class = grouped
-            self._keys = None
-        return self._by_class
+        """Every signature's groups (see :meth:`groups`): a whole-box view
+        that no search needs."""
+        return {s: g for s in sorted(self._tabs.single) if (g := self.groups(s))}
+
+    def table(self) -> dict[int, int]:
+        """Packed cube -> index of the lexicographically least root
+        producing it, over the whole box: a view put together from the
+        groups, which no search needs."""
+        least: dict[int, int] = {}
+        for groups in self.by_class().values():
+            for group in groups.values():
+                least.update(group)
+        return least
 
     def _sig_pairs(self, target_sig: Coeffs) -> list[tuple[_ParityGroups, _ParityGroups]]:
         """Signature groups whose signatures sum to target_sig mod 9, each
-        unordered pair once."""
+        unordered pair once; only the signatures paired are built."""
         got = self._sig_pair_memo.get(target_sig)
         if got is None:
-            grouped = self.by_class()
+            single = self._tabs.single
             t0, t1, t2, t3 = target_sig
             got = []
-            for s, groups in grouped.items():
+            for s in single:
                 mate_sig = ((t0 - s[0]) % 9, (t1 - s[1]) % 9, (t2 - s[2]) % 9, (t3 - s[3]) % 9)
-                mates = grouped.get(mate_sig)
-                if mates is not None and s <= mate_sig:
-                    got.append((groups, mates))
+                if s <= mate_sig and mate_sig in single:
+                    groups, mates = self.groups(s), self.groups(mate_sig)
+                    if groups and mates:
+                        got.append((groups, mates))
             self._sig_pair_memo[target_sig] = got
         return got
 
-    def pair_sets(self, target_sig: Coeffs, target_par: int) -> list[tuple[set[int], set[int]]]:
+    def pair_sets(
+        self, target_sig: Coeffs, target_par: int
+    ) -> list[tuple[dict[int, int], dict[int, int]]]:
         """(smaller, larger) groups whose signatures sum to target_sig mod 9
         and whose parities XOR to target_par, each unordered pair once."""
         key = (target_sig, target_par)
@@ -359,10 +392,10 @@ def _scan_two(space: _SearchSpace, tabs: _Mod9Tables, t: Coeffs) -> tuple[Coeffs
     Only groups that can sum to t are met: their signatures sum to t's
     mod 9 and their parities XOR to t's.  Every hit h of
     ``big & (T - small)`` is a box cube whose partner T - h is one too,
-    and every solution shows up as such a hit, so x is the least root
-    cubing to either half of any hit, and y the least root cubing to
-    what x's cube leaves.  That is the pair a full lexicographic scan
-    would find.
+    and the two groups give both halves' least roots, ``big[h]`` and
+    ``small[T - h]``.  Every solution shows up as such a hit, so x is the
+    least root of either half of any hit, and y the least root of the
+    other half.  That is the pair a full lexicographic scan would find.
     """
     sig = _sig(t)
     if not tabs.pair_attainable(sig):
@@ -371,15 +404,14 @@ def _scan_two(space: _SearchSpace, tabs: _Mod9Tables, t: Coeffs) -> tuple[Coeffs
     if packed is None:
         return None
     hits = [
-        h
+        (big[h], small[packed - h])
         for small, big in space.pair_sets(sig, _parity(t))
-        for h in big.intersection(map(packed.__sub__, small))
+        for h in big.keys() & map(packed.__sub__, small)
     ]
     if not hits:
         return None
-    least = space.table()
-    x_cube = min((c for h in hits for c in (h, packed - h)), key=least.__getitem__)
-    return space.root(least[x_cube]), space.root(least[packed - x_cube])
+    x, y = min((i, j) if i < j else (j, i) for i, j in hits)
+    return space.root(x), space.root(y)
 
 
 def _sub4(t: Coeffs, c: Coeffs) -> Coeffs:
@@ -453,7 +485,6 @@ def _init_worker(params: RingParams, bound: int, t: Coeffs, outer: int, stop) ->
     global _worker_ctx
     tabs = _mod9_tables(params)
     space = _SearchSpace(params, bound)
-    space.by_class()
     _worker_ctx = (space, tabs, t, outer, tabs.first_root_classes(_sig(t)), stop)
 
 
@@ -468,8 +499,9 @@ def _three_cube_pool(params: RingParams, cfg: SearchConfig, t: Coeffs, workers: 
     cells, or None when that scan runs serially or the mod-9 patterns
     rule it out.
 
-    The pool starts before the 1- and 2-cube stages, so its workers build
-    their cube tables while this process builds its own.  Workers are
+    The pool starts before the 1- and 2-cube stages, so its workers start
+    while this process runs those; each worker builds the cube groups its
+    cells meet, as a serial scan does.  Workers are
     spawned, not forked, so a caller's threads cannot leave them holding
     a lock, and they get only small picklable arguments.  Leaving the
     context terminates the pool, which is safe once no worker can be
@@ -486,6 +518,8 @@ def _three_cube_pool(params: RingParams, cfg: SearchConfig, t: Coeffs, workers: 
     ):
         yield None
         return
+    import multiprocessing  # only here, so importing the package stays light
+
     ctx = multiprocessing.get_context("spawn")
     stop = ctx.Event()
     with ctx.Pool(
@@ -530,13 +564,15 @@ def _watched_imap(pool, fn, items: list):
     worker process has died.
 
     ``multiprocessing.Pool`` silently replaces a dead worker.  A worker
-    that dies while starting (the calling script has no ``__main__``
-    guard, or building its tables fails) is replaced forever, and a plain
+    that dies while starting (say, the calling script has no
+    ``__main__`` guard) is replaced forever, and a plain
     ``imap`` never returns.  No worker of this pool exits on its own, so
     an exit code on any worker it started with (``pool._pool``, CPython's
     worker list) means one died.  The check runs only while a result is
     late, so results that arrive in time cost nothing extra.
     """
+    import multiprocessing
+
     workers = list(pool._pool)
     results = pool.imap(fn, items)
     for _ in items:
@@ -589,8 +625,11 @@ def min_cubes_search(
 
     Two cubes are met in the middle: the box's cubes, packed into ints
     and grouped by signature mod 9 and parity, are intersected with the
-    target minus each cube of a matching group.  Three cubes scan the
-    outer root (in the outer_bound box) and meet the remainder.
+    target minus each cube of a matching group.  A signature's groups are
+    built when a search first meets it, so a two-cube search builds only
+    the signatures that can sum to its target (about 50 of the 513 in
+    ring (1, 1)).  Three cubes scan the outer root (in the outer_bound
+    box) and meet the remainder.
     ``workers`` > 1 cuts that scan into ``(w0, w1)`` cells of the outer
     root's first two coefficients and hands them to up to ``workers``
     processes (no more than the CPUs or the cells), taking results back
@@ -609,7 +648,7 @@ def min_cubes_search(
             if k == 1:
                 packed = space.pack(t) if _sig(t) in tabs.single else None
                 if packed is not None:
-                    idx = space.table().get(packed)
+                    idx = space.groups(_sig(t)).get(_parity(t), {}).get(packed)
                     if idx is not None:
                         found = (space.root(idx),)
             elif k == 2:

@@ -1,5 +1,8 @@
 import json
+import os
+import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -234,6 +237,33 @@ class TestCliDigitLimit:
         assert out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
         assert str(_DIGIT_LIMIT) in err
+
+    @pytest.mark.parametrize("flags", [("--json",), ()])
+    def test_unrepresentable_sum_beyond_the_limit_exit_1(self, capsys, flags):
+        # each literal is at the limit, but their sum has one digit more,
+        # and 3 divides both parameters, so the target is not representable
+        nines = "9" * _DIGIT_LIMIT
+        code, out, err = run_cli(capsys, "decompose", "--ring", "3,3", *flags, f"{nines}+{nines}+i")
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    def test_unrepresentable_message_names_a_printable_target(self, capsys):
+        code, out, err = run_cli(capsys, "decompose", "--ring", "3,3", "1+i")
+        assert (code, out) == (1, "")
+        assert err == "error: 1+i is not in the cube subgroup of (3,3)\n"
+
+
+def test_importing_the_cli_leaves_multiprocessing_unimported():
+    # only a parallel search needs multiprocessing, so no command pays for
+    # importing it up front
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    code = "import sys, quatcube.cli; print('multiprocessing' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=60)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "False\n", "")
 
 
 def test_json_stable_across_runs(capsys):

@@ -20,7 +20,7 @@ from quatcube import (
     two_cube_obstruction,
 )
 from quatcube.quat import cube_coeffs
-from quatcube.search import _SearchSpace, _clamp_workers, _parity, _sig
+from quatcube.search import _SearchSpace, _clamp_workers, _mod9_tables, _parity, _scan_two, _sig
 
 LIPSCHITZ = RingParams(1, 1)
 
@@ -196,6 +196,39 @@ class TestMinCubesSearch:
         for x in product(range(-2, 3), repeat=4):
             c = cube_coeffs(params.a, params.b, x)
             assert space.pack(c) in grouped[_sig(c)][_parity(c)]
+
+    def test_groups_map_each_cube_to_its_least_root(self):
+        several = 0
+        for ring in [(1, 1), (2, 1), (3, 3), (6, 9)]:
+            params = RingParams(*ring)
+            space = _SearchSpace(params, 2)
+            least, roots = {}, {}
+            for idx, x in enumerate(product(range(-2, 3), repeat=4)):
+                key = space.pack(cube_coeffs(params.a, params.b, x))
+                least.setdefault(key, idx)
+                roots[key] = roots.get(key, 0) + 1
+            several += sum(n > 1 for n in roots.values())
+            seen = {}
+            for sig in _mod9_tables(params).single:
+                for par, group in space.groups(sig).items():
+                    for key, idx in group.items():
+                        c = cube_coeffs(params.a, params.b, space.root(idx))
+                        assert (space.pack(c), _sig(c), _parity(c)) == (key, sig, par)
+                        seen[key] = idx
+            assert seen == least
+        # 3 x0^2 = p makes the pure part of the cube vanish, so such roots
+        # share their cube with another root, e.g. (1, 1, 1, 1)^3 = (-2)^3 in (1, 1)
+        assert several > 0
+
+    def test_two_cube_scan_builds_few_signatures(self):
+        params = RingParams(1, 1)
+        x, y = (1, 2, 3, 4), (-5, 6, -7, 8)
+        t = tuple(u + v for u, v in zip(cube_coeffs(1, 1, x), cube_coeffs(1, 1, y)))
+        space = _SearchSpace(params, 10)
+        got = _scan_two(space, _mod9_tables(params), t)
+        assert got is not None and got[0] <= y
+        assert tuple(map(sum, zip(*(cube_coeffs(1, 1, r) for r in got)))) == t
+        assert len(space._groups) < 64
 
     def test_parallel_equals_serial(self):
         params = RingParams(2, 1)
