@@ -2,7 +2,8 @@
 
 Subcommands: decompose, cube, member, search, check-lemmas,
 check-lower-bounds.  Exit codes: 0 on success, 1 on a failed check or an
-unrepresentable target, 2 on usage or parse errors.  ``--json`` switches
+unrepresentable target, 2 on usage or parse errors, 141 when the reader
+of stdout goes away before the output is written.  ``--json`` switches
 to a machine-readable form in which all coefficients are decimal strings
 (the integers here routinely exceed what JSON consumers parse exactly).
 """
@@ -11,13 +12,17 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import re
 import sys
 
-from .decompose import decompose, member_cube_subgroup, verify
+# decompose and verify are not called here: perfbench/tracing.py wraps
+# them under these names
+from .decompose import _verified, decompose_coeffs, member_cube_subgroup
+from .decompose import decompose, verify  # noqa: F401
 from .errors import NotRepresentable, ParseError, QuatcubeError, VerificationFailed
 from .parser import parse_quaternion
-from .quat import Quaternion, RingParams, cube
+from .quat import Coeffs, Quaternion, RingParams, cube
 from .residues import Case, classify_case
 from .search import (
     SearchConfig,
@@ -73,11 +78,15 @@ def _too_many_digits() -> QuatcubeError:
     )
 
 
-def _coeffs(q: Quaternion) -> list[str]:
+def _strs(c: Coeffs) -> list[str]:
     try:
-        return [str(q.c0), str(q.c1), str(q.c2), str(q.c3)]
+        return [str(c[0]), str(c[1]), str(c[2]), str(c[3])]
     except ValueError:  # beyond sys.get_int_max_str_digits()
         raise _too_many_digits() from None
+
+
+def _coeffs(q: Quaternion) -> list[str]:
+    return _strs(q.coefficients())
 
 
 def _text(q: Quaternion) -> str:
@@ -96,19 +105,22 @@ def _emit(payload: dict) -> None:
 
 
 def decompose_payload(alpha: Quaternion) -> dict:
-    """The decompose JSON payload; the decomposition is re-verified here,
-    never assumed."""
-    dec = decompose(alpha)
-    ok = verify(dec)
-    if not ok:
+    """The decompose JSON payload, made from the coefficient tuples of
+    :func:`decompose_coeffs`, so no ``Quaternion`` is built between the
+    parsed target and the JSON.  The very roots printed are re-verified
+    here, never assumed."""
+    params = alpha.params
+    c = alpha.coefficients()
+    tag, roots = decompose_coeffs(params, c)
+    if not _verified(params.a, params.b, c, roots, tag.case):
         raise VerificationFailed("decompose returned an unverified decomposition")
     return {
-        "ring": _ring_json(alpha.params),
-        "target": _coeffs(alpha),
-        "case": str(dec.case),
-        "roots": [_coeffs(r) for r in dec.roots],
-        "count": dec.count,
-        "verified": ok,
+        "ring": _ring_json(params),
+        "target": _strs(c),
+        "case": str(tag),
+        "roots": [_strs(r) for r in roots],
+        "count": len(roots),
+        "verified": True,
     }
 
 
@@ -366,17 +378,30 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# the status a shell reports for a writer killed by SIGPIPE (128 + 13)
+EXIT_BROKEN_PIPE = 141
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return 2
     except QuatcubeError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except BrokenPipeError:
+        # the reader of stdout has gone (say `quatcube check-lemmas | head -1`);
+        # what is still buffered goes to devnull, so the flush at shutdown
+        # cannot raise again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return EXIT_BROKEN_PIPE
 
 
 if __name__ == "__main__":

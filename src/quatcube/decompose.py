@@ -22,9 +22,14 @@ cases 2b/2c with the parameters in the swapped orientation, the target
 is moved through the mirror-ring isomorphism (c0, c1, c2, c3) ->
 (c0, c2, c1, -c3), decomposed there, and the roots mapped back.
 
-The recipe runs on coefficient tuples; ``Quaternion`` objects are built
-only for the roots :func:`decompose` returns, after their cubes have
-been summed and compared with the target exactly.
+The recipe runs on coefficient tuples in :func:`decompose_coeffs`, which
+classifies the ring once, runs the recipe, sums the roots' cubes and
+compares them with the target exactly.  ``Quaternion`` objects are built
+only at the library edges: by :func:`decompose`, which wraps the checked
+roots, and by the public object helpers ``identity_6z``, ``identity_6z3``,
+``cube_root_congruence`` and ``select_pair`` (the lemma checks call the
+last two).  The CLI's decompose payload formats its JSON straight from
+the tuples.
 """
 
 from __future__ import annotations
@@ -34,7 +39,8 @@ from dataclasses import dataclass
 from .errors import NotRepresentable, PreconditionViolated, VerificationFailed
 # cube, swap_iso, delta and lnr6 are not called here: perfbench/tracing.py
 # wraps them under these names
-from .quat import Coeffs, Quaternion, cube, cube_coeffs, swap_iso  # noqa: F401
+from .quat import Coeffs, Quaternion, RingParams, coeffs_text, cube_coeffs
+from .quat import cube, swap_iso  # noqa: F401
 from .residues import (  # noqa: F401
     Case,
     CaseTag,
@@ -229,13 +235,34 @@ def _verified(a: int, b: int, target: Coeffs, roots, case: Case) -> bool:
     return (s0, s1, s2, s3) == target
 
 
-def _shown(alpha: Quaternion) -> str:
-    """alpha as text for a message, or "the target" when a coefficient has
+def _shown(c: Coeffs) -> str:
+    """c as text for a message, or "the target" when a coefficient has
     more digits than ``sys.get_int_max_str_digits()`` allows to print."""
     try:
-        return str(alpha)
+        return coeffs_text(c)
     except ValueError:
         return "the target"
+
+
+def decompose_coeffs(params: RingParams, c: Coeffs) -> tuple[CaseTag, list[Coeffs]]:
+    """The case of the ring and the roots, as coefficient tuples, of the
+    decomposition of the target with coefficients c.
+
+    The tuple core behind :func:`decompose`; it raises the same errors
+    and builds no ``Quaternion``.
+    """
+    a, b = params.a, params.b
+    tag = classify_case(params)
+    case = tag.case
+    if case is Case.CASE3 and (c[1] % 3 or c[2] % 3 or c[3] % 3):
+        raise NotRepresentable(f"{_shown(c)} is not in the cube subgroup of ({a},{b})")
+    if tag.swapped:
+        roots = [_swap(r) for r in _roots(_swap(c), b, a, case)]
+    else:
+        roots = _roots(c, a, b, case)
+    if not _verified(a, b, c, roots, case):
+        raise VerificationFailed(f"the root cubes do not sum to {_shown(c)} in ({a},{b})")
+    return tag, roots
 
 
 def decompose(alpha: Quaternion) -> Decomposition:
@@ -248,17 +275,7 @@ def decompose(alpha: Quaternion) -> Decomposition:
     Already-reduced targets get 4 roots.
     """
     params = alpha.params
-    a, b = params.a, params.b
-    tag = classify_case(params)
-    if not member_cube_subgroup(alpha):
-        raise NotRepresentable(f"{_shown(alpha)} is not in the cube subgroup of ({a},{b})")
-    c = alpha.coefficients()
-    if tag.swapped:
-        roots = [_swap(r) for r in _roots(_swap(c), b, a, tag.case)]
-    else:
-        roots = _roots(c, a, b, tag.case)
-    if not _verified(a, b, c, roots, tag.case):
-        raise VerificationFailed(f"the root cubes do not sum to {_shown(alpha)} in ({a},{b})")
+    tag, roots = decompose_coeffs(params, alpha.coefficients())
     return Decomposition(alpha, tuple([Quaternion(params, *r) for r in roots]), tag)
 
 

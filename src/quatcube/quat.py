@@ -128,28 +128,28 @@ class Quaternion:
         return NotImplemented
 
     def __str__(self) -> str:
-        parts: list[tuple[str, str]] = []
-        for value, unit in (
-            (self.c0, ""),
-            (self.c1, "i"),
-            (self.c2, "j"),
-            (self.c3, "k"),
-        ):
-            if value == 0:
-                continue
-            sign = "-" if value < 0 else "+"
-            mag = -value if value < 0 else value
-            body = unit if (mag == 1 and unit) else f"{mag}{unit}"
-            parts.append((sign, body))
-        if not parts:
-            return "0"
-        out = ("-" if parts[0][0] == "-" else "") + parts[0][1]
-        for sign, body in parts[1:]:
-            out += sign + body
-        return out
+        return coeffs_text(self.coefficients())
 
     def __repr__(self) -> str:
         return f"Quaternion(({self.params.a},{self.params.b}); {self})"
+
+
+def coeffs_text(c: Coeffs) -> str:
+    """c0 + c1*i + c2*j + c3*k as text, e.g. "3-i+2k"; "0" when all vanish."""
+    parts: list[tuple[str, str]] = []
+    for value, unit in zip(c, ("", "i", "j", "k")):
+        if value == 0:
+            continue
+        sign = "-" if value < 0 else "+"
+        mag = -value if value < 0 else value
+        body = unit if (mag == 1 and unit) else f"{mag}{unit}"
+        parts.append((sign, body))
+    if not parts:
+        return "0"
+    out = ("-" if parts[0][0] == "-" else "") + parts[0][1]
+    for sign, body in parts[1:]:
+        out += sign + body
+    return out
 
 
 def p_value(x: Quaternion) -> int:

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from quatcube import ParseError, QuatExpr, Quaternion, RingParams, parse_quaternion, render
-from quatcube.cli import main
+from quatcube.cli import decompose_payload, main
 
 LIPSCHITZ = RingParams(1, 1)
 
@@ -273,3 +273,51 @@ def test_json_stable_across_runs(capsys):
         assert code == 0
         runs.append(out)
     assert runs[0] == runs[1]
+
+
+@pytest.mark.parametrize("argv", [
+    ["check-lemmas", "--residues", "1,3"],
+    ["decompose", "--ring", "1,1", "--json", "7+i+2j+3k"],
+])
+def test_closed_stdout_exits_141_without_a_traceback(argv):
+    # the read end is closed before the child starts, so its first write
+    # to stdout fails with EPIPE, as under `quatcube check-lemmas | head -1`
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run([sys.executable, "-m", "quatcube.cli", *argv], env=env,
+                              stdout=write_end, stderr=subprocess.PIPE, text=True, timeout=60)
+    finally:
+        os.close(write_end)
+    assert proc.stderr == ""
+    assert proc.returncode == 141
+
+
+# one target per decomposer route, with the root count the route gives
+PAYLOAD_ROUTES = [
+    ((1, 1), (6, 12, -18, 6), 4),  # already reduced
+    ((3, 3), (7, 3, -6, 9), 5),  # case 3, one congruence root
+    ((2, 1), (7, 1, 2, 3), 6),  # a pair of congruence roots
+    ((2, 3), (7, 1, 2, 3), 6),  # case 2b in normalized orientation
+    ((3, 2), (7, 1, 2, 3), 6),  # case 2b through the mirror ring
+]
+
+
+@pytest.mark.parametrize("ring, coeffs, count", PAYLOAD_ROUTES)
+def test_decompose_payload_builds_no_quaternion(monkeypatch, ring, coeffs, count):
+    alpha = Quaternion(RingParams(*ring), *coeffs)
+    built = []
+    init = Quaternion.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(args)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(Quaternion, "__init__", counted)
+    payload = decompose_payload(alpha)
+    monkeypatch.undo()
+    assert payload["count"] == count
+    assert built == []

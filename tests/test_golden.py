@@ -13,7 +13,9 @@ import random
 
 import pytest
 
-from quatcube import ParseError, Quaternion, RingParams, SearchConfig, cube, parse_quaternion
+from quatcube import (
+    ParseError, Quaternion, RingParams, SearchConfig, cube, decompose, parse_quaternion,
+)
 from quatcube.cli import decompose_payload, search_payload
 
 # All five cases, with both orientations of 2b ((2,3)/(3,2)) and 2c ((1,3)/(3,1)).
@@ -53,6 +55,16 @@ def test_decompose_json_bytes_match_recorded_hash():
     lines = [_payload_bytes(params, c) for params, c in _golden_targets()]
     assert len(lines) == GOLDEN_TARGETS
     assert hashlib.sha256(b"\n".join(lines)).hexdigest() == GOLDEN_SHA256
+
+
+def test_library_and_payload_give_the_same_roots():
+    # decompose() wraps the tuple core's roots in Quaternions and the
+    # payload prints them; both edges must show the same decomposition
+    for params, c in _golden_targets():
+        alpha = Quaternion(params, *c)
+        library = [r.coefficients() for r in decompose(alpha).roots]
+        payload = [tuple(map(int, r)) for r in decompose_payload(alpha)["roots"]]
+        assert payload == library
 
 
 # (text, message, position) for malformed input; (text, coefficients) for
