@@ -16,10 +16,7 @@ import os
 import re
 import sys
 
-# decompose and verify are not called here: perfbench/tracing.py wraps
-# them under these names
-from .decompose import _verified, decompose_coeffs, member_cube_subgroup
-from .decompose import decompose, verify  # noqa: F401
+from .decompose import decompose, member_cube_subgroup, verify
 from .errors import NotRepresentable, ParseError, QuatcubeError, VerificationFailed
 from .parser import parse_quaternion
 from .quat import Coeffs, Quaternion, RingParams, cube
@@ -105,19 +102,18 @@ def _emit(payload: dict) -> None:
 
 
 def decompose_payload(alpha: Quaternion) -> dict:
-    """The decompose JSON payload, made from the coefficient tuples of
-    :func:`decompose_coeffs`, so no ``Quaternion`` is built between the
-    parsed target and the JSON.  The very roots printed are re-verified
-    here, never assumed."""
-    params = alpha.params
-    c = alpha.coefficients()
-    tag, roots = decompose_coeffs(params, c)
-    if not _verified(params.a, params.b, c, roots, tag.case):
+    """The decompose JSON payload, formatted from the decomposition's
+    ``root_coeffs``, so no ``Quaternion`` is built between the parsed
+    target and the JSON.  The decomposition is re-verified here, never
+    assumed."""
+    dec = decompose(alpha)
+    if not verify(dec):
         raise VerificationFailed("decompose returned an unverified decomposition")
+    roots = dec.root_coeffs
     return {
-        "ring": _ring_json(params),
-        "target": _strs(c),
-        "case": str(tag),
+        "ring": _ring_json(alpha.params),
+        "target": _coeffs(alpha),
+        "case": str(dec.case),
         "roots": [_strs(r) for r in roots],
         "count": len(roots),
         "verified": True,

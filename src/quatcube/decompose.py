@@ -24,17 +24,18 @@ is moved through the mirror-ring isomorphism (c0, c1, c2, c3) ->
 
 The recipe runs on coefficient tuples in :func:`decompose_coeffs`, which
 classifies the ring once, runs the recipe, sums the roots' cubes and
-compares them with the target exactly.  ``Quaternion`` objects are built
-only at the library edges: by :func:`decompose`, which wraps the checked
-roots, and by the public object helpers ``identity_6z``, ``identity_6z3``,
-``cube_root_congruence`` and ``select_pair`` (the lemma checks call the
-last two).  The CLI's decompose payload formats its JSON straight from
-the tuples.
+compares them with the target exactly.  :func:`decompose` keeps those
+tuples in its :class:`Decomposition`, which builds root ``Quaternion``s
+only when ``roots`` is read; :func:`verify` and the CLI's decompose
+payload read ``root_coeffs`` and build none.  The public object helpers
+``identity_6z``, ``identity_6z3``, ``cube_root_congruence`` and
+``select_pair`` (the lemma checks call the last two) still build them.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError
+from typing import Iterable
 
 from .errors import NotRepresentable, PreconditionViolated, VerificationFailed
 # cube, swap_iso, delta and lnr6 are not called here: perfbench/tracing.py
@@ -54,17 +55,66 @@ from .residues import (  # noqa: F401
 )
 
 
-@dataclass(frozen=True, slots=True)
 class Decomposition:
-    """A target plus an ordered list of roots whose cubes sum to it."""
+    """A target plus an ordered list of roots whose cubes sum to it.
 
-    target: Quaternion
-    roots: tuple[Quaternion, ...]
-    case: CaseTag
+    Immutable, and equal to another decomposition with the same target,
+    roots and case.  ``root_coeffs`` holds the roots' coefficient tuples.
+    :func:`decompose` stores only those and builds the root
+    ``Quaternion``s on the first read of ``roots``, so a caller that
+    reads only ``root_coeffs`` (the CLI's decompose payload) builds none.
+    """
+
+    __slots__ = ("target", "root_coeffs", "case", "_roots")
+
+    def __init__(self, target: Quaternion, roots: Iterable[Quaternion], case: CaseTag) -> None:
+        roots = tuple(roots)
+        self._set(target, tuple([r.coefficients() for r in roots]), case, roots)
+
+    @classmethod
+    def _of_coeffs(cls, target: Quaternion, coeffs: Iterable[Coeffs], case: CaseTag):
+        dec = object.__new__(cls)
+        dec._set(target, tuple(coeffs), case, None)
+        return dec
+
+    def _set(self, target, coeffs, case, roots) -> None:
+        put = object.__setattr__
+        put(self, "target", target)
+        put(self, "root_coeffs", coeffs)
+        put(self, "case", case)
+        put(self, "_roots", roots)
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    @property
+    def roots(self) -> tuple[Quaternion, ...]:
+        if self._roots is None:
+            params = self.target.params
+            roots = tuple([Quaternion(params, *r) for r in self.root_coeffs])
+            object.__setattr__(self, "_roots", roots)
+        return self._roots
 
     @property
     def count(self) -> int:
-        return len(self.roots)
+        return len(self.root_coeffs)
+
+    def _key(self) -> tuple:
+        return (self.target, self.roots, self.case)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __repr__(self) -> str:
+        return f"Decomposition(target={self.target!r}, roots={self.roots!r}, case={self.case!r})"
 
 
 def _identity(z0: int, z1: int, z2: int, z3: int, plus3: bool) -> list[Coeffs]:
@@ -97,9 +147,12 @@ def member_cube_subgroup(alpha: Quaternion) -> bool:
     case it consists exactly of the elements whose imaginary coefficients
     are divisible by 3.
     """
-    if classify_case(alpha.params).case is Case.CASE3:
-        return all(c % 3 == 0 for c in alpha.imaginary())
-    return True
+    return _in_cube_subgroup(classify_case(alpha.params).case, alpha.coefficients())
+
+
+def _in_cube_subgroup(case: Case, c: Coeffs) -> bool:
+    # member_cube_subgroup on the ring's case and the coefficients
+    return case is not Case.CASE3 or not (c[1] % 3 or c[2] % 3 or c[3] % 3)
 
 
 def _congruence_root(r: Coeffs, a: int, b: int, case: Case) -> Coeffs:
@@ -254,7 +307,7 @@ def decompose_coeffs(params: RingParams, c: Coeffs) -> tuple[CaseTag, list[Coeff
     a, b = params.a, params.b
     tag = classify_case(params)
     case = tag.case
-    if case is Case.CASE3 and (c[1] % 3 or c[2] % 3 or c[3] % 3):
+    if not _in_cube_subgroup(case, c):
         raise NotRepresentable(f"{_shown(c)} is not in the cube subgroup of ({a},{b})")
     if tag.swapped:
         roots = [_swap(r) for r in _roots(_swap(c), b, a, case)]
@@ -274,16 +327,17 @@ def decompose(alpha: Quaternion) -> Decomposition:
     returned; :class:`VerificationFailed` is raised if they differ.
     Already-reduced targets get 4 roots.
     """
-    params = alpha.params
-    tag, roots = decompose_coeffs(params, alpha.coefficients())
-    return Decomposition(alpha, tuple([Quaternion(params, *r) for r in roots]), tag)
+    tag, roots = decompose_coeffs(alpha.params, alpha.coefficients())
+    return Decomposition._of_coeffs(alpha, roots, tag)
 
 
 def verify(dec: Decomposition) -> bool:
     """Exact check: the cubes of the roots sum to the target and the root
     count respects the case bound (6 for cases 1/2, 5 for case 3)."""
     params = dec.target.params
-    if any(r.params is not params and r.params != params for r in dec.roots):
+    # roots stored as tuples belong to the target's ring by construction
+    if dec._roots is not None and any(
+        r.params is not params and r.params != params for r in dec._roots
+    ):
         return False
-    roots = [(r.c0, r.c1, r.c2, r.c3) for r in dec.roots]
-    return _verified(params.a, params.b, dec.target.coefficients(), roots, dec.case.case)
+    return _verified(params.a, params.b, dec.target.coefficients(), dec.root_coeffs, dec.case.case)

@@ -1,3 +1,4 @@
+from dataclasses import FrozenInstanceError
 from itertools import product
 
 import pytest
@@ -340,3 +341,40 @@ class TestVerify:
         roots = tuple(Quaternion.scalar(p, n) for n in (1, 1, 1, -1, -1, -1))
         dec = Decomposition(Quaternion.scalar(p, 0), roots, classify_case(p))
         assert not verify(dec)
+
+    def test_rejects_roots_from_another_ring(self):
+        p = RingParams(1, 1)
+        roots = tuple(Quaternion.scalar(RingParams(2, 1), n) for n in (2, 0, -1, -1))
+        dec = Decomposition(Quaternion.scalar(p, 6), roots, classify_case(p))
+        assert not verify(dec)
+
+
+class TestDecomposition:
+    # decompose() stores root tuples and builds root Quaternions on demand;
+    # the result must behave like one built from Quaternion roots
+
+    @pytest.mark.parametrize("ring", SHOWCASE_RINGS)
+    def test_equals_one_built_from_its_roots(self, ring):
+        params = RingParams(*ring)
+        target = q(params, 7, 3, -6, 9)
+        stored = decompose(target)
+        coeffs = stored.root_coeffs
+        built = Decomposition(target, stored.roots, stored.case)
+        assert built == stored and hash(built) == hash(stored)
+        assert repr(built) == repr(stored)
+        assert built.root_coeffs == coeffs == tuple(r.coefficients() for r in stored.roots)
+        assert built.count == stored.count == len(coeffs)
+        assert all(r.params == params for r in stored.roots)
+
+    def test_roots_are_built_once(self):
+        dec = decompose(q(RingParams(2, 1), 7, 1, 2, 3))
+        assert dec.roots is dec.roots
+
+    def test_is_immutable(self):
+        dec = decompose(q(RingParams(2, 1), 7, 1, 2, 3))
+        for name in ("target", "roots", "case", "root_coeffs"):
+            with pytest.raises(FrozenInstanceError):
+                setattr(dec, name, None)
+            with pytest.raises(FrozenInstanceError):
+                delattr(dec, name)
+        assert verify(dec)

@@ -49,14 +49,13 @@ sys.modules["quatcube.decompose"].cube_coeffs = wrong_cube
 run = lambda: cli.decompose_payload(Quaternion(RingParams(2, 1), 7, 1, 2, 3))
 """,
     "perturbed root reaching the decompose payload": """
-decompose_coeffs = cli.decompose_coeffs
+decompose = cli.decompose
 
-def tampered(params, c):
-    tag, roots = decompose_coeffs(params, c)
-    r0, r1, r2, r3 = roots[-1]
-    return tag, roots[:-1] + [(r0 + 1, r1, r2, r3)]
+def tampered(alpha):
+    dec = decompose(alpha)
+    return Decomposition(dec.target, dec.roots[:-1] + (dec.roots[-1] + 1,), dec.case)
 
-cli.decompose_coeffs = tampered
+cli.decompose = tampered
 run = lambda: cli.decompose_payload(Quaternion(RingParams(3, 2), 7, 1, 2, 3))
 """,
     "wrong roots reaching the search payload": """
