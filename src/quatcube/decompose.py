@@ -55,7 +55,19 @@ from .residues import (  # noqa: F401
 )
 
 
-class Decomposition:
+class _DecompositionSlots:
+    __slots__ = ("target", "root_coeffs", "case", "_roots")
+
+
+class _Unfrozen(_DecompositionSlots):
+    """A Decomposition's slots without its frozen ``__setattr__``:
+    ``Decomposition._of_coeffs`` fills one with plain stores, then makes
+    it a Decomposition, whose layout is the same."""
+
+    __slots__ = ()
+
+
+class Decomposition(_DecompositionSlots):
     """A target plus an ordered list of roots whose cubes sum to it.
 
     Immutable, and equal to another decomposition with the same target,
@@ -65,24 +77,25 @@ class Decomposition:
     reads only ``root_coeffs`` (the CLI's decompose payload) builds none.
     """
 
-    __slots__ = ("target", "root_coeffs", "case", "_roots")
+    __slots__ = ()
 
     def __init__(self, target: Quaternion, roots: Iterable[Quaternion], case: CaseTag) -> None:
         roots = tuple(roots)
-        self._set(target, tuple([r.coefficients() for r in roots]), case, roots)
+        put = object.__setattr__
+        put(self, "target", target)
+        put(self, "root_coeffs", tuple([r.coefficients() for r in roots]))
+        put(self, "case", case)
+        put(self, "_roots", roots)
 
     @classmethod
     def _of_coeffs(cls, target: Quaternion, coeffs: Iterable[Coeffs], case: CaseTag):
-        dec = object.__new__(cls)
-        dec._set(target, tuple(coeffs), case, None)
+        dec = object.__new__(_Unfrozen)
+        dec.target = target
+        dec.root_coeffs = tuple(coeffs)
+        dec.case = case
+        dec._roots = None
+        dec.__class__ = cls
         return dec
-
-    def _set(self, target, coeffs, case, roots) -> None:
-        put = object.__setattr__
-        put(self, "target", target)
-        put(self, "root_coeffs", coeffs)
-        put(self, "case", case)
-        put(self, "_roots", roots)
 
     def __setattr__(self, name, value):
         raise FrozenInstanceError(f"cannot assign to field {name!r}")

@@ -22,10 +22,14 @@ signatures sum to the target's signature and whose parities XOR to the
 target's parity, ``big.keys() & {T - h for h in small}`` runs in C.
 Three cubes scan the outer root in lexicographic order and
 meet the remainder; with several workers, the outer box is cut into
-``(w0, w1)`` cells whose results are taken in order.  The mod-9 and
-mod-2 patterns of cubes (and of sums of two or three cubes) prune only
-regions proven empty, so results are identical with and without them,
-and parallel runs return exactly what a serial run returns.
+``(w0, w1)`` cells whose results are taken in order.  Negating pure
+coefficients commutes with cubing, so where the target has a zero pure
+coefficient the least witness's outer root is not positive there, and
+the scan skips the outer roots that are (:func:`_outer_span`).  That
+symmetry and the mod-9 and mod-2 patterns of cubes (and of sums of two
+or three cubes) prune only regions proven to hold no least witness, so
+results are identical with and without them, and parallel runs return
+exactly what a serial run returns.
 """
 
 from __future__ import annotations
@@ -60,6 +64,13 @@ class SearchConfig:
     searches with 3 or 4 cubes the outermost root(s) use the (usually
     smaller) outer_bound box, defaulting to coeff_bound.  Absence within
     a box is never a proof of non-representability.
+
+    With n = 2*outer + 1, the 3-cube stage makes at most n**4 two-cube
+    meets (one per outer root) and the 4-cube stage at most n**8 (one
+    per pair of outer roots).  Each pure coefficient the target has zero
+    cuts its factor of the outer scan from n to outer + 1, since outer
+    roots that are positive there are skipped; in the 4-cube stage the
+    inner scan follows the zeros of each remainder.
     """
 
     max_cubes: int
@@ -128,8 +139,9 @@ class _Mod9Tables:
     Depends only on (a mod 9, b mod 9).  ``cube_sig`` maps each root
     signature to its cube's signature, and ``root_classes`` inverts it;
     the grids answer whether a target signature is attainable as a sum
-    of one, two or three cube signatures.  The triple grid is built on
-    first use, since two-cube searches never need it.  Instances are
+    of one, two or three cube signatures.  The grids are built on first
+    use, since ``two_cube_obstruction`` needs neither and two-cube
+    searches never need the triple grid.  Instances are
     shared between threads through ``_MOD9_CACHE``, so a lazy attribute
     is assigned only once it is complete.
     """
@@ -149,19 +161,26 @@ class _Mod9Tables:
         self.single = frozenset(self.root_classes)
 
         self._codes = sorted({_encode(*s) for s in self.single})
-        mask = 0
-        for c in self._codes:
-            mask |= 1 << c
-        pair = 0
-        for c in self._codes:
-            pair |= mask << c
-        self._pair_mask = pair
-        self._pairs = _BitGrid(pair)
+        self._pair_mask = 0
+        self._pairs: _BitGrid | None = None
         self._triples: _BitGrid | None = None
         self._first_ok_memo: dict[Coeffs, frozenset[Coeffs]] = {}
 
+    def _pair_grid(self) -> _BitGrid:
+        grid = self._pairs
+        if grid is None:
+            mask = 0
+            for c in self._codes:
+                mask |= 1 << c
+            pair = 0
+            for c in self._codes:
+                pair |= mask << c
+            self._pair_mask = pair
+            grid = self._pairs = _BitGrid(pair)
+        return grid
+
     def pair_attainable(self, s: Coeffs) -> bool:
-        test = self._pairs.test
+        test = self._pair_grid().test
         for u0 in (s[0], s[0] + 9):
             for u1 in (s[1], s[1] + 9):
                 for u2 in (s[2], s[2] + 9):
@@ -173,6 +192,7 @@ class _Mod9Tables:
     def triple_attainable(self, s: Coeffs) -> bool:
         grid = self._triples
         if grid is None:
+            self._pair_grid()
             triple = 0
             for c in self._codes:
                 triple |= self._pair_mask << c
@@ -191,12 +211,14 @@ class _Mod9Tables:
         got = self._first_ok_memo.get(target_sig)
         if got is None:
             t0, t1, t2, t3 = target_sig
+            roots = list(self.cube_sig)
             got = frozenset(
-                s
-                for s, cs in self.cube_sig.items()
+                roots[n]
+                for cs, classes in self.root_classes.items()
                 if self.pair_attainable(
                     ((t0 - cs[0]) % 9, (t1 - cs[1]) % 9, (t2 - cs[2]) % 9, (t3 - cs[3]) % 9)
                 )
+                for n in classes
             )
             self._first_ok_memo[target_sig] = got
         return got
@@ -418,6 +440,29 @@ def _sub4(t: Coeffs, c: Coeffs) -> Coeffs:
     return (t[0] - c[0], t[1] - c[1], t[2] - c[2], t[3] - c[3])
 
 
+def _outer_span(outer: int, ti: int) -> range:
+    """The values an outer root's pure coefficient i takes in a scan for
+    a target whose coefficient i is ti: all of [-outer, outer], or only
+    [-outer, 0] when ti is 0.
+
+    Negating any set of pure coefficients commutes with cubing in every
+    ring (a, b): the cube of x0 + v, v pure, is a real part that depends
+    on the pure coefficients only through their squares, plus
+    ``(3*x0**2 - P) * v``, with P a sum of their squares (see
+    ``cube_coeffs``).  (Negating two of them is conjugation by i, j or k,
+    an automorphism; negating all three is quaternion conjugation, an
+    anti-automorphism, which still sends x**3 to conj(x)**3.)  So when
+    ti is 0, negating coefficient i of every root of a witness gives
+    another witness, in the same boxes.  The outer roots that start a
+    witness are thus closed under negating coefficient i, and the least
+    of them has w_i <= 0: were w_i > 0, negating it would give a root
+    that agrees with w up to coefficient i and is smaller there.  A scan
+    takes the least such outer root and the least completion of its
+    remainder, so it finds the same witness on the smaller range.
+    """
+    return range(-outer, 1 if ti == 0 else outer + 1)
+
+
 def _scan_three_cell(
     space: _SearchSpace,
     tabs: _Mod9Tables,
@@ -434,12 +479,12 @@ def _scan_three_cell(
     is set the cell's result is no longer wanted and None comes back.
     """
     a, b = space.params.a, space.params.b
-    rng = range(-outer, outer + 1)
+    w3_values = _outer_span(outer, t[3])
     r0, r1 = w0 % 9, w1 % 9
-    for w2 in rng:
+    for w2 in _outer_span(outer, t[2]):
         if stop is not None and stop.is_set():
             return None
-        for w3 in rng:
+        for w3 in w3_values:
             if (r0, r1, w2 % 9, w3 % 9) not in first_ok:
                 continue
             w = (w0, w1, w2, w3)
@@ -460,7 +505,7 @@ def _scan_three_range(
     """Least 3-cube witness whose outer root starts with one of w0_values,
     taken in order."""
     for w0 in w0_values:
-        for w1 in range(-outer, outer + 1):
+        for w1 in _outer_span(outer, t[1]):
             res = _scan_three_cell(space, tabs, t, outer, first_ok, w0, w1)
             if res is not None:
                 return res
@@ -509,7 +554,7 @@ def _three_cube_pool(params: RingParams, cfg: SearchConfig, t: Coeffs, workers: 
     result came back.
     """
     tabs = _mod9_tables(params)
-    workers = _clamp_workers(workers, (2 * cfg.outer + 1) ** 2)
+    workers = _clamp_workers(workers, (2 * cfg.outer + 1) * len(_outer_span(cfg.outer, t[1])))
     if (
         workers == 1
         or cfg.max_cubes < 3
@@ -550,7 +595,7 @@ def _scan_three(
     # anyway: leaving the pool's context kills the workers, and one killed
     # while writing a result would leave the result queue's lock held,
     # on which the pool's shutdown would wait forever.
-    cells = [(w0, w1) for w0 in rng for w1 in rng]
+    cells = [(w0, w1) for w0 in rng for w1 in _outer_span(outer, t[1])]
     hit = None
     for res in _watched_imap(pool, _scan_three_chunk, cells):
         if hit is None and res is not None:
@@ -599,7 +644,7 @@ def _scan_four(
 ) -> tuple[Coeffs, ...] | None:
     a, b = space.params.a, space.params.b
     rng = range(-outer, outer + 1)
-    for w in product(rng, rng, rng, rng):
+    for w in product(rng, *(_outer_span(outer, ti) for ti in t[1:])):
         t1 = _sub4(t, cube_coeffs(a, b, w))
         if not tabs.triple_attainable(_sig(t1)):
             continue
@@ -629,8 +674,12 @@ def min_cubes_search(
     built when a search first meets it, so a two-cube search builds only
     the signatures that can sum to its target (about 50 of the 513 in
     ring (1, 1)).  Three cubes scan the outer root (in the outer_bound
-    box) and meet the remainder.
-    ``workers`` > 1 cuts that scan into ``(w0, w1)`` cells of the outer
+    box) and meet the remainder, four cubes scan an outer root and run
+    the 3-cube stage on the remainder.  Where the target (or remainder)
+    has a zero pure coefficient, the scan skips outer roots positive
+    there: negating that coefficient of every root maps witnesses to
+    witnesses, so such a root never starts the least witness.
+    ``workers`` > 1 cuts the 3-cube scan into ``(w0, w1)`` cells of the outer
     root's first two coefficients and hands them to up to ``workers``
     processes (no more than the CPUs or the cells), taking results back
     in order, so the result is identical to a serial run.  The workers
@@ -686,15 +735,12 @@ def two_cube_obstruction(params: RingParams, target: Quaternion) -> bool:
     cubes in the ring; False only means the congruences are satisfiable.
     The enumeration covers all 9**8 residue tuples by meeting the two
     halves in the middle: each half contributes one of at most 9 * 27
-    patterns (real mod 9, pures mod 3).
+    patterns (real mod 9, pures mod 3), the ring's cube signatures mod 9
+    (``_Mod9Tables.single``) with the pure parts reduced mod 3.
     """
     if target.params != params:
         raise MixedRings("target must belong to the ring under test")
-    a9, b9 = params.a % 9, params.b % 9
-    patterns = set()
-    for x in product(range(9), repeat=4):
-        c = cube_coeffs(a9, b9, x)
-        patterns.add((c[0] % 9, c[1] % 3, c[2] % 3, c[3] % 3))
+    patterns = {(s[0], s[1] % 3, s[2] % 3, s[3] % 3) for s in _mod9_tables(params).single}
     g0 = target.c0 % 9
     g1, g2, g3 = (c % 3 for c in target.imaginary())
     for r, p1, p2, p3 in patterns:

@@ -1,5 +1,7 @@
 import os
+import random
 import threading
+from functools import lru_cache
 from itertools import product
 from multiprocessing.pool import Pool
 
@@ -19,6 +21,7 @@ from quatcube import (
     three_cube_residues_mod9,
     two_cube_obstruction,
 )
+from quatcube import search
 from quatcube.quat import cube_coeffs
 from quatcube.search import _SearchSpace, _clamp_workers, _mod9_tables, _parity, _scan_two, _sig
 
@@ -79,36 +82,49 @@ class TestTwoCubeObstruction:
             two_cube_obstruction(RingParams(1, 1), Quaternion(RingParams(2, 1), 3, 3, 0, 0))
 
 
-def _brute_min_cubes(alpha, max_cubes, bound, outer=None):
-    """Plain nested enumeration in lexicographic list order; independent
-    oracle for the table-driven search (tiny boxes only)."""
-    params = alpha.params
-    outer = bound if outer is None else outer
+@lru_cache(maxsize=None)
+def _box(params, bound):
+    """The roots of the box in lexicographic order, their cubes (by
+    Quaternion multiplication), and each sum of two box cubes mapped to
+    the first pair (r1, r2) that nested loops over the box meet."""
     rng = range(-bound, bound + 1)
     roots = [Quaternion(params, *c) for c in product(rng, rng, rng, rng)]
     cubes = [r * r * r for r in roots]
-    orng = range(-outer, outer + 1)
-    oroots = [Quaternion(params, *c) for c in product(orng, orng, orng, orng)]
-    ocubes = [r * r * r for r in oroots]
+    pairs = {}
+    for r1, c1 in zip(roots, cubes):
+        for r2, c2 in zip(roots, cubes):
+            pairs.setdefault((c1 + c2).coefficients(), [r1, r2])
+    return roots, cubes, pairs
+
+
+def _brute_min_cubes(alpha, max_cubes, bound, outer=None):
+    """Nested enumeration in lexicographic list order, the outer root(s)
+    in the outer box; independent oracle for the table-driven search
+    (tiny boxes only).  The innermost two loops are one lookup in
+    :func:`_box`'s pairs, which keeps the pair those loops would meet
+    first."""
+    params = alpha.params
+    outer = bound if outer is None else outer
+    roots, cubes, pairs = _box(params, bound)
+    oroots, ocubes, _ = _box(params, outer)
 
     if max_cubes >= 1:
         for r, c in zip(roots, cubes):
             if c == alpha:
                 return [r]
-    if max_cubes >= 2:
-        for r1, c1 in zip(roots, cubes):
-            rem = alpha - c1
-            for r2, c2 in zip(roots, cubes):
-                if c2 == rem:
-                    return [r1, r2]
+    if max_cubes >= 2 and alpha.coefficients() in pairs:
+        return pairs[alpha.coefficients()]
     if max_cubes >= 3:
         for r1, c1 in zip(oroots, ocubes):
-            rem1 = alpha - c1
-            for r2, c2 in zip(roots, cubes):
-                rem2 = rem1 - c2
-                for r3, c3 in zip(roots, cubes):
-                    if c3 == rem2:
-                        return [r1, r2, r3]
+            rest = pairs.get((alpha - c1).coefficients())
+            if rest is not None:
+                return [r1, *rest]
+    if max_cubes >= 4:
+        for r1, c1 in zip(oroots, ocubes):
+            for r2, c2 in zip(oroots, ocubes):
+                rest = pairs.get((alpha - c1 - c2).coefficients())
+                if rest is not None:
+                    return [r1, r2, *rest]
     return None
 
 
@@ -302,6 +318,134 @@ class TestMinCubesSearch:
         for x in r:
             total = total + cube(x)
         assert total == scalar(params, 4)
+
+
+def _random_sums(params, n_cubes, count, seed):
+    """Seeded sums of n_cubes cubes of roots in the box of 1, with the
+    i coefficient 0, so a scan may skip outer roots with w1 > 0."""
+    rng = random.Random(seed)
+    box = list(product(range(-1, 2), repeat=4))
+    targets = []
+    while len(targets) < count:
+        roots = [rng.choice(box) for _ in range(n_cubes)]
+        t = tuple(map(sum, zip(*(cube_coeffs(params.a, params.b, x) for x in roots))))
+        if t[1] == 0:
+            targets.append(Quaternion(params, *t))
+    return targets
+
+
+class TestOuterRootSymmetry:
+    # negating pure coefficients commutes with cubing, so scans skip outer
+    # roots with w_i > 0 where the target has t_i == 0
+
+    @given(
+        st.integers(-50, 50),
+        st.integers(-50, 50),
+        st.tuples(*(st.integers(-30, 30),) * 4),
+        st.tuples(*(st.sampled_from((1, -1)),) * 3),
+    )
+    @settings(deadline=None, max_examples=200)
+    def test_negating_pure_coefficients_commutes_with_cubing(self, a, b, x, signs):
+        def flip(c):
+            return (c[0], signs[0] * c[1], signs[1] * c[2], signs[2] * c[3])
+
+        assert cube_coeffs(a, b, flip(x)) == flip(cube_coeffs(a, b, x))
+
+    @pytest.mark.parametrize("ring", [(1, 1), (2, 1), (2, 2), (3, 2)])
+    def test_three_cubes_match_brute_force_with_zero_pure_parts(self, ring):
+        params = RingParams(*ring)
+        cfg = SearchConfig(max_cubes=3, coeff_bound=1, outer_bound=1)
+        targets = _random_sums(params, 3, 16, seed=sum(ring))
+        targets += [Quaternion(params, c0, 0, c2, 0) for c0 in (-5, 3, 6) for c2 in (-4, 0, 2)]
+        got = [min_cubes_search(t, cfg) for t in targets]
+        assert got == [_brute_min_cubes(t, 3, 1, 1) for t in targets]
+        # some least witness has w1 < 0, so scanning w1 >= 0 instead would fail
+        assert any(r is not None and len(r) == 3 and r[0].c1 < 0 for r in got)
+        if (os.cpu_count() or 1) >= 2:
+            some = [i for i, r in enumerate(got) if r is not None and len(r) == 3][:2]
+            assert [min_cubes_search(targets[i], cfg, workers=2) for i in some] == [
+                got[i] for i in some
+            ]
+
+    @pytest.mark.parametrize("ring", [(3, 3), (3, 6)])
+    def test_four_cubes_match_brute_force_with_zero_pure_parts(self, ring):
+        params = RingParams(*ring)
+        cfg = SearchConfig(max_cubes=4, coeff_bound=1, outer_bound=1)
+        targets = _random_sums(params, 4, 12, seed=sum(ring))
+        targets += [scalar(params, n) for n in (4, -5, 13)]
+        got = [min_cubes_search(t, cfg) for t in targets]
+        assert got == [_brute_min_cubes(t, 4, 1, 1) for t in targets]
+        four = [i for i, r in enumerate(got) if r is not None and len(r) == 4]
+        assert len(four) >= 3
+        assert min_cubes_search(targets[four[0]], cfg, workers=2) == got[four[0]]
+
+    @staticmethod
+    def _record_outer_roots(monkeypatch, skip: str):
+        # record every root cubed by the scan; the stage below it (named by
+        # skip) always misses, so the scan runs through its whole range
+        roots = []
+
+        def record(a, b, w):
+            roots.append(w)
+            return cube_coeffs(a, b, w)
+
+        monkeypatch.setattr(search, "cube_coeffs", record)
+        monkeypatch.setattr(search, skip, lambda *args: None)
+        return roots
+
+    @pytest.mark.parametrize("coeffs", [(7, 0, 5, 0), (7, 3, 5, 2), (2, 0, 0, 0)])
+    def test_three_cube_scan_skips_positive_outer_coefficients(self, monkeypatch, coeffs):
+        params, outer = RingParams(1, 1), 2
+        tabs, space = _mod9_tables(params), _SearchSpace(params, 1)
+        first_ok = tabs.first_root_classes(_sig(coeffs))
+        assert tabs.triple_attainable(_sig(coeffs)) and first_ok
+        scanned = self._record_outer_roots(monkeypatch, "_scan_two")
+        assert search._scan_three(space, tabs, coeffs, outer, None) is None
+        rng = range(-outer, outer + 1)
+        zero = [i for i in (1, 2, 3) if coeffs[i] == 0]
+        expected = [
+            w for w in product(rng, repeat=4)
+            if _sig(w) in first_ok and all(w[i] <= 0 for i in zero)
+        ]
+        assert scanned == expected
+        if not zero:
+            # no zero pure coefficient: the whole outer box, bar the sieve
+            assert any(w[1] > 0 for w in scanned)
+
+    @pytest.mark.parametrize("coeffs", [(7, 0, 5, 0), (4, 0, 0, 0), (7, 3, 5, 2)])
+    def test_four_cube_scan_skips_positive_outer_coefficients(self, monkeypatch, coeffs):
+        params, outer = RingParams(3, 3), 1
+        tabs, space = _mod9_tables(params), _SearchSpace(params, 1)
+        scanned = self._record_outer_roots(monkeypatch, "_scan_three_range")
+        assert search._scan_four(space, tabs, coeffs, outer) is None
+        rng = range(-outer, outer + 1)
+        spans = [range(-outer, 1) if c == 0 else rng for c in coeffs[1:]]
+        assert scanned == list(product(rng, *spans))
+
+    @pytest.mark.parametrize("coeffs, cells", [((7, 0, 5, 0), 5 * 3), ((7, 3, 0, 0), 5 * 5)])
+    def test_parallel_cells_skip_positive_w1(self, monkeypatch, coeffs, cells):
+        params = RingParams(1, 1)
+        sent = []
+
+        def imap(pool, fn, items):
+            sent.extend(items)
+            return [None] * len(items)
+
+        monkeypatch.setattr(search, "_watched_imap", imap)
+        space, tabs = _SearchSpace(params, 1), _mod9_tables(params)
+        assert search._scan_three(space, tabs, coeffs, 2, (None, None)) is None
+        assert len(sent) == cells
+        assert all(w1 <= 0 for _, w1 in sent) == (coeffs[1] == 0)
+
+    def test_flagship_scans_582_outer_roots(self, monkeypatch):
+        calls = []
+        scan_two = search._scan_two
+        monkeypatch.setattr(search, "_scan_two", lambda *args: calls.append(1) or scan_two(*args))
+        target = Quaternion(LIPSCHITZ, 3, 3, 0, 0)
+        roots = min_cubes_search(target, SearchConfig(max_cubes=3, coeff_bound=10, outer_bound=6))
+        assert [r.coefficients() for r in roots] == [(-5, -4, -4, -2), (5, 2, 6, 3), (6, 1, 0, 0)]
+        # one call for the 2-cube stage, the rest for outer roots
+        assert len(calls) == 582
 
 
 class TestLemmaResidueCheck:
