@@ -13,13 +13,17 @@ decomposition pipeline, so the two can certify each other:
 Each cube of the box is packed into one int, exactly (see
 :class:`_SearchSpace`), and the packed cubes are grouped by their mod-9
 signature and, within it, by their parity pattern (coefficients mod 2).
-Each group maps its cubes to their least roots.  A signature's groups
-are built the first time a search meets that signature, from the box
-roots of the root classes mod 9 that cube to it, so a two-cube search
-builds only the few signatures that can sum to its target.  Two cubes
+Each group maps its cubes to their least roots.  The box is symmetric
+and (-x)**3 == -(x**3), so the cubes of signature -s are the negated
+cubes of s: only one signature of each ± pair is stored, and the other
+is read through a sign, with a small table of greatest roots for the
+cubes that have several roots.  A signature's groups are built the
+first time a search meets that signature, from the box roots of the
+root classes mod 9 that cube to it, so a two-cube search builds only
+the few signatures that can sum to its target.  Two cubes
 meet a target ``T`` by set intersection: for each pair of groups whose
 signatures sum to the target's signature and whose parities XOR to the
-target's parity, ``big.keys() & {T - h for h in small}`` runs in C.
+target's parity, ``big.keys() & {±T ∓ h for h in small}`` runs in C.
 Three cubes scan the outer root in lexicographic order and
 meet the remainder; with several workers, the outer box is cut into
 ``(w0, w1)`` cells whose results are taken in order.  Negating pure
@@ -38,7 +42,7 @@ import contextlib
 import os
 from collections import deque
 from dataclasses import dataclass
-from itertools import product
+from itertools import islice, product
 
 from .decompose import cube_root_congruence, select_pair
 from .errors import InvalidResidues, MixedRings, QuatcubeError
@@ -113,8 +117,13 @@ def _parity(c: Coeffs) -> int:
     return (c[0] & 1) << 3 | (c[1] & 1) << 2 | (c[2] & 1) << 1 | c[3] & 1
 
 
+def _neg9(s: Coeffs) -> Coeffs:
+    """The signature mod 9 of the negated coefficients."""
+    return (-s[0] % 9, -s[1] % 9, -s[2] % 9, -s[3] % 9)
+
+
 def _encode(s0: int, s1: int, s2: int, s3: int) -> int:
-    # base-32 digits keep sums of up to three mod-9 signatures carry-free
+    # base-32 digits keep sums of two mod-9 signatures carry-free
     return (s0 << 15) | (s1 << 10) | (s2 << 5) | s3
 
 
@@ -136,37 +145,43 @@ class _BitGrid:
 class _Mod9Tables:
     """Attainable mod-9 coefficient patterns of cubes in one ring.
 
-    Depends only on (a mod 9, b mod 9).  ``cube_sig`` maps each root
-    signature to its cube's signature, and ``root_classes`` inverts it;
-    the grids answer whether a target signature is attainable as a sum
-    of one, two or three cube signatures.  The grids are built on first
-    use, since ``two_cube_obstruction`` needs neither and two-cube
-    searches never need the triple grid.  Instances are
-    shared between threads through ``_MOD9_CACHE``, so a lazy attribute
-    is assigned only once it is complete.
+    Depends only on (a mod 9, b mod 9).  Root classes mod 9 are numbered
+    in product order, so class (r0, r1, r2, r3) is
+    ``729*r0 + 81*r1 + 9*r2 + r3``.  ``cube_sig`` lists each class's cube
+    signature, ``root_classes`` inverts it, and ``single`` holds the cube
+    signatures.  The pair grid answers whether a target signature is a
+    sum of two cube signatures, and :meth:`first_root_classes` whether it
+    is a sum of three.  The pair grid is built on first use, since
+    ``two_cube_obstruction`` does not need it.  Instances are shared
+    between threads through ``_MOD9_CACHE``, so a lazy attribute is
+    assigned only once it is complete.
     """
 
-    __slots__ = ("cube_sig", "root_classes", "single", "_codes", "_pair_mask", "_pairs",
-                 "_triples", "_first_ok_memo")
+    __slots__ = ("cube_sig", "root_classes", "single", "_codes", "_pairs", "_first_ok_memo")
 
     def __init__(self, a9: int, b9: int) -> None:
-        self.cube_sig: dict[Coeffs, Coeffs] = {
-            s: _sig(cube_coeffs(a9, b9, s)) for s in product(range(9), repeat=4)
-        }
-        # each cube signature's root classes, numbered in product order, so
-        # class (r0, r1, r2, r3) is 729 * r0 + (81 * r1 + 9 * r2 + r3)
+        sigs = [_sig(cube_coeffs(a9, b9, r)) for r in islice(product(range(9), repeat=4), 5 * 729)]
+        # (-x)**3 == -(x**3), so class -r cubes to the negated signature of
+        # class r; the classes with r0 in 5..8 are the negated ones with r0
+        # in 4..1, tail by tail
+        neg_tail = [
+            (-r1 % 9 * 9 + -r2 % 9) * 9 + -r3 % 9 for r1, r2, r3 in product(range(9), repeat=3)
+        ]
+        neg = {s: _neg9(s) for s in set(sigs)}
+        for r0 in range(5, 9):
+            row = sigs[(9 - r0) * 729 : (10 - r0) * 729]
+            sigs += map(neg.__getitem__, map(row.__getitem__, neg_tail))
+        self.cube_sig: list[Coeffs] = sigs
         self.root_classes: dict[Coeffs, list[int]] = {}
-        for n, cs in enumerate(self.cube_sig.values()):
+        for n, cs in enumerate(sigs):
             self.root_classes.setdefault(cs, []).append(n)
         self.single = frozenset(self.root_classes)
 
         self._codes = sorted({_encode(*s) for s in self.single})
-        self._pair_mask = 0
         self._pairs: _BitGrid | None = None
-        self._triples: _BitGrid | None = None
-        self._first_ok_memo: dict[Coeffs, frozenset[Coeffs]] = {}
+        self._first_ok_memo: dict[Coeffs, frozenset[int]] = {}
 
-    def _pair_grid(self) -> _BitGrid:
+    def pair_attainable(self, s: Coeffs) -> bool:
         grid = self._pairs
         if grid is None:
             mask = 0
@@ -175,12 +190,8 @@ class _Mod9Tables:
             pair = 0
             for c in self._codes:
                 pair |= mask << c
-            self._pair_mask = pair
             grid = self._pairs = _BitGrid(pair)
-        return grid
-
-    def pair_attainable(self, s: Coeffs) -> bool:
-        test = self._pair_grid().test
+        test = grid.test
         for u0 in (s[0], s[0] + 9):
             for u1 in (s[1], s[1] + 9):
                 for u2 in (s[2], s[2] + 9):
@@ -189,31 +200,18 @@ class _Mod9Tables:
                             return True
         return False
 
-    def triple_attainable(self, s: Coeffs) -> bool:
-        grid = self._triples
-        if grid is None:
-            self._pair_grid()
-            triple = 0
-            for c in self._codes:
-                triple |= self._pair_mask << c
-            grid = self._triples = _BitGrid(triple)
-        test = grid.test
-        for u0 in (s[0], s[0] + 9, s[0] + 18):
-            for u1 in (s[1], s[1] + 9, s[1] + 18):
-                for u2 in (s[2], s[2] + 9, s[2] + 18):
-                    for u3 in (s[3], s[3] + 9, s[3] + 18):
-                        if test(_encode(u0, u1, u2, u3)):
-                            return True
-        return False
+    def first_root_classes(self, target_sig: Coeffs) -> frozenset[int]:
+        """Numbers of the root classes mod 9 whose cube leaves a
+        pair-attainable remainder.
 
-    def first_root_classes(self, target_sig: Coeffs) -> frozenset[Coeffs]:
-        """Root classes mod 9 whose cube leaves a pair-attainable remainder."""
+        Empty exactly when target_sig is no sum of three cube signatures,
+        which rules out every 3-cube representation of the target.
+        """
         got = self._first_ok_memo.get(target_sig)
         if got is None:
             t0, t1, t2, t3 = target_sig
-            roots = list(self.cube_sig)
             got = frozenset(
-                roots[n]
+                n
                 for cs, classes in self.root_classes.items()
                 if self.pair_attainable(
                     ((t0 - cs[0]) % 9, (t1 - cs[1]) % 9, (t2 - cs[2]) % 9, (t3 - cs[3]) % 9)
@@ -240,29 +238,49 @@ def _mod9_tables(params: RingParams) -> _Mod9Tables:
 # mapped to the box index of its least root
 _ParityGroups = dict[int, dict[int, int]]
 
+# one side of a two-cube meet: a stored group and the sign (1 or -1) its
+# cubes take there
+_Side = tuple[dict[int, int], int]
+
+# two signatures' stored groups with their signs, and whether the two
+# signatures are one
+_SigPair = tuple[_ParityGroups, int, _ParityGroups, int, bool]
+
 
 class _SearchSpace:
-    """Cube groups for one (ring, coeff_bound) box, built one mod-9
-    signature at a time, the first time a search meets it.
+    """Cube groups for one (ring, coeff_bound) box, built one ± pair of
+    mod-9 signatures at a time, the first time a search meets it.
 
     A cube (c0, c1, c2, c3) is stored as the int
     ``((c0*R + c1)*R + c2)*R + c3`` in radix ``R = 4*M + 1``, where M
     bounds every cube coefficient in the box.  Packing is linear, so
-    ``pack(t) - pack(c) == pack(t - c)``, and two tuples whose
-    coefficients differ by less than R pack equal only when they are
-    equal.  A target with a coefficient beyond 2*M is no sum of two box
-    cubes and is never packed.  For any other target t and box cubes c
-    and g, t - c and g differ by at most 4*M per coefficient, so
-    ``pack(t) - pack(c) == pack(g)`` only when t - c == g: no lookup can
-    hit by accident.
+    ``pack(t) - pack(c) == pack(t - c)`` and ``pack(-c) == -pack(c)``,
+    and two tuples whose coefficients differ by less than R pack equal
+    only when they are equal.  A target with a coefficient beyond 2*M is
+    no sum of two box cubes and is never packed.  For any other target t
+    and box cubes c and g, t - c and g differ by at most 4*M per
+    coefficient, so ``pack(t) - pack(c) == pack(g)`` only when
+    t - c == g: no lookup can hit by accident.
 
     Roots are identified by their index in lexicographic order of the
-    box, so comparing indices compares roots.  :meth:`groups` maps each
-    packed cube of one signature, split by parity pattern, to the index
-    of its least root.  A cube's signature follows from any of its
-    roots' classes mod 9, so all its roots lie in the root classes that
-    ``_Mod9Tables.root_classes`` lists for that signature, and the
-    signature's groups alone decide its least root.
+    box, so comparing indices compares roots.  The box is symmetric and
+    (-x)**3 == -(x**3), so the cubes of signature -s are the negated
+    cubes of signature s, with the same parity patterns, and the root
+    -x has index ``last - idx(x)``.  Only the canonical signature of each
+    ± pair, the lesser of s and -s, is stored (257 of the 513 signatures
+    in ring (1, 1); (0, 0, 0, 0) pairs with itself).  :meth:`groups`
+    maps each packed cube of a canonical signature, split by parity
+    pattern, to the index of its least root.  A cube's signature follows
+    from any of its roots' classes mod 9, so all its roots lie in the
+    root classes that ``_Mod9Tables.root_classes`` lists for that
+    signature, and the signature's groups alone decide its least root.
+
+    The least root of -c is the negated greatest root of c, which for a
+    cube with several roots is not the negated least root: in ring
+    (3, 1), (-80, 72, 0, 0) has the roots (-5, 1, 0, 0), (1, -3, 0, 0)
+    and (4, 2, 0, 0).  So ``_greatest`` maps each stored cube with
+    several roots to its greatest root's index, and :meth:`least`
+    reads a negated cube's least root from it in one lookup.
     """
 
     def __init__(self, params: RingParams, bound: int) -> None:
@@ -272,13 +290,16 @@ class _SearchSpace:
         # |c0| <= B*(B^2 + 3p) and |ci| <= B*(3B^2 + p), with p <= (a+b+ab)B^2
         self.max_coeff = bound**3 * (1 + 3 * (a + b + a * b))
         self.radix = 4 * self.max_coeff + 1
+        # the greatest root's index; the root -x has index last - idx(x)
+        self.last = (2 * bound + 1) ** 4 - 1
         # the table keeps no (root, cube) list; perfbench/tracing.py reads this
         self._entries = None
         self._tabs = _mod9_tables(params)
         self._tails: tuple | None = None
         self._groups: dict[Coeffs, _ParityGroups] = {}
-        self._sig_pair_memo: dict[Coeffs, list[tuple[_ParityGroups, _ParityGroups]]] = {}
-        self._pair_memo: dict[tuple[Coeffs, int], list[tuple[dict[int, int], dict[int, int]]]] = {}
+        self._greatest: dict[int, int] = {}
+        self._sig_pair_memo: dict[Coeffs, list[_SigPair]] = {}
+        self._pair_memo: dict[tuple[Coeffs, int], list[tuple[_Side, _Side]]] = {}
 
     def pack(self, t: Coeffs) -> int | None:
         """The packed form of t, or None when a coefficient exceeds 2*M."""
@@ -295,6 +316,12 @@ class _SearchSpace:
         idx, x2 = divmod(idx, n)
         x0, x1 = divmod(idx, n)
         return (x0 - b, x1 - b, x2 - b, x3 - b)
+
+    def least(self, group: dict[int, int], key: int, sign: int) -> int:
+        """Index of the least root of the cube ``sign * key``, for a key of
+        a stored group."""
+        idx = group[key]
+        return idx if sign > 0 else self.last - self._greatest.get(key, idx)
 
     def _tail_table(self) -> tuple:
         """Per tail (x1, x2, x3) of the box, indexed in box order: the norm
@@ -316,7 +343,10 @@ class _SearchSpace:
 
     def groups(self, sig: Coeffs) -> _ParityGroups:
         """The packed cubes of signature sig, by parity pattern, each mapped
-        to the index of its least root; built on first use."""
+        to the index of its least root; built on first use.  The build also
+        records in ``_greatest`` the greatest root of each cube that has
+        several.  A search asks only for canonical signatures (see
+        :meth:`signed_groups`)."""
         got = self._groups.get(sig)
         if got is not None:
             return got
@@ -329,6 +359,7 @@ class _SearchSpace:
         for row in rows.values():
             row.sort()
         by_par: _ParityGroups = {p: {} for p in cube_par}
+        parity_groups = list(by_par.values())
         # the group of a root, indexed by x0's parity, then by the tail's
         slots = [[by_par[p] for p in cube_par[:8]], [by_par[p] for p in cube_par[8:]]]
         r3, span = self.radix**3, len(norms)
@@ -336,29 +367,55 @@ class _SearchSpace:
             row = rows.get(x0 % 9)
             if row is None:
                 continue
-            sq, hi = x0 * x0, x0 * r3
+            sq, hi, base = x0 * x0, x0 * r3, i * span
             # the cube of x packs to (x0^2 - 3p)x0 R^3 + (3x0^2 - p) low; one
             # pass in C adds each cube to its group, in box order, so each
             # cube keeps its least root
+            keys = [
+                (sq - 3 * p) * hi + (3 * sq - p) * low for p, low in map(norms.__getitem__, row)
+            ]
+            size = sum(map(len, parity_groups))
             deque(
                 map(
                     dict.setdefault,
                     map(slots[x0 & 1].__getitem__, map(pars.__getitem__, row)),
-                    [
-                        (sq - 3 * p) * hi + (3 * sq - p) * low
-                        for p, low in map(norms.__getitem__, row)
-                    ],
-                    map((i * span).__add__, row),
+                    keys,
+                    map(base.__add__, row),
                 ),
                 maxlen=0,
             )
+            if sum(map(len, parity_groups)) - size < len(row):
+                # some cube of the row has an earlier root; in box order the
+                # last root met is each such cube's greatest
+                for group, key, n in zip(
+                    map(slots[x0 & 1].__getitem__, map(pars.__getitem__, row)), keys, row
+                ):
+                    if group[key] != base + n:
+                        self._greatest[key] = base + n
         got = self._groups[sig] = {p: group for p, group in by_par.items() if group}
         return got
 
+    def signed_groups(self, sig: Coeffs) -> tuple[_ParityGroups, int]:
+        """The stored groups of sig's ± pair, and the sign (1 or -1) that
+        turns their cubes into the cubes of sig."""
+        neg = _neg9(sig)
+        return (self.groups(sig), 1) if sig <= neg else (self.groups(neg), -1)
+
     def by_class(self) -> dict[Coeffs, _ParityGroups]:
-        """Every signature's groups (see :meth:`groups`): a whole-box view
+        """Every signature's groups, laid out as :meth:`groups` lays out a
+        canonical one, the negated signatures spelled out: a whole-box view
         that no search needs."""
-        return {s: g for s in sorted(self._tabs.single) if (g := self.groups(s))}
+        out = {}
+        for s in sorted(self._tabs.single):
+            groups, sign = self.signed_groups(s)
+            if sign < 0:
+                groups = {
+                    p: {-key: self.least(group, key, -1) for key in group}
+                    for p, group in groups.items()
+                }
+            if groups:
+                out[s] = groups
+        return out
 
     def table(self) -> dict[int, int]:
         """Packed cube -> index of the lexicographically least root
@@ -370,9 +427,10 @@ class _SearchSpace:
                 least.update(group)
         return least
 
-    def _sig_pairs(self, target_sig: Coeffs) -> list[tuple[_ParityGroups, _ParityGroups]]:
-        """Signature groups whose signatures sum to target_sig mod 9, each
-        unordered pair once; only the signatures paired are built."""
+    def _sig_pairs(self, target_sig: Coeffs) -> list[_SigPair]:
+        """Signatures that sum to target_sig mod 9, each unordered pair
+        once, as their stored groups with signs and whether the two
+        signatures are one; only the signatures paired are built."""
         got = self._sig_pair_memo.get(target_sig)
         if got is None:
             single = self._tabs.single
@@ -381,29 +439,30 @@ class _SearchSpace:
             for s in single:
                 mate_sig = ((t0 - s[0]) % 9, (t1 - s[1]) % 9, (t2 - s[2]) % 9, (t3 - s[3]) % 9)
                 if s <= mate_sig and mate_sig in single:
-                    groups, mates = self.groups(s), self.groups(mate_sig)
+                    groups, sign = self.signed_groups(s)
+                    mates, mate_sign = self.signed_groups(mate_sig)
                     if groups and mates:
-                        got.append((groups, mates))
+                        got.append((groups, sign, mates, mate_sign, s == mate_sig))
             self._sig_pair_memo[target_sig] = got
         return got
 
-    def pair_sets(
-        self, target_sig: Coeffs, target_par: int
-    ) -> list[tuple[dict[int, int], dict[int, int]]]:
-        """(smaller, larger) groups whose signatures sum to target_sig mod 9
-        and whose parities XOR to target_par, each unordered pair once."""
+    def pair_sets(self, target_sig: Coeffs, target_par: int) -> list[tuple[_Side, _Side]]:
+        """(smaller, larger) groups with their signs, whose signatures sum
+        to target_sig mod 9 and whose parities XOR to target_par, each
+        unordered pair once."""
         key = (target_sig, target_par)
         got = self._pair_memo.get(key)
         if got is None:
             got = []
-            for groups, mates in self._sig_pairs(target_sig):
+            for groups, sign, mates, mate_sign, same in self._sig_pairs(target_sig):
                 for p, group in groups.items():
                     q = p ^ target_par
                     mate = mates.get(q)
                     # a signature paired with itself: (p, q) and (q, p) meet
                     # the same cube pairs, so keep one
-                    if mate is not None and (groups is not mates or p <= q):
-                        got.append((group, mate) if len(group) <= len(mate) else (mate, group))
+                    if mate is not None and (not same or p <= q):
+                        one, other = (group, sign), (mate, mate_sign)
+                        got.append((one, other) if len(group) <= len(mate) else (other, one))
             self._pair_memo[key] = got
         return got
 
@@ -412,12 +471,15 @@ def _scan_two(space: _SearchSpace, tabs: _Mod9Tables, t: Coeffs) -> tuple[Coeffs
     """Least (x, y) with x**3 + y**3 = t, both in the coeff box.
 
     Only groups that can sum to t are met: their signatures sum to t's
-    mod 9 and their parities XOR to t's.  Every hit h of
-    ``big & (T - small)`` is a box cube whose partner T - h is one too,
-    and the two groups give both halves' least roots, ``big[h]`` and
-    ``small[T - h]``.  Every solution shows up as such a hit, so x is the
-    least root of either half of any hit, and y the least root of the
-    other half.  That is the pair a full lexicographic scan would find.
+    mod 9 and their parities XOR to t's.  A side's cubes are its stored
+    keys times its sign, so with T the packed target the cubes
+    ``u * h`` of big and ``v * g`` of small sum to T exactly when
+    ``h == u*T - (u*v) * g``: one intersection in C per group pair, of
+    ``big`` with ``u*T - small`` or ``u*T + small``.  Each hit gives both
+    halves' least roots (:meth:`_SearchSpace.least`).  Every solution
+    shows up as such a hit, so x is the least root of either half of
+    any hit, and y the least root of the other half.  That is the pair a
+    full lexicographic scan would find.
     """
     sig = _sig(t)
     if not tabs.pair_attainable(sig):
@@ -425,11 +487,12 @@ def _scan_two(space: _SearchSpace, tabs: _Mod9Tables, t: Coeffs) -> tuple[Coeffs
     packed = space.pack(t)
     if packed is None:
         return None
-    hits = [
-        (big[h], small[packed - h])
-        for small, big in space.pair_sets(sig, _parity(t))
-        for h in big.keys() & map(packed.__sub__, small)
-    ]
+    least = space.least
+    hits = []
+    for (small, v), (big, u) in space.pair_sets(sig, _parity(t)):
+        ut = u * packed
+        for h in big.keys() & map(ut.__sub__ if u == v else ut.__add__, small):
+            hits.append((least(big, h, u), least(small, v * (packed - u * h), v)))
     if not hits:
         return None
     x, y = min((i, j) if i < j else (j, i) for i, j in hits)
@@ -468,7 +531,7 @@ def _scan_three_cell(
     tabs: _Mod9Tables,
     t: Coeffs,
     outer: int,
-    first_ok: frozenset[Coeffs],
+    first_ok: frozenset[int],
     w0: int,
     w1: int,
     stop=None,
@@ -480,12 +543,13 @@ def _scan_three_cell(
     """
     a, b = space.params.a, space.params.b
     w3_values = _outer_span(outer, t[3])
-    r0, r1 = w0 % 9, w1 % 9
+    cell_class = w0 % 9 * 729 + w1 % 9 * 81
     for w2 in _outer_span(outer, t[2]):
         if stop is not None and stop.is_set():
             return None
+        row_class = cell_class + w2 % 9 * 9
         for w3 in w3_values:
-            if (r0, r1, w2 % 9, w3 % 9) not in first_ok:
+            if row_class + w3 % 9 not in first_ok:
                 continue
             w = (w0, w1, w2, w3)
             res = _scan_two(space, tabs, _sub4(t, cube_coeffs(a, b, w)))
@@ -499,7 +563,7 @@ def _scan_three_range(
     tabs: _Mod9Tables,
     t: Coeffs,
     outer: int,
-    first_ok: frozenset[Coeffs],
+    first_ok: frozenset[int],
     w0_values,
 ) -> tuple[Coeffs, Coeffs, Coeffs] | None:
     """Least 3-cube witness whose outer root starts with one of w0_values,
@@ -555,12 +619,7 @@ def _three_cube_pool(params: RingParams, cfg: SearchConfig, t: Coeffs, workers: 
     """
     tabs = _mod9_tables(params)
     workers = _clamp_workers(workers, (2 * cfg.outer + 1) * len(_outer_span(cfg.outer, t[1])))
-    if (
-        workers == 1
-        or cfg.max_cubes < 3
-        or not tabs.triple_attainable(_sig(t))
-        or not tabs.first_root_classes(_sig(t))
-    ):
+    if workers == 1 or cfg.max_cubes < 3 or not tabs.first_root_classes(_sig(t)):
         yield None
         return
     import multiprocessing  # only here, so importing the package stays light
@@ -580,8 +639,6 @@ def _scan_three(
     outer: int,
     parallel,
 ) -> tuple[Coeffs, Coeffs, Coeffs] | None:
-    if not tabs.triple_attainable(_sig(t)):
-        return None
     first_ok = tabs.first_root_classes(_sig(t))
     if not first_ok:
         return None
@@ -646,8 +703,6 @@ def _scan_four(
     rng = range(-outer, outer + 1)
     for w in product(rng, *(_outer_span(outer, ti) for ti in t[1:])):
         t1 = _sub4(t, cube_coeffs(a, b, w))
-        if not tabs.triple_attainable(_sig(t1)):
-            continue
         first_ok = tabs.first_root_classes(_sig(t1))
         if not first_ok:
             continue
@@ -670,10 +725,14 @@ def min_cubes_search(
 
     Two cubes are met in the middle: the box's cubes, packed into ints
     and grouped by signature mod 9 and parity, are intersected with the
-    target minus each cube of a matching group.  A signature's groups are
-    built when a search first meets it, so a two-cube search builds only
-    the signatures that can sum to its target (about 50 of the 513 in
-    ring (1, 1)).  Three cubes scan the outer root (in the outer_bound
+    target minus each cube of a matching group.  Only one signature of
+    each ± pair is stored, since the cubes of -s are the negated cubes
+    of s (257 of the 513 signatures in ring (1, 1)).  That halves the
+    memory and the build of the whole box that a 3-cube search meets:
+    about 21 MB down to 11 MB at coeff_bound 10.  A signature's groups
+    are built when a search first meets it, so a two-cube search builds
+    only the signatures that can sum to its target (about 50 of the 513
+    in ring (1, 1)).  Three cubes scan the outer root (in the outer_bound
     box) and meet the remainder, four cubes scan an outer root and run
     the 3-cube stage on the remainder.  Where the target (or remainder)
     has a zero pure coefficient, the scan skips outer roots positive
@@ -697,9 +756,10 @@ def min_cubes_search(
             if k == 1:
                 packed = space.pack(t) if _sig(t) in tabs.single else None
                 if packed is not None:
-                    idx = space.groups(_sig(t)).get(_parity(t), {}).get(packed)
-                    if idx is not None:
-                        found = (space.root(idx),)
+                    groups, sign = space.signed_groups(_sig(t))
+                    group = groups.get(_parity(t), {})
+                    if sign * packed in group:
+                        found = (space.root(space.least(group, sign * packed, sign)),)
             elif k == 2:
                 found = _scan_two(space, tabs, t)
             elif k == 3:

@@ -23,7 +23,16 @@ from quatcube import (
 )
 from quatcube import search
 from quatcube.quat import cube_coeffs
-from quatcube.search import _SearchSpace, _clamp_workers, _mod9_tables, _parity, _scan_two, _sig
+from quatcube.search import (
+    _Mod9Tables,
+    _SearchSpace,
+    _clamp_workers,
+    _mod9_tables,
+    _neg9,
+    _parity,
+    _scan_two,
+    _sig,
+)
 
 LIPSCHITZ = RingParams(1, 1)
 
@@ -50,6 +59,30 @@ class TestThreeCubeResidues:
     def test_four_unattainable(self):
         assert 4 not in three_cube_residues_mod9()
         assert 5 not in three_cube_residues_mod9()
+
+
+class TestMod9Tables:
+    def test_cube_signatures_match_the_cube_formula(self):
+        # half the classes are filled by negating the other half
+        for a9, b9 in product(range(9), repeat=2):
+            assert _Mod9Tables(a9, b9).cube_sig == [
+                _sig(cube_coeffs(a9, b9, r)) for r in product(range(9), repeat=4)
+            ]
+
+    @pytest.mark.parametrize("ring", [(3, 3), (6, 9)])
+    def test_first_root_classes_match_brute_force_triple_sums(self, ring):
+        # a signature is a sum of three cube signatures exactly when some
+        # root class leaves a sum of two; both rings miss real part 4 mod 9
+        tabs = _Mod9Tables(ring[0] % 9, ring[1] % 9)
+
+        def add(s, u):
+            return tuple((x + y) % 9 for x, y in zip(s, u))
+
+        pairs = {add(s, u) for s in tabs.single for u in tabs.single}
+        triples = {add(p, u) for p in pairs for u in tabs.single}
+        assert (4, 0, 0, 0) not in triples and (3, 0, 0, 0) in triples
+        for t in product(range(9), repeat=4):
+            assert bool(tabs.first_root_classes(t)) == (t in triples)
 
 
 class TestTwoCubeObstruction:
@@ -84,29 +117,36 @@ class TestTwoCubeObstruction:
 
 @lru_cache(maxsize=None)
 def _box(params, bound):
-    """The roots of the box in lexicographic order, their cubes (by
-    Quaternion multiplication), and each sum of two box cubes mapped to
-    the first pair (r1, r2) that nested loops over the box meet."""
+    """The roots of the box in lexicographic order and their cubes (by
+    Quaternion multiplication)."""
     rng = range(-bound, bound + 1)
     roots = [Quaternion(params, *c) for c in product(rng, rng, rng, rng)]
-    cubes = [r * r * r for r in roots]
+    return roots, [r * r * r for r in roots]
+
+
+@lru_cache(maxsize=None)
+def _box_pairs(params, bound):
+    """Each sum of two box cubes mapped to the first pair (r1, r2) that
+    nested loops over the box meet."""
+    roots, cubes = _box(params, bound)
     pairs = {}
     for r1, c1 in zip(roots, cubes):
         for r2, c2 in zip(roots, cubes):
             pairs.setdefault((c1 + c2).coefficients(), [r1, r2])
-    return roots, cubes, pairs
+    return pairs
 
 
 def _brute_min_cubes(alpha, max_cubes, bound, outer=None):
     """Nested enumeration in lexicographic list order, the outer root(s)
     in the outer box; independent oracle for the table-driven search
     (tiny boxes only).  The innermost two loops are one lookup in
-    :func:`_box`'s pairs, which keeps the pair those loops would meet
+    :func:`_box_pairs`, which keeps the pair those loops would meet
     first."""
     params = alpha.params
     outer = bound if outer is None else outer
-    roots, cubes, pairs = _box(params, bound)
-    oroots, ocubes, _ = _box(params, outer)
+    roots, cubes = _box(params, bound)
+    pairs = _box_pairs(params, bound)
+    oroots, ocubes = _box(params, outer)
 
     if max_cubes >= 1:
         for r, c in zip(roots, cubes):
@@ -125,6 +165,22 @@ def _brute_min_cubes(alpha, max_cubes, bound, outer=None):
                 rest = pairs.get((alpha - c1 - c2).coefficients())
                 if rest is not None:
                     return [r1, r2, *rest]
+    return None
+
+
+def _brute_min_two_cubes(alpha, bound):
+    """Least one or two box roots cubing to alpha, for boxes too large for
+    :func:`_box_pairs`: the least root x whose cube leaves a box cube,
+    then that cube's least root."""
+    roots, cubes = _box(alpha.params, bound)
+    least = {}
+    for r, c in zip(roots, cubes):
+        least.setdefault(c, r)
+    if alpha in least:
+        return [least[alpha]]
+    for r, c in zip(roots, cubes):
+        if alpha - c in least:
+            return [r, least[alpha - c]]
     return None
 
 
@@ -209,32 +265,92 @@ class TestMinCubesSearch:
         keys = set(space.table())
         assert sum(len(g) for groups in grouped.values() for g in groups.values()) == len(keys)
         assert set().union(*(g for groups in grouped.values() for g in groups.values())) == keys
+        # only the lesser signature of each +- pair is stored; 0 pairs with itself
+        single = _mod9_tables(params).single
+        assert all(s <= _neg9(s) for s in space._groups)
+        assert len(space._groups) == (len(single) + 1) // 2
         for x in product(range(-2, 3), repeat=4):
             c = cube_coeffs(params.a, params.b, x)
             assert space.pack(c) in grouped[_sig(c)][_parity(c)]
+            groups, sign = space.signed_groups(_sig(c))
+            assert sign * space.pack(c) in groups[_parity(c)]
+        # negation closure: the cubes of -s are the negated cubes of s,
+        # with the same parities
+        for s, groups in grouped.items():
+            negated = grouped[_neg9(s)]
+            assert {p: {-k for k in g} for p, g in groups.items()} == {
+                p: set(g) for p, g in negated.items()
+            }
 
-    def test_groups_map_each_cube_to_its_least_root(self):
-        several = 0
-        for ring in [(1, 1), (2, 1), (3, 3), (6, 9)]:
-            params = RingParams(*ring)
-            space = _SearchSpace(params, 2)
-            least, roots = {}, {}
-            for idx, x in enumerate(product(range(-2, 3), repeat=4)):
-                key = space.pack(cube_coeffs(params.a, params.b, x))
-                least.setdefault(key, idx)
-                roots[key] = roots.get(key, 0) + 1
-            several += sum(n > 1 for n in roots.values())
-            seen = {}
-            for sig in _mod9_tables(params).single:
-                for par, group in space.groups(sig).items():
-                    for key, idx in group.items():
-                        c = cube_coeffs(params.a, params.b, space.root(idx))
-                        assert (space.pack(c), _sig(c), _parity(c)) == (key, sig, par)
-                        seen[key] = idx
-            assert seen == least
+    @pytest.mark.parametrize("ring", [(1, 1), (2, 1), (3, 3), (6, 9)])
+    def test_groups_map_each_cube_to_its_least_root(self, ring):
+        params = RingParams(*ring)
+        space = _SearchSpace(params, 2)
+        least, count = {}, {}
+        for idx, x in enumerate(product(range(-2, 3), repeat=4)):
+            key = space.pack(cube_coeffs(params.a, params.b, x))
+            least.setdefault(key, idx)
+            count[key] = count.get(key, 0) + 1
+        seen = {}
+        for sig in _mod9_tables(params).single:
+            groups, sign = space.signed_groups(sig)
+            for par, group in groups.items():
+                for key in group:
+                    idx = space.least(group, key, sign)
+                    c = cube_coeffs(params.a, params.b, space.root(idx))
+                    assert (space.pack(c), _sig(c), _parity(c)) == (sign * key, sig, par)
+                    seen[sign * key] = idx
+        assert seen == least
+        # the views of the negated signatures agree with building them directly
+        direct = _SearchSpace(params, 2)
+        single = _mod9_tables(params).single
+        assert space.by_class() == {s: g for s in sorted(single) if (g := direct.groups(s))}
         # 3 x0^2 = p makes the pure part of the cube vanish, so such roots
-        # share their cube with another root, e.g. (1, 1, 1, 1)^3 = (-2)^3 in (1, 1)
-        assert several > 0
+        # share their cube with another root, e.g. (1, 1, 1, 1)^3 = (-2)^3
+        # in (1, 1); negating (-2)^3 gives 2^3, whose least root (-1, -1, -1, -1)
+        # is not -(-2)
+        several = sum(n > 1 for n in count.values())
+        flipped = sum(least[-k] != space.last - i for k, i in least.items())
+        if ring == (6, 9):
+            assert several == flipped == 0
+        else:
+            assert several > 0 and flipped > 0
+
+    def test_cubes_with_several_roots_and_both_signs(self):
+        # ring (3, 1), B=5 has 20 non-real cubes with several roots, e.g.
+        # (-80, 72, 0, 0) = (-5 + i)^3 = (1 - 3i)^3 = (4 + 2i)^3, whose
+        # negation has the least root -4 - 2i, not 5 - i
+        params, bound = RingParams(3, 1), 5
+        roots, cubes = _box(params, bound)
+        count = {}
+        for c in cubes:
+            count[c] = count.get(c, 0) + 1
+        several = [c for c, n in count.items() if n > 1 and any(c.imaginary())]
+        assert len(several) == 20
+        assert Quaternion(params, -80, 72, 0, 0) in several
+        rng = random.Random(31)
+        targets = []
+        for c in several:
+            for signed in (c, -c):
+                targets += [signed, signed + cubes[rng.randrange(len(cubes))]]
+        cfg = SearchConfig(max_cubes=2, coeff_bound=bound)
+        got = [min_cubes_search(t, cfg) for t in targets]
+        assert got == [_brute_min_two_cubes(t, bound) for t in targets]
+        assert min_cubes_search(Quaternion(params, 80, -72, 0, 0), cfg) == [
+            Quaternion(params, -4, -2, 0, 0)
+        ]
+
+    def test_zero_remainder_meets_every_cube(self):
+        # the first outer root cubes to the target itself, so the 3-cube
+        # stage meets a remainder of 0, which every box cube and its
+        # negation sum to; (-2, -2, -2, -2)^3 = 64 and the least root of
+        # -64 is (2, -2, -2, -2)
+        target = cube(Quaternion(LIPSCHITZ, -3, -3, -3, -3))
+        got = min_cubes_search(target, SearchConfig(max_cubes=3, coeff_bound=2, outer_bound=3))
+        assert [r.coefficients() for r in got] == [
+            (-3, -3, -3, -3), (-2, -2, -2, -2), (2, -2, -2, -2)
+        ]
+        assert got == _brute_min_cubes(target, 3, 2, 3)
 
     def test_two_cube_scan_builds_few_signatures(self):
         params = RingParams(1, 1)
@@ -398,14 +514,15 @@ class TestOuterRootSymmetry:
         params, outer = RingParams(1, 1), 2
         tabs, space = _mod9_tables(params), _SearchSpace(params, 1)
         first_ok = tabs.first_root_classes(_sig(coeffs))
-        assert tabs.triple_attainable(_sig(coeffs)) and first_ok
+        assert first_ok
         scanned = self._record_outer_roots(monkeypatch, "_scan_two")
         assert search._scan_three(space, tabs, coeffs, outer, None) is None
         rng = range(-outer, outer + 1)
         zero = [i for i in (1, 2, 3) if coeffs[i] == 0]
         expected = [
             w for w in product(rng, repeat=4)
-            if _sig(w) in first_ok and all(w[i] <= 0 for i in zero)
+            if ((w[0] % 9 * 9 + w[1] % 9) * 9 + w[2] % 9) * 9 + w[3] % 9 in first_ok
+            and all(w[i] <= 0 for i in zero)
         ]
         assert scanned == expected
         if not zero:
