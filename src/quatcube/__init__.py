@@ -25,16 +25,14 @@ from .errors import (
     QuatcubeError,
     VerificationFailed,
 )
-from .parser import QuatExpr, parse_quaternion, render
+from .parser import parse_quaternion
 from .quat import Quaternion, RingParams, cube, cube_coeffs, p_value, swap_iso
 from .residues import (
     Case,
     CaseTag,
     ResidueClass,
     classify_case,
-    congruent_mod,
     delta,
-    delta_from_class,
     in_S,
     in_T2,
     in_T3,
@@ -59,7 +57,6 @@ __all__ = [
     "NotRepresentable",
     "ParseError",
     "PreconditionViolated",
-    "QuatExpr",
     "QuatcubeError",
     "Quaternion",
     "ResidueClass",
@@ -67,13 +64,11 @@ __all__ = [
     "SearchConfig",
     "VerificationFailed",
     "classify_case",
-    "congruent_mod",
     "cube",
     "cube_coeffs",
     "cube_root_congruence",
     "decompose",
     "delta",
-    "delta_from_class",
     "identity_6z",
     "identity_6z3",
     "in_S",
@@ -85,7 +80,6 @@ __all__ = [
     "min_cubes_search",
     "p_value",
     "parse_quaternion",
-    "render",
     "select_pair",
     "swap_iso",
     "three_cube_residues_mod9",

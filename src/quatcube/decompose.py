@@ -27,9 +27,11 @@ classifies the ring once, runs the recipe, sums the roots' cubes and
 compares them with the target exactly.  :func:`decompose` keeps those
 tuples in its :class:`Decomposition`, which builds root ``Quaternion``s
 only when ``roots`` is read; :func:`verify` and the CLI's decompose
-payload read ``root_coeffs`` and build none.  The public object helpers
+payload read ``root_coeffs`` and build none.  The lemma checks
+(``search.lemma_residue_check``) certify the same tuple helpers,
+``_congruence_root`` and ``_pair``.  The public object helpers
 ``identity_6z``, ``identity_6z3``, ``cube_root_congruence`` and
-``select_pair`` (the lemma checks call the last two) still build them.
+``select_pair`` wrap them for library callers, and build ``Quaternion``s.
 """
 
 from __future__ import annotations

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import re
 import sys
-from dataclasses import dataclass
 
 from .errors import ParseError
 from .quat import Quaternion, RingParams
@@ -59,22 +58,3 @@ def parse_quaternion(text: str, params: RingParams) -> Quaternion:
         i = m.end()
     return Quaternion(params, *coeffs)
 
-
-def render(q: Quaternion) -> str:
-    """Canonical text form; parsing it back yields an equal quaternion."""
-    return str(q)
-
-
-@dataclass(frozen=True, slots=True)
-class QuatExpr:
-    """A source string paired with the quaternion it parses to."""
-
-    source: str
-    parsed: Quaternion
-
-    @classmethod
-    def parse(cls, text: str, params: RingParams) -> "QuatExpr":
-        return cls(text, parse_quaternion(text, params))
-
-    def rendered(self) -> str:
-        return render(self.parsed)

@@ -30,7 +30,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 
-from .errors import MixedRings
 from .quat import Quaternion, RingParams, p_value
 
 
@@ -83,10 +82,6 @@ class ResidueClass:
     def residues(self) -> tuple[int, int, int, int]:
         return (self.r0, self.r1, self.r2, self.r3)
 
-    def lift(self, params: RingParams) -> Quaternion:
-        """The canonical representative with coefficients equal to the residues."""
-        return Quaternion(params, self.r0, self.r1, self.r2, self.r3)
-
 
 def lnr6(n: int) -> int:
     """Least non-negative residue of n mod 6 (always in 0..5)."""
@@ -130,31 +125,3 @@ def delta(x: Quaternion, case: CaseTag) -> int:
         return 1 if p_odd == x.c0 % 2 else 0
     return p_odd
 
-
-def delta_from_class(c: ResidueClass, case: CaseTag) -> int:
-    """Same selector computed from mod-6 data alone; agrees with delta()."""
-    p_odd = (c.a6 * c.r1 * c.r1 + c.b6 * c.r2 * c.r2 + c.a6 * c.b6 * c.r3 * c.r3) % 2
-    if case.case is Case.CASE3:
-        return 1 if p_odd == c.r0 % 2 else 0
-    return p_odd
-
-
-def congruent_mod(x: Quaternion, y: Quaternion, m: int, parts: str = "all") -> bool:
-    """True iff m divides the selected coefficients of x - y.
-
-    ``parts`` selects which coefficients: "real", "imaginary" or "all".
-    """
-    if m < 1:
-        raise ValueError(f"modulus must be positive, got {m}")
-    if parts not in ("real", "imaginary", "all"):
-        raise ValueError(f"parts must be 'real', 'imaginary' or 'all', got {parts!r}")
-    if x.params != y.params:
-        raise MixedRings("congruence requires elements of the same ring")
-    diff = x - y
-    if parts == "real":
-        selected: tuple[int, ...] = (diff.c0,)
-    elif parts == "imaginary":
-        selected = diff.imaginary()
-    else:
-        selected = diff.coefficients()
-    return all(d % m == 0 for d in selected)

@@ -1,7 +1,9 @@
 """Bounded search and exhaustive modular verification oracles.
 
-Everything here is deliberately independent of the constructive
-decomposition pipeline, so the two can certify each other:
+The search and the enumerators are deliberately independent of the
+constructive decomposition pipeline, so the two can certify each other;
+the lemma check runs the decomposer's own tuple helpers, so it
+certifies the code that ``decompose`` runs:
 
 * :func:`min_cubes_search` -- box-bounded minimal-representation search
   by meet-in-the-middle over groups of single cubes;
@@ -39,14 +41,19 @@ exactly what a serial run returns.
 from __future__ import annotations
 
 import contextlib
+import functools
 import os
 from collections import deque
 from dataclasses import dataclass
 from itertools import islice, product
 
-from .decompose import cube_root_congruence, select_pair
+from .decompose import _congruence_root, _pair, _swap
+# cube_root_congruence, select_pair, cube and swap_iso are not called
+# here: perfbench/tracing.py wraps them under these names
+from .decompose import cube_root_congruence, select_pair  # noqa: F401
 from .errors import InvalidResidues, MixedRings, QuatcubeError
-from .quat import Coeffs, Quaternion, RingParams, cube, cube_coeffs, swap_iso
+from .quat import Coeffs, Quaternion, RingParams, cube_coeffs
+from .quat import cube, swap_iso  # noqa: F401
 from .residues import (
     Case,
     CaseTag,
@@ -56,8 +63,6 @@ from .residues import (
     in_T2,
     in_T3,
 )
-
-_DIV3 = (0, 3)
 
 
 @dataclass(frozen=True)
@@ -96,7 +101,14 @@ class SearchConfig:
 
 @dataclass(frozen=True)
 class LemmaReport:
-    """Result of certifying the recipes of one (a mod 6, b mod 6) pair."""
+    """Result of certifying the recipes of one (a mod 6, b mod 6) pair.
+
+    ``classes_checked`` counts the recipe classes whose congruence root
+    was checked, ``pair_targets_checked`` the target classes whose pair
+    was checked (0 in case 3), and ``failures`` holds the classes that
+    failed, recipe classes first.  A ``ResidueClass`` is built only for
+    a failure.
+    """
 
     case: CaseTag
     classes_checked: int
@@ -179,7 +191,7 @@ class _Mod9Tables:
 
         self._codes = sorted({_encode(*s) for s in self.single})
         self._pairs: _BitGrid | None = None
-        self._first_ok_memo: dict[Coeffs, frozenset[int]] = {}
+        self._first_ok_memo: dict[Coeffs, bytes] = {}
 
     def pair_attainable(self, s: Coeffs) -> bool:
         grid = self._pairs
@@ -200,25 +212,26 @@ class _Mod9Tables:
                             return True
         return False
 
-    def first_root_classes(self, target_sig: Coeffs) -> frozenset[int]:
-        """Numbers of the root classes mod 9 whose cube leaves a
-        pair-attainable remainder.
+    def first_root_classes(self, target_sig: Coeffs) -> bytes:
+        """A mask by root class number mod 9: byte n is 1 when class n's
+        cube leaves a pair-attainable remainder, else 0.
 
-        Empty exactly when target_sig is no sum of three cube signatures,
-        which rules out every 3-cube representation of the target.
+        Empty (falsy) exactly when no class passes, that is when
+        target_sig is no sum of three cube signatures, which rules out
+        every 3-cube representation of the target.  Otherwise it holds
+        one byte per class, 6,561 in all, so each memo entry stays small.
         """
         got = self._first_ok_memo.get(target_sig)
         if got is None:
             t0, t1, t2, t3 = target_sig
-            got = frozenset(
-                n
-                for cs, classes in self.root_classes.items()
+            mask = bytearray(len(self.cube_sig))
+            for cs, classes in self.root_classes.items():
                 if self.pair_attainable(
                     ((t0 - cs[0]) % 9, (t1 - cs[1]) % 9, (t2 - cs[2]) % 9, (t3 - cs[3]) % 9)
-                )
-                for n in classes
-            )
-            self._first_ok_memo[target_sig] = got
+                ):
+                    for n in classes:
+                        mask[n] = 1
+            got = self._first_ok_memo[target_sig] = bytes(mask) if any(mask) else b""
         return got
 
 
@@ -531,7 +544,7 @@ def _scan_three_cell(
     tabs: _Mod9Tables,
     t: Coeffs,
     outer: int,
-    first_ok: frozenset[int],
+    first_ok: bytes,
     w0: int,
     w1: int,
     stop=None,
@@ -549,7 +562,7 @@ def _scan_three_cell(
             return None
         row_class = cell_class + w2 % 9 * 9
         for w3 in w3_values:
-            if row_class + w3 % 9 not in first_ok:
+            if not first_ok[row_class + w3 % 9]:
                 continue
             w = (w0, w1, w2, w3)
             res = _scan_two(space, tabs, _sub4(t, cube_coeffs(a, b, w)))
@@ -563,7 +576,7 @@ def _scan_three_range(
     tabs: _Mod9Tables,
     t: Coeffs,
     outer: int,
-    first_ok: frozenset[int],
+    first_ok: bytes,
     w0_values,
 ) -> tuple[Coeffs, Coeffs, Coeffs] | None:
     """Least 3-cube witness whose outer root starts with one of w0_values,
@@ -809,34 +822,13 @@ def two_cube_obstruction(params: RingParams, target: Quaternion) -> bool:
     return True
 
 
-def _congruences_hold(x: Quaternion, alpha: Quaternion) -> bool:
-    c = cube(x)
-    return (c.c0 - alpha.c0) % 3 == 0 and all(
-        (cc - ac) % 6 == 0 for cc, ac in zip(c.imaginary(), alpha.imaginary())
-    )
-
-
-def _pair_ok(
-    first: ResidueClass, second: ResidueClass, target: Quaternion, tag: CaseTag
-) -> bool:
-    t0, t1, t2, t3 = (c % 6 for c in target.coefficients())
-    if tag.case is Case.CASE1:
-        if not (in_S(first) and in_S(second)):
-            return False
-    elif t2 % 3 == 0:
-        if not (in_T2(first) and in_T2(second)):
-            return False
-    elif t3 % 3 == 0:
-        if not (in_T3(first) and in_T3(second)):
-            return False
-    else:
-        if not (in_T2(first) and in_T3(second)):
-            return False
-    return (
-        (first.r0 + second.r0 - t0) % 3 == 0
-        and (first.r1 + second.r1 - t1) % 6 == 0
-        and (first.r2 + second.r2 - t2) % 6 == 0
-        and (first.r3 + second.r3 - t3) % 6 == 0
+@functools.cache
+def _class_sets() -> tuple[frozenset[Coeffs], frozenset[Coeffs], frozenset[Coeffs]]:
+    """S, T2 and T3 as sets of residue tuples, by :func:`in_S`,
+    :func:`in_T2` and :func:`in_T3`; built once, on first use."""
+    classes = [ResidueClass(*r, 0, 0) for r in product(range(6), repeat=4)]
+    return tuple(
+        frozenset(c.residues() for c in classes if test(c)) for test in (in_S, in_T2, in_T3)
     )
 
 
@@ -844,70 +836,68 @@ def lemma_residue_check(a6: int, b6: int) -> LemmaReport:
     """Exhaustively certify the congruence recipe and pair tables for one
     (a mod 6, b mod 6) pair.
 
-    For the pair's case this checks, over every residue class in the
-    case's set (192 classes for S and for T2 + T3, 48 for case 3), that
-    the recipe root's cube matches the class mod 3 on the real part and
-    mod 6 on the imaginary parts; for cases 1 and 2 it additionally runs
-    the pair selection over all 1296 target classes and validates set
-    membership and the sums.  Swapped orientations are certified through
-    the mirror-ring isomorphism, exactly as the decomposer uses them.
+    This runs the decomposer's own tuple helpers, ``_congruence_root``
+    and ``_pair``, on every residue class mod 6.  For each class in the
+    case's set (192 classes for S and for T2 + T3, the 48 cube-subgroup
+    classes for case 3) it checks that the recipe root's cube matches the
+    class mod 3 on the real part and mod 6 on the imaginary parts.  For
+    cases 1 and 2 it also checks the pair chosen for each of the 1296
+    target classes: both classes lie in the sets the case requires, and
+    they sum to the target class.  A swapped 2b/2c ring is checked the
+    way the decomposer runs it: each class goes through ``_swap`` to the
+    normalized ring, and the recipe root comes back through it.  Cubes
+    mod 6 depend on the ring only through (a mod 6, b mod 6), so this
+    covers every ring.  The failures list the failed recipe classes,
+    then the failed pair targets, as classes of the ring asked about.
     """
     if not (0 <= a6 <= 5 and 0 <= b6 <= 5):
         raise InvalidResidues(f"residues must lie in 0..5, got ({a6}, {b6})")
     params = RingParams(a6 if a6 else 6, b6 if b6 else 6)
     tag = classify_case(params)
-    failures: list[ResidueClass] = []
-    classes_checked = 0
-    pair_targets = 0
-
-    def rc(r: Coeffs) -> ResidueClass:
-        return ResidueClass(r[0], r[1], r[2], r[3], a6, b6)
-
-    if tag.case is Case.CASE3:
-        for r0 in range(6):
-            for r in product(_DIV3, repeat=3):
-                classes_checked += 1
-                alpha = Quaternion(params, r0, r[0], r[1], r[2])
-                x = cube_root_congruence(alpha, tag)
-                if not _congruences_hold(x, alpha):
-                    failures.append(rc((r0, r[0], r[1], r[2])))
-    elif not tag.swapped:
-        for r in product(range(6), repeat=4):
-            cls = rc(r)
-            if tag.case is Case.CASE1:
-                if not in_S(cls):
-                    continue
-            elif not (in_T2(cls) or in_T3(cls)):
-                continue
-            classes_checked += 1
-            alpha = cls.lift(params)
-            x = cube_root_congruence(alpha, tag)
-            if not _congruences_hold(x, alpha):
-                failures.append(cls)
-        for r in product(range(6), repeat=4):
-            pair_targets += 1
-            target = Quaternion(params, *r)
-            first, second = select_pair(target, tag)
-            if not _pair_ok(first, second, target, tag):
-                failures.append(rc(r))
+    case, swapped = tag.case, tag.swapped
+    a, b = params.a, params.b
+    S, T2, T3 = _class_sets()
+    classes = list(product(range(6), repeat=4))
+    if case is Case.CASE3:
+        recipe = {r for r in classes if not (r[1] % 3 or r[2] % 3 or r[3] % 3)}
     else:
-        # swapped 2b/2c: certify the composed route through the isomorphism
-        norm_tag = classify_case(params.swapped())
-        for r in product(range(6), repeat=4):
-            alpha = Quaternion(params, *r)
-            alpha_n = swap_iso(alpha)
-            cls_n = ResidueClass.of(alpha_n)
-            if not (in_T2(cls_n) or in_T3(cls_n)):
-                continue
-            classes_checked += 1
-            x = swap_iso(cube_root_congruence(alpha_n, norm_tag))
-            if not _congruences_hold(x, alpha):
-                failures.append(rc(r))
-        for r in product(range(6), repeat=4):
-            pair_targets += 1
-            target_n = swap_iso(Quaternion(params, *r))
-            first, second = select_pair(target_n, norm_tag)
-            if not _pair_ok(first, second, target_n, norm_tag):
-                failures.append(rc(r))
-
-    return LemmaReport(tag, classes_checked, tuple(failures), pair_targets)
+        recipe = S if case is Case.CASE1 else T2 | T3
+    checked = 0
+    bad_roots: list[Coeffs] = []
+    bad_pairs: list[Coeffs] = []
+    for r in classes:
+        # r's class in the normalized ring, where the recipe runs
+        t = _swap(r) if swapped else r
+        t = (t[0], t[1], t[2], t[3] % 6)
+        if t in recipe:
+            checked += 1
+            x = _congruence_root(t, b, a, case) if swapped else _congruence_root(t, a, b, case)
+            c0, c1, c2, c3 = cube_coeffs(a, b, _swap(x) if swapped else x)
+            if (c0 - r[0]) % 3 or (c1 - r[1]) % 6 or (c2 - r[2]) % 6 or (c3 - r[3]) % 6:
+                bad_roots.append(r)
+        if case is Case.CASE3:
+            continue
+        u, v = _pair(t, case)
+        if case is Case.CASE1:
+            u_set, v_set = S, S
+        elif t[2] % 3 == 0:
+            u_set, v_set = T2, T2
+        elif t[3] % 3 == 0:
+            u_set, v_set = T3, T3
+        else:
+            u_set, v_set = T2, T3
+        if not (
+            u in u_set
+            and v in v_set
+            and (u[0] + v[0] - t[0]) % 3 == 0
+            and (u[1] + v[1] - t[1]) % 6 == 0
+            and (u[2] + v[2] - t[2]) % 6 == 0
+            and (u[3] + v[3] - t[3]) % 6 == 0
+        ):
+            bad_pairs.append(r)
+    return LemmaReport(
+        tag,
+        checked,
+        tuple(ResidueClass(*r, a6, b6) for r in bad_roots + bad_pairs),
+        0 if case is Case.CASE3 else len(classes),
+    )

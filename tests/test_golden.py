@@ -1,10 +1,13 @@
-"""Golden outputs: decompose and search JSON bytes, parser error messages.
+"""Golden outputs: decompose, search and check-lemmas bytes, parser
+error messages.
 
 The expected values were recorded from the object-based decomposer and
 the character-by-character parser that preceded the tuple core and the
-regex parser, and from the search whose cube groups were split by
-signature mod 9 alone.  All are part of the CLI's contract, so any
-change to them is a change of behaviour, not a refactor.
+regex parser, from the search whose cube groups were split by signature
+mod 9 alone, and from the lemma check that certified the recipes through
+``Quaternion`` and ``ResidueClass`` objects.  All are part of the CLI's
+contract, so any change to them is a change of behaviour, not a
+refactor.
 """
 
 import hashlib
@@ -16,7 +19,7 @@ import pytest
 from quatcube import (
     ParseError, Quaternion, RingParams, SearchConfig, cube, decompose, parse_quaternion,
 )
-from quatcube.cli import decompose_payload, search_payload
+from quatcube.cli import decompose_payload, main, search_payload
 
 # All five cases, with both orientations of 2b ((2,3)/(3,2)) and 2c ((1,3)/(3,1)).
 SHOWCASE_RINGS = [
@@ -144,3 +147,14 @@ def test_search_json_bytes_match_recorded_hash():
     ]
     assert len(lines) == SEARCH_GOLDEN_TARGETS
     assert hashlib.sha256(b"\n".join(lines)).hexdigest() == SEARCH_GOLDEN_SHA256
+
+
+# check-lemmas output, text and --json, for all 36 (a mod 6, b mod 6) pairs
+LEMMAS_SHA256 = "a445c6806af4c44a83a820d1dab03354c2b60c2527e397bcd64c0dda40699aee"
+LEMMAS_JSON_SHA256 = "c66d6fe0eabed6705c32e9deef59ff65175eacbad2e365c27dc2ad958f8e2fcd"
+
+
+@pytest.mark.parametrize("flags, digest", [((), LEMMAS_SHA256), (("--json",), LEMMAS_JSON_SHA256)])
+def test_check_lemmas_bytes_match_recorded_hash(capsys, flags, digest):
+    assert main(["check-lemmas", *flags]) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest

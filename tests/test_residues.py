@@ -7,14 +7,11 @@ from hypothesis import strategies as st
 from quatcube import (
     Case,
     CaseTag,
-    MixedRings,
     Quaternion,
     ResidueClass,
     RingParams,
     classify_case,
-    congruent_mod,
     delta,
-    delta_from_class,
     in_S,
     in_T2,
     in_T3,
@@ -123,35 +120,12 @@ class TestDelta:
     )
     @settings(deadline=None)
     def test_class_signature_agrees(self, x, case):
-        tag = CaseTag(case)
-        assert delta(x, tag) == delta_from_class(ResidueClass.of(x), tag)
-
-
-class TestCongruentMod:
-    def test_spec_examples(self):
-        p = RingParams(1, 1)
-        x = Quaternion(p, 3, 7, 0, 0)
-        y = Quaternion(p, 0, 1, 0, 0)
-        assert congruent_mod(x, y, 6, "imaginary")
-        assert not congruent_mod(x, y, 6, "all")
-        assert congruent_mod(x, x, 12345, "all")
-
-    def test_real_part_selection(self):
-        p = RingParams(1, 1)
-        x = Quaternion(p, 6, 1, 0, 0)
-        y = Quaternion(p, 0, 0, 0, 0)
-        assert congruent_mod(x, y, 6, "real")
-        assert not congruent_mod(x, y, 6, "imaginary")
-
-    def test_rejects_bad_arguments(self):
-        p = RingParams(1, 1)
-        x = Quaternion(p, 1, 0, 0, 0)
-        with pytest.raises(MixedRings):
-            congruent_mod(x, Quaternion(RingParams(2, 1), 1, 0, 0, 0), 6)
-        with pytest.raises(ValueError):
-            congruent_mod(x, x, 0)
-        with pytest.raises(ValueError):
-            congruent_mod(x, x, 6, "pure")
+        # the selector computed from the residues mod 6 alone
+        r0, r1, r2, r3 = ResidueClass.of(x).residues()
+        a6, b6 = x.params.a % 6, x.params.b % 6
+        p_odd = (a6 * r1 * r1 + b6 * r2 * r2 + a6 * b6 * r3 * r3) % 2
+        expected = int(p_odd == r0 % 2) if case is Case.CASE3 else p_odd
+        assert delta(x, CaseTag(case)) == expected
 
 
 def test_residue_class_validates_range():

@@ -1,5 +1,6 @@
 import os
 import random
+import sys
 import threading
 from functools import lru_cache
 from itertools import product
@@ -33,6 +34,9 @@ from quatcube.search import (
     _scan_two,
     _sig,
 )
+
+# the package's decompose attribute is the function; the module is here
+_decompose_module = sys.modules["quatcube.decompose"]
 
 LIPSCHITZ = RingParams(1, 1)
 
@@ -83,6 +87,31 @@ class TestMod9Tables:
         assert (4, 0, 0, 0) not in triples and (3, 0, 0, 0) in triples
         for t in product(range(9), repeat=4):
             assert bool(tabs.first_root_classes(t)) == (t in triples)
+
+    @pytest.mark.parametrize("ring", [(1, 1), (3, 3)])
+    def test_first_root_classes_is_a_byte_mask_by_class(self, ring):
+        # byte n says whether class n's cube leaves a sum of two cube
+        # signatures; a signature no class passes gets the empty mask, so
+        # each memo entry holds at most one byte per class
+        tabs = _Mod9Tables(*ring)
+
+        def add(s, u):
+            return tuple((x + y) % 9 for x, y in zip(s, u))
+
+        pairs = {add(s, u) for s in tabs.single for u in tabs.single}
+        rng = random.Random(20261020)
+        sigs = {(4, 0, 0, 0), (3, 0, 0, 0)}
+        sigs.update(tuple(rng.randrange(9) for _ in range(4)) for _ in range(30))
+        for t in sigs:
+            mask = tabs.first_root_classes(t)
+            expected = [int(add(t, _neg9(cs)) in pairs) for cs in tabs.cube_sig]
+            assert type(mask) is bytes
+            assert list(mask) == (expected if any(expected) else [])
+            assert bool(mask) == any(expected)
+        assert len(tabs._first_ok_memo) == len(sigs)
+        assert all(sys.getsizeof(m) < 6561 + 100 for m in tabs._first_ok_memo.values())
+        if ring == (3, 3):
+            assert not tabs.first_root_classes((4, 0, 0, 0))
 
 
 class TestTwoCubeObstruction:
@@ -521,7 +550,7 @@ class TestOuterRootSymmetry:
         zero = [i for i in (1, 2, 3) if coeffs[i] == 0]
         expected = [
             w for w in product(rng, repeat=4)
-            if ((w[0] % 9 * 9 + w[1] % 9) * 9 + w[2] % 9) * 9 + w[3] % 9 in first_ok
+            if first_ok[((w[0] % 9 * 9 + w[1] % 9) * 9 + w[2] % 9) * 9 + w[3] % 9]
             and all(w[i] <= 0 for i in zero)
         ]
         assert scanned == expected
@@ -598,3 +627,59 @@ class TestLemmaResidueCheck:
             lemma_residue_check(6, 0)
         with pytest.raises(InvalidResidues):
             lemma_residue_check(0, -1)
+
+    @staticmethod
+    def _failures():
+        return [
+            (a6, b6, f.residues())
+            for a6 in range(6)
+            for b6 in range(6)
+            for f in lemma_residue_check(a6, b6).failures
+        ]
+
+    def test_catches_a_broken_pair_table(self, monkeypatch):
+        # the unit pair for 1 mod 6 made (1, 1), which sums to 2: every
+        # case-1 and case-2 ring fails on the targets whose i-coefficient
+        # is 1 mod 6 (or, through the mirror ring, the ones it maps there)
+        uu = list(_decompose_module._UU)
+        uu[1] = (1, 1)
+        monkeypatch.setattr(_decompose_module, "_UU", uu)
+        failed = self._failures()
+        assert len(failed) == 13272
+        assert {(a6, b6) for a6, b6, _ in failed} == {
+            (a6, b6) for a6 in range(6) for b6 in range(6) if a6 % 3 or b6 % 3
+        }
+
+    @pytest.mark.parametrize("shift", [2, 3])
+    def test_catches_a_broken_recipe_root(self, monkeypatch, shift):
+        # the root for class (1, 1, 1, 1) moved on its real part: by 2 its
+        # cube's real part moves by 2 mod 3 and its pure parts stay put mod
+        # 6, by 3 only its (odd) pure parts move, by 3 mod 6.  That class
+        # lies in S only, so each of the 12 case-1 pairs fails on it alone
+        root = _decompose_module._congruence_root
+
+        def shifted(r, a, b, case):
+            x = root(r, a, b, case)
+            return (x[0] + shift, *x[1:]) if r == (1, 1, 1, 1) else x
+
+        monkeypatch.setattr(search, "_congruence_root", shifted)
+        failed = self._failures()
+        assert len(failed) == 12
+        for a6, b6, residues in failed:
+            assert residues == (1, 1, 1, 1)
+            assert lemma_residue_check(a6, b6).case.case is Case.CASE1
+
+    def test_passing_check_builds_no_quaternion(self, monkeypatch):
+        built = []
+        init = Quaternion.__init__
+
+        def counted(self, *args, **kwargs):
+            built.append(args)
+            init(self, *args, **kwargs)
+
+        search._class_sets.cache_clear()
+        monkeypatch.setattr(Quaternion, "__init__", counted)
+        reports = [lemma_residue_check(a6, b6) for a6 in range(6) for b6 in range(6)]
+        monkeypatch.undo()
+        assert all(rep.passed for rep in reports)
+        assert built == []
