@@ -51,10 +51,6 @@ class CaseTag:
     def __str__(self) -> str:
         return self.case.value
 
-    @property
-    def is_case2(self) -> bool:
-        return self.case in (Case.CASE2A, Case.CASE2B, Case.CASE2C)
-
 
 @dataclass(frozen=True, slots=True)
 class ResidueClass:

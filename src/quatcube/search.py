@@ -27,15 +27,15 @@ meet a target ``T`` by set intersection: for each pair of groups whose
 signatures sum to the target's signature and whose parities XOR to the
 target's parity, ``big.keys() & {±T ∓ h for h in small}`` runs in C.
 Three cubes scan the outer root in lexicographic order and
-meet the remainder; with several workers, the outer box is cut into
-``(w0, w1)`` cells whose results are taken in order.  Negating pure
-coefficients commutes with cubing, so where the target has a zero pure
-coefficient the least witness's outer root is not positive there, and
-the scan skips the outer roots that are (:func:`_outer_span`).  That
-symmetry and the mod-9 and mod-2 patterns of cubes (and of sums of two
-or three cubes) prune only regions proven to hold no least witness, so
-results are identical with and without them, and parallel runs return
-exactly what a serial run returns.
+meet the remainder; with several workers, processes take the outer box's
+``(w0, w1)`` cells in turn, and the least cell that hits gives the witness.
+Negating pure coefficients commutes with cubing, so where the target has
+a zero pure coefficient the least witness's outer root is not positive
+there, and the scan skips the outer roots that are (:func:`_outer_span`).
+That symmetry and the mod-9 and mod-2 patterns of cubes (and of sums of
+two or three cubes) prune only regions proven to hold no least witness,
+so results are identical with and without them, and parallel runs
+return exactly what a serial run returns.
 """
 
 from __future__ import annotations
@@ -551,14 +551,14 @@ def _scan_three_cell(
 ) -> tuple[Coeffs, Coeffs, Coeffs] | None:
     """Least 3-cube witness whose outer root starts with (w0, w1).
 
-    ``stop`` is a pool's stop event, checked before each w2 row; once it
-    is set the cell's result is no longer wanted and None comes back.
+    ``stop``, when given, is called before each w2 row; once it returns
+    true the cell's result is no longer wanted and None comes back.
     """
     a, b = space.params.a, space.params.b
     w3_values = _outer_span(outer, t[3])
     cell_class = w0 % 9 * 729 + w1 % 9 * 81
     for w2 in _outer_span(outer, t[2]):
-        if stop is not None and stop.is_set():
+        if stop is not None and stop():
             return None
         row_class = cell_class + w2 % 9 * 9
         for w3 in w3_values:
@@ -589,60 +589,87 @@ def _scan_three_range(
     return None
 
 
+def _three_cube_cells(outer: int, t: Coeffs) -> list[tuple[int, int]]:
+    """The (w0, w1) cells of a parallel 3-cube scan, in lexicographic order."""
+    return [(w0, w1) for w0 in range(-outer, outer + 1) for w1 in _outer_span(outer, t[1])]
+
+
 def _clamp_workers(requested: int, chunks: int) -> int:
     """Processes worth starting for ``requested`` workers over ``chunks``
     chunks: never more than the CPUs or the chunks, and at least one."""
     return max(1, min(requested, os.cpu_count() or 1, chunks))
 
 
-# how long to wait for a 3-cube cell before checking that no worker died
-_WORKER_POLL_S = 0.1
+def _three_cube_worker(params, bound, t, outer, next_cell, least_hit, conn) -> None:
+    """A 3-cube worker process: scan the cells numbered by the shared
+    counter ``next_cell`` until one hits or none is left before
+    ``least_hit``, then send ``(cell number, witness)`` or None.
 
-# the search context of a pool worker process, set once by _init_worker
-# when the worker starts; the process that owns the pool never sets it
-_worker_ctx: tuple | None = None
-
-
-def _init_worker(params: RingParams, bound: int, t: Coeffs, outer: int, stop) -> None:
-    global _worker_ctx
+    ``least_hit`` is written without a lock, so a race may leave it above
+    the least hit cell, never below it: no cell before that is stopped.
+    """
     tabs = _mod9_tables(params)
     space = _SearchSpace(params, bound)
-    _worker_ctx = (space, tabs, t, outer, tabs.first_root_classes(_sig(t)), stop)
-
-
-def _scan_three_chunk(cell: tuple[int, int]):
-    space, tabs, t, outer, first_ok, stop = _worker_ctx
-    return _scan_three_cell(space, tabs, t, outer, first_ok, *cell, stop)
+    first_ok = tabs.first_root_classes(_sig(t))
+    cells = _three_cube_cells(outer, t)
+    while True:
+        with next_cell.get_lock():
+            n = next_cell.value
+            next_cell.value = n + 1
+        if n >= least_hit.value:
+            conn.send(None)
+            return
+        res = _scan_three_cell(
+            space, tabs, t, outer, first_ok, *cells[n], lambda: least_hit.value < n
+        )
+        if res is not None:
+            least_hit.value = min(n, least_hit.value)
+            conn.send((n, res))
+            return
 
 
 @contextlib.contextmanager
-def _three_cube_pool(params: RingParams, cfg: SearchConfig, t: Coeffs, workers: int):
-    """A process pool for the 3-cube scan and the event that stops its
-    cells, or None when that scan runs serially or the mod-9 patterns
-    rule it out.
+def _three_cube_workers(params: RingParams, cfg: SearchConfig, t: Coeffs, workers: int):
+    """Worker processes scanning the 3-cube cells, each with the read end
+    of its one-way pipe, or None when that scan runs serially or the
+    mod-9 patterns rule it out.
 
-    The pool starts before the 1- and 2-cube stages, so its workers start
-    while this process runs those; each worker builds the cube groups its
-    cells meet, as a serial scan does.  Workers are
-    spawned, not forked, so a caller's threads cannot leave them holding
-    a lock, and they get only small picklable arguments.  Leaving the
-    context terminates the pool, which is safe once no worker can be
-    writing a result: before any cell went out, or after every cell's
-    result came back.
+    The workers start before the 1- and 2-cube stages and scan at once;
+    each builds the cube groups its cells meet, as a serial scan does.
+    They are spawned, not forked, so a caller's threads cannot leave them
+    holding a lock, and they get only small picklable arguments.  The
+    parent takes no lock the workers share, so leaving the context can
+    terminate the workers at any moment.
     """
-    tabs = _mod9_tables(params)
-    workers = _clamp_workers(workers, (2 * cfg.outer + 1) * len(_outer_span(cfg.outer, t[1])))
-    if workers == 1 or cfg.max_cubes < 3 or not tabs.first_root_classes(_sig(t)):
+    cells = len(_three_cube_cells(cfg.outer, t))
+    workers = _clamp_workers(workers, cells)
+    if workers == 1 or cfg.max_cubes < 3 or not _mod9_tables(params).first_root_classes(_sig(t)):
         yield None
         return
     import multiprocessing  # only here, so importing the package stays light
 
     ctx = multiprocessing.get_context("spawn")
-    stop = ctx.Event()
-    with ctx.Pool(
-        workers, initializer=_init_worker, initargs=(params, cfg.coeff_bound, t, cfg.outer, stop)
-    ) as pool:
-        yield pool, stop
+    next_cell, least_hit = ctx.Value("i", 0), ctx.RawValue("i", cells)
+    procs = []
+    try:
+        for _ in range(workers):
+            reader, writer = ctx.Pipe(duplex=False)
+            # the parent keeps no write end, so a dead worker's pipe reads EOF
+            with writer:
+                proc = ctx.Process(
+                    target=_three_cube_worker,
+                    args=(params, cfg.coeff_bound, t, cfg.outer, next_cell, least_hit, writer),
+                    daemon=True,
+                )
+                proc.start()
+            procs.append((proc, reader))
+        yield procs
+    finally:
+        for proc, _ in procs:
+            proc.terminate()
+        for proc, reader in procs:
+            proc.join()
+            reader.close()
 
 
 def _scan_three(
@@ -655,55 +682,30 @@ def _scan_three(
     first_ok = tabs.first_root_classes(_sig(t))
     if not first_ok:
         return None
-    rng = range(-outer, outer + 1)
     if parallel is None:
-        return _scan_three_range(space, tabs, t, outer, first_ok, rng)
-    pool, stop = parallel
-    # Cells go out and come back in lexicographic order, so the first hit
-    # is the least witness, as in a serial run.  The cells still out are
-    # then told to stop at their next w2 row, and their results are read
-    # anyway: leaving the pool's context kills the workers, and one killed
-    # while writing a result would leave the result queue's lock held,
-    # on which the pool's shutdown would wait forever.
-    cells = [(w0, w1) for w0 in rng for w1 in _outer_span(outer, t[1])]
-    hit = None
-    for res in _watched_imap(pool, _scan_three_chunk, cells):
-        if hit is None and res is not None:
-            hit = res
-            stop.set()
-    return hit
+        return _scan_three_range(space, tabs, t, outer, first_ok, range(-outer, outer + 1))
+    from multiprocessing.connection import wait
 
-
-def _watched_imap(pool, fn, items: list):
-    """``pool.imap(fn, items)``, raising :class:`QuatcubeError` once a
-    worker process has died.
-
-    ``multiprocessing.Pool`` silently replaces a dead worker.  A worker
-    that dies while starting (say, the calling script has no
-    ``__main__`` guard) is replaced forever, and a plain
-    ``imap`` never returns.  No worker of this pool exits on its own, so
-    an exit code on any worker it started with (``pool._pool``, CPython's
-    worker list) means one died.  The check runs only while a result is
-    late, so results that arrive in time cost nothing extra.
-    """
-    import multiprocessing
-
-    workers = list(pool._pool)
-    results = pool.imap(fn, items)
-    for _ in items:
-        while True:
+    # Each worker sends its first hit, and the cell that holds the least
+    # witness runs to its end, so the least cell number sent gives
+    # exactly what a serial run returns.
+    pending = {reader: proc for proc, reader in parallel}
+    hits = []
+    while pending:
+        for reader in wait(list(pending)):
+            proc = pending.pop(reader)
             try:
-                res = results.next(timeout=_WORKER_POLL_S)
-                break
-            except multiprocessing.TimeoutError:
-                dead = [p.exitcode for p in workers if p.exitcode is not None]
-                if dead:
-                    raise QuatcubeError(
-                        f"a search worker process exited with code {dead[0]}; a script "
-                        "that searches with workers > 1 must guard its entry point "
-                        "with if __name__ == '__main__':"
-                    ) from None
-        yield res
+                got = reader.recv()
+            except EOFError:
+                proc.join()
+                raise QuatcubeError(
+                    f"a search worker process exited with code {proc.exitcode}; a script "
+                    "that searches with workers > 1 must guard its entry point "
+                    "with if __name__ == '__main__':"
+                ) from None
+            if got is not None:
+                hits.append(got)
+    return min(hits)[1] if hits else None
 
 
 def _scan_four(
@@ -752,18 +754,18 @@ def min_cubes_search(
     there: negating that coefficient of every root maps witnesses to
     witnesses, so such a root never starts the least witness.
     ``workers`` > 1 cuts the 3-cube scan into ``(w0, w1)`` cells of the outer
-    root's first two coefficients and hands them to up to ``workers``
-    processes (no more than the CPUs or the cells), taking results back
-    in order, so the result is identical to a serial run.  The workers
-    are spawned, so a script that calls this with ``workers`` > 1 must
-    guard its entry point with ``if __name__ == "__main__":``.
+    root's first two coefficients, which up to ``workers`` processes (no
+    more than the CPUs or the cells) take in turn; every cell before the
+    least hit runs to its end, so the result is identical to a serial run.
+    The workers are spawned, so a script that calls this with ``workers`` > 1
+    must guard its entry point with ``if __name__ == "__main__":``.
     """
     params = alpha.params
     t = alpha.coefficients()
     space = _SearchSpace(params, cfg.coeff_bound)
     tabs = _mod9_tables(params)
 
-    with _three_cube_pool(params, cfg, t, workers) as parallel:
+    with _three_cube_workers(params, cfg, t, workers) as parallel:
         for k in range(1, cfg.max_cubes + 1):
             found: tuple[Coeffs, ...] | None = None
             if k == 1:

@@ -3,7 +3,7 @@
 The verification gates must hold under ``python -O``, which strips
 ``assert`` statements, a parallel search whose worker processes die
 must fail instead of waiting for results that never come, and a
-parallel search must always shut its pool down.
+parallel search must always shut its workers down.
 """
 
 import os
@@ -99,6 +99,62 @@ def test_dying_search_workers_raise_instead_of_hanging(tmp_path):
     assert proc.returncode != 0
     assert "QuatcubeError" in proc.stderr
     assert "__main__" in proc.stderr
+
+
+_KILLED_WORKER = """
+import multiprocessing
+import os
+import signal
+import sys
+import threading
+import time
+
+from quatcube import QuatcubeError, Quaternion, RingParams, SearchConfig, min_cubes_search
+
+
+def kill_one_worker():
+    # wait for both workers, then for them to build their first groups
+    while len(multiprocessing.active_children()) < 2:
+        time.sleep(0.01)
+    time.sleep(0.5)
+    os.kill(multiprocessing.active_children()[0].pid, signal.SIGKILL)
+
+
+if __name__ == "__main__":
+    threading.Thread(target=kill_one_worker, daemon=True).start()
+    try:
+        # no witness in this box: about 3 s on two workers
+        min_cubes_search(
+            Quaternion(RingParams(1, 1), 4001, 2999, -1234, 777),
+            SearchConfig(max_cubes=3, coeff_bound=10, outer_bound=4),
+            workers=2,
+        )
+    except QuatcubeError as exc:
+        print(exc)
+        left = multiprocessing.active_children()
+        sys.exit(f"worker processes left: {left}" if left else 0)
+    sys.exit("the search returned although a worker was killed")
+"""
+
+
+@pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="3-cube workers need two CPUs")
+def test_search_worker_killed_mid_scan_raises(tmp_path):
+    # The script runs in its own session so that a hang, workers included,
+    # can be killed and fail the test instead of stalling it.
+    script = tmp_path / "killed_worker.py"
+    script.write_text(_KILLED_WORKER)
+    proc = subprocess.Popen(
+        [sys.executable, str(script)], env=_env(), stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE, text=True, start_new_session=True,
+    )
+    try:
+        out, err = proc.communicate(timeout=60)
+    except subprocess.TimeoutExpired:
+        os.killpg(proc.pid, signal.SIGKILL)
+        proc.communicate()
+        pytest.fail("a search with a killed worker did not end in 60 s")
+    assert proc.returncode == 0, err
+    assert "exited with code -9" in out
 
 
 _THREADED_POOLS = """

@@ -1,10 +1,12 @@
+import contextlib
+import multiprocessing
 import os
 import random
 import sys
 import threading
+import types
 from functools import lru_cache
 from itertools import product
-from multiprocessing.pool import Pool
 
 import pytest
 from hypothesis import given, settings
@@ -428,23 +430,53 @@ class TestMinCubesSearch:
 
     @pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="a 3-cube pool needs two CPUs")
     @pytest.mark.parametrize("coeffs", [(175, 13, -4, -16), (3, 37, -3, 0)])
-    def test_parallel_search_kills_no_worker_with_a_cell_out(self, monkeypatch, coeffs):
-        # a worker killed while it writes a result would leave the result
-        # queue's lock held, and the pool's shutdown would wait on it
-        # forever; so the pool ends only once every cell has come back,
-        # whether a witness turned up in the first cell (first target) or
-        # in none (second)
+    def test_parallel_search_kills_no_worker_with_a_cell_out(self, coeffs):
+        # whether a witness turned up in the first cell (first target) or in
+        # none (second), the workers end with the search and none is left
         target = Quaternion(RingParams(2, 1), *coeffs)
         cfg = SearchConfig(max_cubes=3, coeff_bound=2, outer_bound=2)
         serial = min_cubes_search(target, cfg)
         assert serial is None or serial[0].coefficients()[:2] == (-2, -2)
-        cells_out = []
-        terminate = Pool.terminate
-        monkeypatch.setattr(
-            Pool, "terminate", lambda pool: (cells_out.append(len(pool._cache)), terminate(pool))[1]
-        )
         assert min_cubes_search(target, cfg, workers=2) == serial
-        assert cells_out == [0]
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="3-cube workers need two CPUs")
+    @pytest.mark.parametrize("roots", [[(2, -1, 3, 0)], [(1, 2, 3, 4), (-5, 6, -7, 8)]])
+    def test_lower_stage_witness_terminates_the_started_workers(self, monkeypatch, roots):
+        t = tuple(map(sum, zip(*(cube_coeffs(1, 1, r) for r in roots))))
+        target = Quaternion(LIPSCHITZ, *t)
+        cfg = SearchConfig(max_cubes=3, coeff_bound=10, outer_bound=2)
+        serial = min_cubes_search(target, cfg)
+        assert len(serial) == len(roots)
+        started = []
+        workers = search._three_cube_workers
+
+        @contextlib.contextmanager
+        def recorded(*args):
+            with workers(*args) as procs:
+                started.extend(proc for proc, _ in procs)
+                yield procs
+
+        monkeypatch.setattr(search, "_three_cube_workers", recorded)
+        assert min_cubes_search(target, cfg, workers=2) == serial
+        assert len(started) == 2 and not any(proc.is_alive() for proc in started)
+        assert multiprocessing.active_children() == []
+
+    def test_worker_runs_every_cell_before_a_hit_to_its_end(self):
+        # the least witness sits in cell 22 of 25; a hit another worker
+        # found in cell 23 must not stop cell 22, and stops cell 24 unstarted
+        params, t = RingParams(2, 1), (-192, -16, -16, 0)
+        serial = min_cubes_search(Quaternion(params, *t), SearchConfig(3, 2, 2))
+        sent = []
+        conn = types.SimpleNamespace(send=sent.append)
+        least_hits = []
+        for first in (22, 24):
+            next_cell = multiprocessing.Value("i", first)
+            least_hit = multiprocessing.RawValue("i", 23)
+            search._three_cube_worker(params, 2, t, 2, next_cell, least_hit, conn)
+            least_hits.append(least_hit.value)
+        assert sent[0][0] == 22 and [Quaternion(params, *c) for c in sent[0][1]] == serial
+        assert sent[1:] == [None] and least_hits == [22, 23]
 
     def test_clamp_workers(self):
         cpus = os.cpu_count() or 1
@@ -569,19 +601,11 @@ class TestOuterRootSymmetry:
         assert scanned == list(product(rng, *spans))
 
     @pytest.mark.parametrize("coeffs, cells", [((7, 0, 5, 0), 5 * 3), ((7, 3, 0, 0), 5 * 5)])
-    def test_parallel_cells_skip_positive_w1(self, monkeypatch, coeffs, cells):
-        params = RingParams(1, 1)
-        sent = []
-
-        def imap(pool, fn, items):
-            sent.extend(items)
-            return [None] * len(items)
-
-        monkeypatch.setattr(search, "_watched_imap", imap)
-        space, tabs = _SearchSpace(params, 1), _mod9_tables(params)
-        assert search._scan_three(space, tabs, coeffs, 2, (None, None)) is None
-        assert len(sent) == cells
-        assert all(w1 <= 0 for _, w1 in sent) == (coeffs[1] == 0)
+    def test_parallel_cells_skip_positive_w1(self, coeffs, cells):
+        # the cells the workers scan, by number, and that _clamp_workers counts
+        got = search._three_cube_cells(2, coeffs)
+        assert len(got) == cells and got == sorted(got)
+        assert all(w1 <= 0 for _, w1 in got) == (coeffs[1] == 0)
 
     def test_flagship_scans_582_outer_roots(self, monkeypatch):
         calls = []
