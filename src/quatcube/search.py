@@ -22,13 +22,14 @@ is read through a sign, with a small table of greatest roots for the
 cubes that have several roots.  A signature's groups are built the
 first time a search meets that signature, from the box roots of the
 root classes mod 9 that cube to it, so a two-cube search builds only
-the few signatures that can sum to its target.  Two cubes
-meet a target ``T`` by set intersection: for each pair of groups whose
-signatures sum to the target's signature and whose parities XOR to the
-target's parity, ``big.keys() & {±T ∓ h for h in small}`` runs in C.
-Three cubes scan the outer root in lexicographic order and
-meet the remainder; with several workers, processes take the outer box's
-``(w0, w1)`` cells in turn, and the least cell that hits gives the witness.
+the few signatures that can sum to its target.  Two cubes meet a target
+``T`` by set intersection: for each pair of groups whose signatures sum
+to the target's signature and whose parities XOR to the target's parity,
+``big.keys() & {±T ∓ h for h in small}`` runs in C.  Three cubes scan
+the outer root in lexicographic order and meet the remainder; with N
+workers, the search's process and N - 1 spawned ones take the outer
+box's ``(w0, w1)`` cells in turn, and the least cell that hits gives the
+witness.
 Negating pure coefficients commutes with cubing, so where the target has
 a zero pure coefficient the least witness's outer root is not positive
 there, and the scan skips the outer roots that are (:func:`_outer_span`).
@@ -44,6 +45,7 @@ import contextlib
 import functools
 import os
 from collections import deque
+from collections.abc import Iterator
 from dataclasses import dataclass
 from itertools import islice, product
 
@@ -139,6 +141,12 @@ def _encode(s0: int, s1: int, s2: int, s3: int) -> int:
     return (s0 << 15) | (s1 << 10) | (s2 << 5) | s3
 
 
+@functools.cache
+def _digit_diff() -> bytes:
+    """Byte ``81*x + y``: x's two base-9 digits minus y's, each mod 9."""
+    return bytes((x // 9 - y // 9) % 9 * 9 + (x - y) % 9 for x in range(81) for y in range(81))
+
+
 class _BitGrid:
     """Constant-time bit membership over base-32-encoded signatures."""
 
@@ -160,16 +168,17 @@ class _Mod9Tables:
     Depends only on (a mod 9, b mod 9).  Root classes mod 9 are numbered
     in product order, so class (r0, r1, r2, r3) is
     ``729*r0 + 81*r1 + 9*r2 + r3``.  ``cube_sig`` lists each class's cube
-    signature, ``root_classes`` inverts it, and ``single`` holds the cube
-    signatures.  The pair grid answers whether a target signature is a
-    sum of two cube signatures, and :meth:`first_root_classes` whether it
-    is a sum of three.  The pair grid is built on first use, since
+    signature, ``root_classes`` inverts it, ``single`` holds the cube
+    signatures, and ``by_code[9*s0 + s1][9*s2 + s3]`` is the signature s.
+    The pair grid answers whether a target signature is a sum of two cube
+    signatures, and :meth:`first_root_classes` whether it is a sum of
+    three.  The pair grid is built on first use, since
     ``two_cube_obstruction`` does not need it.  Instances are shared
     between threads through ``_MOD9_CACHE``, so a lazy attribute is
     assigned only once it is complete.
     """
 
-    __slots__ = ("cube_sig", "root_classes", "single", "_codes", "_pairs", "_first_ok_memo")
+    __slots__ = ("cube_sig", "root_classes", "single", "by_code", "_pairs", "_first_ok_memo")
 
     def __init__(self, a9: int, b9: int) -> None:
         sigs = [_sig(cube_coeffs(a9, b9, r)) for r in islice(product(range(9), repeat=4), 5 * 729)]
@@ -188,19 +197,21 @@ class _Mod9Tables:
         for n, cs in enumerate(sigs):
             self.root_classes.setdefault(cs, []).append(n)
         self.single = frozenset(self.root_classes)
-
-        self._codes = sorted({_encode(*s) for s in self.single})
+        self.by_code: dict[int, dict[int, Coeffs]] = {}
+        for s in self.single:
+            self.by_code.setdefault(s[0] * 9 + s[1], {})[s[2] * 9 + s[3]] = s
         self._pairs: _BitGrid | None = None
         self._first_ok_memo: dict[Coeffs, bytes] = {}
 
     def pair_attainable(self, s: Coeffs) -> bool:
         grid = self._pairs
         if grid is None:
+            codes = sorted(_encode(*s) for s in self.single)
             mask = 0
-            for c in self._codes:
+            for c in codes:
                 mask |= 1 << c
             pair = 0
-            for c in self._codes:
+            for c in codes:
                 pair |= mask << c
             grid = self._pairs = _BitGrid(pair)
         test = grid.test
@@ -293,7 +304,8 @@ class _SearchSpace:
     (3, 1), (-80, 72, 0, 0) has the roots (-5, 1, 0, 0), (1, -3, 0, 0)
     and (4, 2, 0, 0).  So ``_greatest`` maps each stored cube with
     several roots to its greatest root's index, and :meth:`least`
-    reads a negated cube's least root from it in one lookup.
+    reads a negated cube's least root from it in one lookup.  No memo
+    keeps each meet's group pairs: at bound 10 one took 4.5 of 15 MB.
     """
 
     def __init__(self, params: RingParams, bound: int) -> None:
@@ -312,7 +324,6 @@ class _SearchSpace:
         self._groups: dict[Coeffs, _ParityGroups] = {}
         self._greatest: dict[int, int] = {}
         self._sig_pair_memo: dict[Coeffs, list[_SigPair]] = {}
-        self._pair_memo: dict[tuple[Coeffs, int], list[tuple[_Side, _Side]]] = {}
 
     def pack(self, t: Coeffs) -> int | None:
         """The packed form of t, or None when a coefficient exceeds 2*M."""
@@ -443,41 +454,41 @@ class _SearchSpace:
     def _sig_pairs(self, target_sig: Coeffs) -> list[_SigPair]:
         """Signatures that sum to target_sig mod 9, each unordered pair
         once, as their stored groups with signs and whether the two
-        signatures are one; only the signatures paired are built."""
+        signatures are one; only the signatures paired are built.  Each
+        half of a mate's code (see ``_Mod9Tables.by_code``) is one lookup
+        in :func:`_digit_diff`, and codes order as signatures do."""
         got = self._sig_pair_memo.get(target_sig)
         if got is None:
-            single = self._tabs.single
+            diff, by_code = _digit_diff(), self._tabs.by_code
             t0, t1, t2, t3 = target_sig
+            hi, lo = (t0 * 9 + t1) * 81, (t2 * 9 + t3) * 81
             got = []
-            for s in single:
-                mate_sig = ((t0 - s[0]) % 9, (t1 - s[1]) % 9, (t2 - s[2]) % 9, (t3 - s[3]) % 9)
-                if s <= mate_sig and mate_sig in single:
-                    groups, sign = self.signed_groups(s)
-                    mates, mate_sign = self.signed_groups(mate_sig)
-                    if groups and mates:
-                        got.append((groups, sign, mates, mate_sign, s == mate_sig))
+            for h, row in by_code.items():
+                mh = diff[hi + h]
+                if h > mh or (mate_row := by_code.get(mh)) is None:
+                    continue
+                for l, s in row.items():
+                    ml = diff[lo + l]
+                    if ml in mate_row and (h < mh or l <= ml):
+                        groups, sign = self.signed_groups(s)
+                        mates, mate_sign = self.signed_groups(mate_row[ml])
+                        if groups and mates:
+                            got.append((groups, sign, mates, mate_sign, h == mh and l == ml))
             self._sig_pair_memo[target_sig] = got
         return got
 
-    def pair_sets(self, target_sig: Coeffs, target_par: int) -> list[tuple[_Side, _Side]]:
+    def pair_sets(self, target_sig: Coeffs, target_par: int) -> Iterator[tuple[_Side, _Side]]:
         """(smaller, larger) groups with their signs, whose signatures sum
         to target_sig mod 9 and whose parities XOR to target_par, each
-        unordered pair once."""
-        key = (target_sig, target_par)
-        got = self._pair_memo.get(key)
-        if got is None:
-            got = []
-            for groups, sign, mates, mate_sign, same in self._sig_pairs(target_sig):
-                for p, group in groups.items():
-                    q = p ^ target_par
-                    mate = mates.get(q)
-                    # a signature paired with itself: (p, q) and (q, p) meet
-                    # the same cube pairs, so keep one
-                    if mate is not None and (not same or p <= q):
-                        one, other = (group, sign), (mate, mate_sign)
-                        got.append((one, other) if len(group) <= len(mate) else (other, one))
-            self._pair_memo[key] = got
-        return got
+        unordered pair once; generated afresh for each meet."""
+        for groups, sign, mates, mate_sign, same in self._sig_pairs(target_sig):
+            for p, group in groups.items():
+                q = p ^ target_par
+                mate = mates.get(q)
+                # a signature paired with itself meets (p, q) and (q, p) alike: keep one
+                if mate is not None and (not same or p <= q):
+                    one, other = (group, sign), (mate, mate_sign)
+                    yield (one, other) if len(group) <= len(mate) else (other, one)
 
 
 def _scan_two(space: _SearchSpace, tabs: _Mod9Tables, t: Coeffs) -> tuple[Coeffs, Coeffs] | None:
@@ -600,46 +611,46 @@ def _clamp_workers(requested: int, chunks: int) -> int:
     return max(1, min(requested, os.cpu_count() or 1, chunks))
 
 
-def _three_cube_worker(params, bound, t, outer, next_cell, least_hit, conn) -> None:
-    """A 3-cube worker process: scan the cells numbered by the shared
-    counter ``next_cell`` until one hits or none is left before
-    ``least_hit``, then send ``(cell number, witness)`` or None.
-
-    ``least_hit`` is written without a lock, so a race may leave it above
-    the least hit cell, never below it: no cell before that is stopped.
-    """
-    tabs = _mod9_tables(params)
-    space = _SearchSpace(params, bound)
-    first_ok = tabs.first_root_classes(_sig(t))
+def _take_cells(space, t, outer, next_cell, least_hit):
+    """Scan the 3-cube cells numbered by the shared counter ``next_cell``
+    until one hits or none is left before ``least_hit``; return
+    ``(cell number, witness)`` or None.  No lock guards the two ints: a
+    race may hand a cell to two processes but skips none (the first write
+    past n is n + 1 from a process that read n), and may leave
+    ``least_hit`` above the least hit cell, never below it."""
+    first_ok = space._tabs.first_root_classes(_sig(t))
     cells = _three_cube_cells(outer, t)
     while True:
-        with next_cell.get_lock():
-            n = next_cell.value
-            next_cell.value = n + 1
+        n = next_cell.value
+        next_cell.value = n + 1
         if n >= least_hit.value:
-            conn.send(None)
-            return
+            return None
         res = _scan_three_cell(
-            space, tabs, t, outer, first_ok, *cells[n], lambda: least_hit.value < n
+            space, space._tabs, t, outer, first_ok, *cells[n], lambda: least_hit.value < n
         )
         if res is not None:
             least_hit.value = min(n, least_hit.value)
-            conn.send((n, res))
-            return
+            return n, res
+
+
+def _three_cube_worker(params, bound, t, outer, next_cell, least_hit, conn) -> None:
+    """A spawned 3-cube worker: send what :func:`_take_cells` returns."""
+    conn.send(_take_cells(_SearchSpace(params, bound), t, outer, next_cell, least_hit))
 
 
 @contextlib.contextmanager
 def _three_cube_workers(params: RingParams, cfg: SearchConfig, t: Coeffs, workers: int):
-    """Worker processes scanning the 3-cube cells, each with the read end
-    of its one-way pipe, or None when that scan runs serially or the
-    mod-9 patterns rule it out.
+    """The cell counter, the least hit cell and the ``workers - 1``
+    processes that scan the 3-cube cells beside the search's own, each
+    with the read end of its one-way pipe; or None when that scan runs
+    serially or the mod-9 patterns rule it out.
 
-    The workers start before the 1- and 2-cube stages and scan at once;
+    The processes start before the 1- and 2-cube stages and scan at once;
     each builds the cube groups its cells meet, as a serial scan does.
     They are spawned, not forked, so a caller's threads cannot leave them
-    holding a lock, and they get only small picklable arguments.  The
-    parent takes no lock the workers share, so leaving the context can
-    terminate the workers at any moment.
+    holding a lock, and they get only small picklable arguments.  No
+    process takes a lock another shares, so leaving the context can
+    terminate them at any moment.
     """
     cells = len(_three_cube_cells(cfg.outer, t))
     workers = _clamp_workers(workers, cells)
@@ -649,10 +660,10 @@ def _three_cube_workers(params: RingParams, cfg: SearchConfig, t: Coeffs, worker
     import multiprocessing  # only here, so importing the package stays light
 
     ctx = multiprocessing.get_context("spawn")
-    next_cell, least_hit = ctx.Value("i", 0), ctx.RawValue("i", cells)
+    next_cell, least_hit = ctx.RawValue("i", 0), ctx.RawValue("i", cells)
     procs = []
     try:
-        for _ in range(workers):
+        for _ in range(workers - 1):
             reader, writer = ctx.Pipe(duplex=False)
             # the parent keeps no write end, so a dead worker's pipe reads EOF
             with writer:
@@ -663,7 +674,7 @@ def _three_cube_workers(params: RingParams, cfg: SearchConfig, t: Coeffs, worker
                 )
                 proc.start()
             procs.append((proc, reader))
-        yield procs
+        yield next_cell, least_hit, procs
     finally:
         for proc, _ in procs:
             proc.terminate()
@@ -686,16 +697,16 @@ def _scan_three(
         return _scan_three_range(space, tabs, t, outer, first_ok, range(-outer, outer + 1))
     from multiprocessing.connection import wait
 
-    # Each worker sends its first hit, and the cell that holds the least
-    # witness runs to its end, so the least cell number sent gives
-    # exactly what a serial run returns.
-    pending = {reader: proc for proc, reader in parallel}
-    hits = []
+    # This process takes cells as the workers do.  The cell holding the
+    # least witness runs to its end, so the least hit cell gives the serial result.
+    next_cell, least_hit, procs = parallel
+    pending = {reader: proc for proc, reader in procs}
+    hits = [_take_cells(space, t, outer, next_cell, least_hit)]
     while pending:
         for reader in wait(list(pending)):
             proc = pending.pop(reader)
             try:
-                got = reader.recv()
+                hits.append(reader.recv())
             except EOFError:
                 proc.join()
                 raise QuatcubeError(
@@ -703,9 +714,7 @@ def _scan_three(
                     "that searches with workers > 1 must guard its entry point "
                     "with if __name__ == '__main__':"
                 ) from None
-            if got is not None:
-                hits.append(got)
-    return min(hits)[1] if hits else None
+    return min(filter(None, hits), default=(None, None))[1]
 
 
 def _scan_four(
@@ -754,10 +763,11 @@ def min_cubes_search(
     there: negating that coefficient of every root maps witnesses to
     witnesses, so such a root never starts the least witness.
     ``workers`` > 1 cuts the 3-cube scan into ``(w0, w1)`` cells of the outer
-    root's first two coefficients, which up to ``workers`` processes (no
-    more than the CPUs or the cells) take in turn; every cell before the
-    least hit runs to its end, so the result is identical to a serial run.
-    The workers are spawned, so a script that calls this with ``workers`` > 1
+    root's first two coefficients, which this process and ``workers - 1``
+    spawned ones (no more than the CPUs or the cells in all) take in turn;
+    every cell before the least hit runs to its end, so the result is
+    identical to a serial run.  A spawned worker that dies is reported once
+    this process's cells run out; a script calling this with ``workers`` > 1
     must guard its entry point with ``if __name__ == "__main__":``.
     """
     params = alpha.params

@@ -113,8 +113,9 @@ from quatcube import QuatcubeError, Quaternion, RingParams, SearchConfig, min_cu
 
 
 def kill_one_worker():
-    # wait for both workers, then for them to build their first groups
-    while len(multiprocessing.active_children()) < 2:
+    # with two workers one process is spawned; wait for it, then for it
+    # to build its first groups
+    while not multiprocessing.active_children():
         time.sleep(0.01)
     time.sleep(0.5)
     os.kill(multiprocessing.active_children()[0].pid, signal.SIGKILL)
@@ -123,7 +124,8 @@ def kill_one_worker():
 if __name__ == "__main__":
     threading.Thread(target=kill_one_worker, daemon=True).start()
     try:
-        # no witness in this box: about 3 s on two workers
+        # no witness in this box: about 2.5 s on two workers, more once
+        # one is killed
         min_cubes_search(
             Quaternion(RingParams(1, 1), 4001, 2999, -1234, 777),
             SearchConfig(max_cubes=3, coeff_bound=10, outer_bound=4),

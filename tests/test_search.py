@@ -4,6 +4,7 @@ import os
 import random
 import sys
 import threading
+import time
 import types
 from functools import lru_cache
 from itertools import product
@@ -393,6 +394,60 @@ class TestMinCubesSearch:
         assert tuple(map(sum, zip(*(cube_coeffs(1, 1, r) for r in got)))) == t
         assert len(space._groups) < 64
 
+    @pytest.mark.parametrize("ring", [(1, 1), (2, 3), (3, 1), (3, 3), (3, 9)])
+    def test_sig_pairs_match_tuple_arithmetic(self, ring):
+        # every root class mod 9 lies in the box of 4, so every signature
+        # has cubes there and no pair is dropped for an empty side
+        params = RingParams(*ring)
+        space = _SearchSpace(params, 4)
+        single = _mod9_tables(params).single
+        got = {t: space._sig_pairs(t) for t in product(range(9), repeat=4)}
+        sig_of = {id(groups): s for s, groups in space._groups.items()}
+
+        def signed(groups, sign):
+            s = sig_of[id(groups)]
+            return s if sign > 0 else _neg9(s)
+
+        expected = {t: set() for t in got}
+        for s, m in product(single, repeat=2):
+            if s <= m:
+                expected[tuple((si + mi) % 9 for si, mi in zip(s, m))].add((s, m))
+        for t, pairs in got.items():
+            found = []
+            for groups, sign, mates, mate_sign, same in pairs:
+                s, m = signed(groups, sign), signed(mates, mate_sign)
+                assert same == (s == m)
+                found.append((s, m) if s <= m else (m, s))
+            assert len(found) == len(set(found)) and set(found) == expected[t]
+
+    @pytest.mark.parametrize("ring", [(1, 1), (3, 3)])
+    def test_pair_sets_give_each_group_pair_once_smaller_first(self, ring):
+        # a group pair is unordered: {(signature, parity), (signature, parity)}
+        params = RingParams(*ring)
+        space = _SearchSpace(params, 4)
+        parities = {s: set(space.signed_groups(s)[0]) for s in _mod9_tables(params).single}
+        side_of = {
+            id(group): (s, p) for s, groups in space._groups.items() for p, group in groups.items()
+        }
+
+        def side(group, sign):
+            s, p = side_of[id(group)]
+            return (s if sign > 0 else _neg9(s)), p
+
+        rng = random.Random(20261018)
+        for t in [(0, 0, 0, 0)] + [tuple(rng.randrange(9) for _ in range(4)) for _ in range(40)]:
+            for par in range(16):
+                got = list(space.pair_sets(t, par))
+                assert all(len(small[0]) <= len(big[0]) for small, big in got)
+                found = [frozenset((side(*small), side(*big))) for small, big in got]
+                expected = set()
+                for s, ps in parities.items():
+                    m = tuple((ti - si) % 9 for ti, si in zip(t, s))
+                    expected.update(
+                        frozenset(((s, p), (m, p ^ par))) for p in ps if p ^ par in parities.get(m, ())
+                    )
+                assert len(found) == len(set(found)) and set(found) == expected
+
     def test_parallel_equals_serial(self):
         params = RingParams(2, 1)
         target = Quaternion(params, 4, 5, 1, 2)
@@ -401,14 +456,17 @@ class TestMinCubesSearch:
         parallel = min_cubes_search(target, cfg, workers=2)
         assert serial == parallel
 
-    def test_parallel_equals_serial_beyond_first_cells(self):
+    def test_parallel_equals_serial_beyond_first_cells(self, monkeypatch):
         # the witness's outer root 2-2j sits in (w0, w1) cell 22 of 25
         params = RingParams(2, 1)
         target = Quaternion(params, -192, -16, -16, 0)
         cfg = SearchConfig(max_cubes=3, coeff_bound=2, outer_bound=2)
         serial = min_cubes_search(target, cfg)
         assert serial[0] == Quaternion(params, 2, 0, -2, 0)
+        started = _record_spawned(monkeypatch)
         assert min_cubes_search(target, cfg, workers=2) == serial
+        # two workers are the search's own process and one spawned one
+        assert len(started) == _clamp_workers(2, 25) - 1
 
     def test_concurrent_parallel_searches_from_threads(self):
         cfg = SearchConfig(max_cubes=3, coeff_bound=2, outer_bound=2)
@@ -448,18 +506,11 @@ class TestMinCubesSearch:
         cfg = SearchConfig(max_cubes=3, coeff_bound=10, outer_bound=2)
         serial = min_cubes_search(target, cfg)
         assert len(serial) == len(roots)
-        started = []
-        workers = search._three_cube_workers
-
-        @contextlib.contextmanager
-        def recorded(*args):
-            with workers(*args) as procs:
-                started.extend(proc for proc, _ in procs)
-                yield procs
-
-        monkeypatch.setattr(search, "_three_cube_workers", recorded)
-        assert min_cubes_search(target, cfg, workers=2) == serial
-        assert len(started) == 2 and not any(proc.is_alive() for proc in started)
+        started = _record_spawned(monkeypatch)
+        workers = 2
+        assert min_cubes_search(target, cfg, workers=workers) == serial
+        # the search's own process is one of the workers
+        assert len(started) == workers - 1 and not any(proc.is_alive() for proc in started)
         assert multiprocessing.active_children() == []
 
     def test_worker_runs_every_cell_before_a_hit_to_its_end(self):
@@ -478,6 +529,78 @@ class TestMinCubesSearch:
         assert sent[0][0] == 22 and [Quaternion(params, *c) for c in sent[0][1]] == serial
         assert sent[1:] == [None] and least_hits == [22, 23]
 
+    def test_own_cells_beat_a_later_worker_hit(self):
+        # the search's own process scans with the cell loop its workers run:
+        # its hit in cell 22, which holds the least witness, must beat a
+        # spawned worker's hit in cell 23
+        params, t = RingParams(2, 1), (-192, -16, -16, 0)
+        serial = min_cubes_search(Quaternion(params, *t), SearchConfig(3, 2, 2))
+        space = _SearchSpace(params, 2)
+        next_cell = multiprocessing.RawValue("i", 22)
+        least_hit = multiprocessing.RawValue("i", 23)
+        n, got = search._take_cells(space, t, 2, next_cell, least_hit)
+        assert n == 22 and [Quaternion(params, *c) for c in got] == serial
+        assert least_hit.value == 22
+        next_cell.value, least_hit.value = 22, 25
+        reader, writer = multiprocessing.Pipe(duplex=False)
+        with reader, writer:
+            writer.send((23, ((0, 0, 0, 0),) * 3))
+            worker = types.SimpleNamespace(exitcode=None, join=lambda: None)
+            parallel = (next_cell, least_hit, [(worker, reader)])
+            got = search._scan_three(space, _mod9_tables(params), t, 2, parallel)
+        assert [Quaternion(params, *c) for c in got] == serial
+
+    def test_cell_counter_without_a_lock_skips_no_cell(self, monkeypatch):
+        # threads take cells from one counter that no lock guards, and each
+        # read or write of it gives up the interpreter lock first, so they
+        # interleave between a read and its write; the box holds no
+        # witness, so every cell must be scanned, some perhaps twice
+        params, t = RingParams(2, 1), (3, 37, -3, 0)
+        cells = search._three_cube_cells(2, t)
+        scanned = []
+        scan_cell = search._scan_three_cell
+
+        def recorded(space, tabs, t, outer, first_ok, w0, w1, stop=None):
+            scanned.append((w0, w1))
+            return scan_cell(space, tabs, t, outer, first_ok, w0, w1, stop)
+
+        class YieldingInt:
+            def __init__(self, value):
+                self._value = value
+
+            @property
+            def value(self):
+                time.sleep(0)
+                return self._value
+
+            @value.setter
+            def value(self, value):
+                time.sleep(0)
+                self._value = value
+
+        monkeypatch.setattr(search, "_scan_three_cell", recorded)
+        switch = sys.getswitchinterval()
+        for _ in range(5):
+            next_cell, least_hit = YieldingInt(0), YieldingInt(len(cells))
+            results = []
+
+            def take():
+                space = _SearchSpace(params, 2)
+                results.append(search._take_cells(space, t, 2, next_cell, least_hit))
+
+            threads = [threading.Thread(target=take) for _ in range(8)]
+            sys.setswitchinterval(1e-6)
+            try:
+                for th in threads:
+                    th.start()
+                for th in threads:
+                    th.join(timeout=60)
+            finally:
+                sys.setswitchinterval(switch)
+            assert not any(th.is_alive() for th in threads)
+            assert results == [None] * 8 and set(scanned) == set(cells)
+            scanned.clear()
+
     def test_clamp_workers(self):
         cpus = os.cpu_count() or 1
         assert _clamp_workers(10**9, 10**9) == cpus
@@ -495,6 +618,23 @@ class TestMinCubesSearch:
         for x in r:
             total = total + cube(x)
         assert total == scalar(params, 4)
+
+
+def _record_spawned(monkeypatch):
+    """The list that the search's worker processes are added to as they
+    are spawned, from now on."""
+    started = []
+    workers = search._three_cube_workers
+
+    @contextlib.contextmanager
+    def recorded(*args):
+        with workers(*args) as parallel:
+            if parallel is not None:
+                started.extend(proc for proc, _ in parallel[2])
+            yield parallel
+
+    monkeypatch.setattr(search, "_three_cube_workers", recorded)
+    return started
 
 
 def _random_sums(params, n_cubes, count, seed):
