@@ -12,37 +12,33 @@ certifies the code that ``decompose`` runs:
 * :func:`lemma_residue_check` -- exhaustive certification of the
   congruence recipes and pair tables over whole residue classes.
 
-Each cube of the box is packed into one int, exactly (see
-:class:`_SearchSpace`), and the packed cubes are grouped by their mod-9
-signature and, within it, by their parity pattern (coefficients mod 2).
-Each group maps its cubes to their least roots.  The box is symmetric
-and (-x)**3 == -(x**3), so the cubes of signature -s are the negated
-cubes of s: only one signature of each ± pair is stored, and the other
-is read through a sign, with a small table of greatest roots for the
-cubes that have several roots.  A signature's groups are built the
-first time a search meets that signature, from the box roots of the
-root classes mod 9 that cube to it, so a two-cube search builds only
-the few signatures that can sum to its target.  Two cubes meet a target
-``T`` by set intersection: for each pair of groups whose signatures sum
-to the target's signature and whose parities XOR to the target's parity,
-``big.keys() & {±T ∓ h for h in small}`` runs in C.  Three cubes scan
-the outer root in lexicographic order and meet the remainder; with N
-workers, the search's process and N - 1 spawned ones take the outer
-box's ``(w0, w1)`` cells in turn, and the least cell that hits gives the
-witness.
-Negating pure coefficients commutes with cubing, so where the target has
-a zero pure coefficient the least witness's outer root is not positive
-there, and the scan skips the outer roots that are (:func:`_outer_span`).
-That symmetry and the mod-9 and mod-2 patterns of cubes (and of sums of
-two or three cubes) prune only regions proven to hold no least witness,
-so results are identical with and without them, and parallel runs
-return exactly what a serial run returns.
+Each cube of the box is packed into one int, exactly, and the packed cubes
+are grouped by their mod-9 signature and, within it, by their parity
+pattern (coefficients mod 2); only one signature of each ± pair is stored,
+and a signature's groups are built the first time a search meets it (see
+:class:`_SearchSpace`).  Which signatures are sums of two or three cube
+signatures comes from one routine, :func:`_sums`, on sets of signatures
+held as 6,561-bit ints (see :class:`_Mod9Tables`).  Two cubes meet a
+target ``T`` by set intersection: for each pair of groups whose signatures
+sum to the target's signature and whose parities XOR to the target's
+parity, ``big.keys() & {±T ∓ h for h in small}`` runs in C.  Three cubes
+scan the outer root in lexicographic order and meet the remainder; with N
+workers, the search's process and N - 1 spawned ones take the outer box's
+``(w0, w1)`` cells in turn, and the least cell that hits gives the
+witness.  Negating pure coefficients commutes with cubing, so where the
+target has a zero pure coefficient the least witness's outer root is not
+positive there, and the scan skips the outer roots that are
+(:func:`_outer_span`).  That symmetry and the mod-9 and mod-2 patterns of
+cubes (and of sums of two or three cubes) prune only regions proven to
+hold no least witness, so results are identical with and without them, and
+parallel runs return exactly what a serial run returns.
 """
 
 from __future__ import annotations
 
 import contextlib
 import functools
+import operator
 import os
 from collections import deque
 from collections.abc import Iterator
@@ -136,30 +132,36 @@ def _neg9(s: Coeffs) -> Coeffs:
     return (-s[0] % 9, -s[1] % 9, -s[2] % 9, -s[3] % 9)
 
 
-def _encode(s0: int, s1: int, s2: int, s3: int) -> int:
-    # base-32 digits keep sums of two mod-9 signatures carry-free
-    return (s0 << 15) | (s1 << 10) | (s2 << 5) | s3
-
-
 @functools.cache
 def _digit_diff() -> bytes:
     """Byte ``81*x + y``: x's two base-9 digits minus y's, each mod 9."""
     return bytes((x // 9 - y // 9) % 9 * 9 + (x - y) % 9 for x in range(81) for y in range(81))
 
 
-class _BitGrid:
-    """Constant-time bit membership over base-32-encoded signatures."""
+def _code(s: Coeffs) -> int:
+    """Signature s as a base-9 number: its bit in a signature set."""
+    return ((s[0] * 9 + s[1]) * 9 + s[2]) * 9 + s[3]
 
-    __slots__ = ("_bytes",)
 
-    def __init__(self, mask: int) -> None:
-        self._bytes = mask.to_bytes((mask.bit_length() + 7) // 8 or 1, "little")
+@functools.cache
+def _digit_masks(w: int, r: int) -> tuple[int, int]:
+    """Members of a signature set whose digit of weight w is below 9 - r, and the rest."""
+    full = (1 << 6561) - 1
+    # full // (2**(9w) - 1) has a bit at each multiple of 9w
+    low = ((1 << (9 - r) * w) - 1) * (full // ((1 << 9 * w) - 1))
+    return low, full ^ low
 
-    def test(self, idx: int) -> bool:
-        byte = idx >> 3
-        if byte >= len(self._bytes):
-            return False
-        return (self._bytes[byte] >> (idx & 7)) & 1 == 1
+
+def _sums(bits: int, sigs) -> int:
+    """The set of u + s, u in signature set ``bits`` and s in sigs: shifts of base-9 digits."""
+    out = 0
+    for s in sigs:
+        x = bits
+        for w, r in zip((729, 81, 9, 1), s):
+            low, high = _digit_masks(w, r)
+            x = (x & low) << r * w | (x & high) >> (9 - r) * w
+        out |= x
+    return out
 
 
 class _Mod9Tables:
@@ -170,15 +172,15 @@ class _Mod9Tables:
     ``729*r0 + 81*r1 + 9*r2 + r3``.  ``cube_sig`` lists each class's cube
     signature, ``root_classes`` inverts it, ``single`` holds the cube
     signatures, and ``by_code[9*s0 + s1][9*s2 + s3]`` is the signature s.
-    The pair grid answers whether a target signature is a sum of two cube
-    signatures, and :meth:`first_root_classes` whether it is a sum of
-    three.  The pair grid is built on first use, since
-    ``two_cube_obstruction`` does not need it.  Instances are shared
-    between threads through ``_MOD9_CACHE``, so a lazy attribute is
-    assigned only once it is complete.
+    A set of signatures is a 6,561-bit int with bit :func:`_code` (s) for
+    s, and the pair set is :func:`_sums` of the singles set and the cube
+    signatures.  The sets are built on first use, since
+    ``two_cube_obstruction`` needs none.  Instances are shared between
+    threads through ``_MOD9_CACHE``, so a lazy attribute is assigned only
+    once it is complete.
     """
 
-    __slots__ = ("cube_sig", "root_classes", "single", "by_code", "_pairs", "_first_ok_memo")
+    __slots__ = ("cube_sig", "root_classes", "single", "by_code", "_sets", "_first_ok_memo")
 
     def __init__(self, a9: int, b9: int) -> None:
         sigs = [_sig(cube_coeffs(a9, b9, r)) for r in islice(product(range(9), repeat=4), 5 * 729)]
@@ -200,28 +202,22 @@ class _Mod9Tables:
         self.by_code: dict[int, dict[int, Coeffs]] = {}
         for s in self.single:
             self.by_code.setdefault(s[0] * 9 + s[1], {})[s[2] * 9 + s[3]] = s
-        self._pairs: _BitGrid | None = None
+        self._sets: tuple | None = None
         self._first_ok_memo: dict[Coeffs, bytes] = {}
 
+    def _signature_sets(self) -> tuple:
+        """The singles set, the pair set and a getter of each class's cube's code."""
+        sets = self._sets
+        if sets is None:
+            code = {s: _code(s) for s in self.single}
+            singles = sum(1 << n for n in code.values())
+            pairs = _sums(singles, self.single)
+            class_codes = operator.itemgetter(*map(code.__getitem__, self.cube_sig))
+            sets = self._sets = (singles, pairs, class_codes)
+        return sets
+
     def pair_attainable(self, s: Coeffs) -> bool:
-        grid = self._pairs
-        if grid is None:
-            codes = sorted(_encode(*s) for s in self.single)
-            mask = 0
-            for c in codes:
-                mask |= 1 << c
-            pair = 0
-            for c in codes:
-                pair |= mask << c
-            grid = self._pairs = _BitGrid(pair)
-        test = grid.test
-        for u0 in (s[0], s[0] + 9):
-            for u1 in (s[1], s[1] + 9):
-                for u2 in (s[2], s[2] + 9):
-                    for u3 in (s[3], s[3] + 9):
-                        if test(_encode(u0, u1, u2, u3)):
-                            return True
-        return False
+        return self._signature_sets()[1] >> _code(s) & 1 == 1
 
     def first_root_classes(self, target_sig: Coeffs) -> bytes:
         """A mask by root class number mod 9: byte n is 1 when class n's
@@ -234,15 +230,12 @@ class _Mod9Tables:
         """
         got = self._first_ok_memo.get(target_sig)
         if got is None:
-            t0, t1, t2, t3 = target_sig
-            mask = bytearray(len(self.cube_sig))
-            for cs, classes in self.root_classes.items():
-                if self.pair_attainable(
-                    ((t0 - cs[0]) % 9, (t1 - cs[1]) % 9, (t2 - cs[2]) % 9, (t3 - cs[3]) % 9)
-                ):
-                    for n in classes:
-                        mask[n] = 1
-            got = self._first_ok_memo[target_sig] = bytes(mask) if any(mask) else b""
+            singles, pairs, class_codes = self._signature_sets()
+            # cube signatures, so pair sums, are closed under negation: t - pairs == t + pairs
+            ok = _sums(pairs, (target_sig,))
+            text = format(ok, "06561b")[::-1].encode()  # b"0" or b"1" at each code
+            mask = bytes(class_codes(text.translate(bytes.maketrans(b"01", b"\0\1"))))
+            got = self._first_ok_memo[target_sig] = mask if ok & singles else b""
         return got
 
 
@@ -611,16 +604,18 @@ def _clamp_workers(requested: int, chunks: int) -> int:
     return max(1, min(requested, os.cpu_count() or 1, chunks))
 
 
-def _take_cells(space, t, outer, next_cell, least_hit):
+def _take_cells(space, t, outer, next_cell, least_hit, before_cell=lambda: None):
     """Scan the 3-cube cells numbered by the shared counter ``next_cell``
     until one hits or none is left before ``least_hit``; return
-    ``(cell number, witness)`` or None.  No lock guards the two ints: a
+    ``(cell number, witness)`` or None, calling ``before_cell`` before
+    each cell is taken.  No lock guards the two ints: a
     race may hand a cell to two processes but skips none (the first write
     past n is n + 1 from a process that read n), and may leave
     ``least_hit`` above the least hit cell, never below it."""
     first_ok = space._tabs.first_root_classes(_sig(t))
     cells = _three_cube_cells(outer, t)
     while True:
+        before_cell()
         n = next_cell.value
         next_cell.value = n + 1
         if n >= least_hit.value:
@@ -701,9 +696,11 @@ def _scan_three(
     # least witness runs to its end, so the least hit cell gives the serial result.
     next_cell, least_hit, procs = parallel
     pending = {reader: proc for proc, reader in procs}
-    hits = [_take_cells(space, t, outer, next_cell, least_hit)]
-    while pending:
-        for reader in wait(list(pending)):
+    hits = []
+
+    def collect(timeout):
+        # polled between this process's own cells: a dead worker's pipe reads EOF
+        for reader in wait(list(pending), timeout):
             proc = pending.pop(reader)
             try:
                 hits.append(reader.recv())
@@ -714,6 +711,10 @@ def _scan_three(
                     "that searches with workers > 1 must guard its entry point "
                     "with if __name__ == '__main__':"
                 ) from None
+
+    hits.append(_take_cells(space, t, outer, next_cell, least_hit, lambda: collect(0)))
+    while pending:
+        collect(None)
     return min(filter(None, hits), default=(None, None))[1]
 
 
@@ -751,9 +752,7 @@ def min_cubes_search(
     and grouped by signature mod 9 and parity, are intersected with the
     target minus each cube of a matching group.  Only one signature of
     each ± pair is stored, since the cubes of -s are the negated cubes
-    of s (257 of the 513 signatures in ring (1, 1)).  That halves the
-    memory and the build of the whole box that a 3-cube search meets:
-    about 21 MB down to 11 MB at coeff_bound 10.  A signature's groups
+    of s (257 of the 513 signatures in ring (1, 1)).  A signature's groups
     are built when a search first meets it, so a two-cube search builds
     only the signatures that can sum to its target (about 50 of the 513
     in ring (1, 1)).  Three cubes scan the outer root (in the outer_bound
@@ -766,9 +765,9 @@ def min_cubes_search(
     root's first two coefficients, which this process and ``workers - 1``
     spawned ones (no more than the CPUs or the cells in all) take in turn;
     every cell before the least hit runs to its end, so the result is
-    identical to a serial run.  A spawned worker that dies is reported once
-    this process's cells run out; a script calling this with ``workers`` > 1
-    must guard its entry point with ``if __name__ == "__main__":``.
+    identical to a serial run.  A dying spawned worker is reported before
+    this process takes its next cell; a script calling this with ``workers``
+    > 1 must guard its entry point with ``if __name__ == "__main__":``.
     """
     params = alpha.params
     t = alpha.coefficients()

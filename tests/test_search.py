@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 from quatcube import (
     Case,
     InvalidResidues,
+    QuatcubeError,
     Quaternion,
     RingParams,
     SearchConfig,
@@ -31,11 +32,13 @@ from quatcube.search import (
     _Mod9Tables,
     _SearchSpace,
     _clamp_workers,
+    _code,
     _mod9_tables,
     _neg9,
     _parity,
     _scan_two,
     _sig,
+    _sums,
 )
 
 # the package's decompose attribute is the function; the module is here
@@ -66,6 +69,104 @@ class TestThreeCubeResidues:
     def test_four_unattainable(self):
         assert 4 not in three_cube_residues_mod9()
         assert 5 not in three_cube_residues_mod9()
+
+
+ALL_SIGS = list(product(range(9), repeat=4))
+
+
+@lru_cache(maxsize=None)
+def _brute_signature_sets(ring):
+    """The cube signatures of a ring, by plain quaternion products of the
+    6,561 root classes, and the sums of two of them, digit by digit."""
+    params = RingParams(*ring)
+    singles = frozenset(
+        _sig((x * x * x).coefficients()) for x in (Quaternion(params, *r) for r in ALL_SIGS)
+    )
+    pairs = frozenset(
+        ((s0 + u0) % 9, (s1 + u1) % 9, (s2 + u2) % 9, (s3 + u3) % 9)
+        for s0, s1, s2, s3 in singles
+        for u0, u1, u2, u3 in singles
+    )
+    return singles, pairs
+
+
+def _members(bits):
+    return {s for s in ALL_SIGS if bits >> _code(s) & 1}
+
+
+def _pair_set(sigs):
+    """The pair set that _Mod9Tables builds, from the signatures given."""
+    return _members(_sums(sum(1 << _code(s) for s in sigs), sigs))
+
+
+class TestSignatureSets:
+    # a set of mod-9 signatures is a 6,561-bit int; _sums adds signatures
+    # to its members, digit by digit
+
+    def test_codes_number_signatures_in_product_order(self):
+        assert [_code(s) for s in ALL_SIGS] == list(range(6561))
+
+    def test_sums_add_each_digit_mod_9(self):
+        rng = random.Random(20261018)
+        members = rng.sample(ALL_SIGS, 500)
+        bits = sum(1 << _code(u) for u in members)
+        # the 32 signatures with one non-zero digit, then seeded random ones
+        shifts = [tuple(v if i == d else 0 for i in range(4)) for d in range(4) for v in range(1, 9)]
+        shifts += [tuple(rng.randrange(9) for _ in range(4)) for _ in range(40)]
+        for r in [(0, 0, 0, 0)] + shifts:
+            expected = {tuple((ui + ri) % 9 for ui, ri in zip(u, r)) for u in members}
+            assert _members(_sums(bits, [r])) == expected
+        assert _members(_sums(bits, shifts[:3])) == {
+            tuple((ui + ri) % 9 for ui, ri in zip(u, r)) for u in members for r in shifts[:3]
+        }
+        assert _sums(bits, []) == 0
+
+    @pytest.mark.parametrize("ring", [(1, 1), (2, 3), (1, 3), (3, 3), (2, 9), (3, 9)])
+    def test_pair_lookup_matches_brute_force_pair_sums(self, ring):
+        singles, pairs = _brute_signature_sets(ring)
+        tabs = _Mod9Tables(ring[0] % 9, ring[1] % 9)
+        assert tabs.single == singles
+        # (-x)**3 == -(x**3): first_root_classes relies on t - pairs == t + pairs
+        assert {_neg9(s) for s in singles} == singles
+        assert {s for s in ALL_SIGS if tabs.pair_attainable(s)} == pairs
+
+    @pytest.mark.parametrize("ring, dropped", [
+        ((3, 9), (0, 0, 0, 0)), ((3, 9), (1, 0, 0, 0)), ((1, 3), (1, 0, 3, 3)),
+    ])
+    def test_a_dropped_cube_signature_shows_in_the_pair_sums(self, ring, dropped):
+        # the brute-force comparison above would catch a pair set built
+        # without one cube signature
+        singles, pairs = _brute_signature_sets(ring)
+        assert _pair_set(singles) == pairs
+        assert _pair_set(singles - {dropped}) != pairs
+
+    def test_shared_tables_agree_across_threads(self):
+        # threads share _MOD9_CACHE entries: on one fresh instance, threads
+        # that build its sets and masks at once must agree with a lone one
+        ring = (1, 1)
+        rng = random.Random(20261019)
+        sigs = [(3, 3, 0, 0), (4, 0, 0, 0)] + [tuple(rng.randrange(9) for _ in range(4)) for _ in range(20)]
+        lone = _Mod9Tables(*ring)
+        expected = [(lone.pair_attainable(t), lone.first_root_classes(t)) for t in sigs]
+        tabs = _Mod9Tables(*ring)
+        results = [None] * 8
+
+        def run(i):
+            order = sigs[i:] + sigs[:i]
+            results[i] = [(tabs.pair_attainable(t), tabs.first_root_classes(t)) for t in order]
+
+        threads = [threading.Thread(target=run, args=(i,)) for i in range(8)]
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for th in threads:
+                th.start()
+            for th in threads:
+                th.join(timeout=60)
+        finally:
+            sys.setswitchinterval(switch)
+        assert not any(th.is_alive() for th in threads)
+        assert results == [expected[i:] + expected[:i] for i in range(8)]
 
 
 class TestMod9Tables:
@@ -549,6 +650,24 @@ class TestMinCubesSearch:
             parallel = (next_cell, least_hit, [(worker, reader)])
             got = search._scan_three(space, _mod9_tables(params), t, 2, parallel)
         assert [Quaternion(params, *c) for c in got] == serial
+
+    def test_dead_worker_stops_own_cells_at_once(self):
+        # a spawned worker that died starting (its exit code set, its pipe
+        # at EOF) is reported before this process takes its next cell, not
+        # after it has scanned every cell of a box with no witness
+        params, t, outer = RingParams(2, 1), (3, 37, -3, 0), 4
+        cells = len(search._three_cube_cells(outer, t))
+        space = _SearchSpace(params, 2)
+        next_cell = multiprocessing.RawValue("i", 0)
+        least_hit = multiprocessing.RawValue("i", cells)
+        reader, writer = multiprocessing.Pipe(duplex=False)
+        writer.close()
+        with reader:
+            worker = types.SimpleNamespace(exitcode=1, join=lambda: None)
+            parallel = (next_cell, least_hit, [(worker, reader)])
+            with pytest.raises(QuatcubeError, match="exited with code 1"):
+                search._scan_three(space, _mod9_tables(params), t, outer, parallel)
+        assert cells == 81 and next_cell.value <= 1
 
     def test_cell_counter_without_a_lock_skips_no_cell(self, monkeypatch):
         # threads take cells from one counter that no lock guards, and each
