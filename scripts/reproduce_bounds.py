@@ -8,6 +8,7 @@ the 6-cube bound (5 when 3 divides both parameters) hold at scale.
 
 import argparse
 import random
+import sys
 import time
 
 from quatcube import Case, Quaternion, RingParams, classify_case, decompose, verify
@@ -37,8 +38,12 @@ def main() -> int:
             c = [rng.randint(-args.magnitude, args.magnitude) for _ in range(4)]
             if case3:
                 c[1:] = [3 * (v // 3) for v in c[1:]]
-            dec = decompose(Quaternion(params, *c))
-            assert verify(dec)
+            alpha = Quaternion(params, *c)
+            dec = decompose(alpha)
+            if not verify(dec):
+                print(f"({ring[0]},{ring[1]}): the decomposition of {alpha} fails verification",
+                      file=sys.stderr)
+                return 1
             counts[dec.count] = counts.get(dec.count, 0) + 1
         elapsed = time.perf_counter() - start
         dist = "  ".join(f"{k} roots: {v}" for k, v in sorted(counts.items()))

@@ -40,7 +40,6 @@ import contextlib
 import functools
 import operator
 import os
-from collections import deque
 from collections.abc import Iterator
 from dataclasses import dataclass
 from itertools import islice, product
@@ -342,20 +341,20 @@ class _SearchSpace:
 
     def _tail_table(self) -> tuple:
         """Per tail (x1, x2, x3) of the box, indexed in box order: the norm
-        part p with the packed (x1, x2, x3), and the tail's parity; then
-        the tails of each class mod 9, and the cube parity of each root
-        parity (see :func:`_parity`)."""
+        part p, the packed (x1, x2, x3) and the tail's parity; then the
+        tails of each class mod 9, and the cube parity of each root parity
+        (see :func:`_parity`)."""
         if self._tails is None:
             a, b, r = self.params.a, self.params.b, self.radix
             rng = range(-self.bound, self.bound + 1)
-            norms, pars = [], []
+            tails = []
             by_class: list[list[int]] = [[] for _ in range(729)]
             for n, (x1, x2, x3) in enumerate(product(rng, repeat=3)):
-                norms.append((a * x1 * x1 + b * x2 * x2 + a * b * x3 * x3, (x1 * r + x2) * r + x3))
-                pars.append((x1 & 1) << 2 | (x2 & 1) << 1 | x3 & 1)
+                p = a * x1 * x1 + b * x2 * x2 + a * b * x3 * x3
+                tails.append((p, (x1 * r + x2) * r + x3, (x1 & 1) << 2 | (x2 & 1) << 1 | x3 & 1))
                 by_class[(x1 % 9 * 9 + x2 % 9) * 9 + x3 % 9].append(n)
             cube_par = [_parity(cube_coeffs(a & 1, b & 1, x)) for x in product((0, 1), repeat=4)]
-            self._tails = (norms, pars, by_class, cube_par)
+            self._tails = (tails, by_class, cube_par)
         return self._tails
 
     def groups(self, sig: Coeffs) -> _ParityGroups:
@@ -367,7 +366,7 @@ class _SearchSpace:
         got = self._groups.get(sig)
         if got is not None:
             return got
-        norms, pars, by_class, cube_par = self._tail_table()
+        tails, by_class, cube_par = self._tail_table()
         # the signature's tails in box order, by x0 mod 9
         rows: dict[int, list[int]] = {}
         for n in self._tabs.root_classes.get(sig, ()):
@@ -376,39 +375,22 @@ class _SearchSpace:
         for row in rows.values():
             row.sort()
         by_par: _ParityGroups = {p: {} for p in cube_par}
-        parity_groups = list(by_par.values())
         # the group of a root, indexed by x0's parity, then by the tail's
         slots = [[by_par[p] for p in cube_par[:8]], [by_par[p] for p in cube_par[8:]]]
-        r3, span = self.radix**3, len(norms)
+        r3, span = self.radix**3, len(tails)
         for i, x0 in enumerate(range(-self.bound, self.bound + 1)):
             row = rows.get(x0 % 9)
             if row is None:
                 continue
-            sq, hi, base = x0 * x0, x0 * r3, i * span
-            # the cube of x packs to (x0^2 - 3p)x0 R^3 + (3x0^2 - p) low; one
-            # pass in C adds each cube to its group, in box order, so each
-            # cube keeps its least root
-            keys = [
-                (sq - 3 * p) * hi + (3 * sq - p) * low for p, low in map(norms.__getitem__, row)
-            ]
-            size = sum(map(len, parity_groups))
-            deque(
-                map(
-                    dict.setdefault,
-                    map(slots[x0 & 1].__getitem__, map(pars.__getitem__, row)),
-                    keys,
-                    map(base.__add__, row),
-                ),
-                maxlen=0,
-            )
-            if sum(map(len, parity_groups)) - size < len(row):
-                # some cube of the row has an earlier root; in box order the
-                # last root met is each such cube's greatest
-                for group, key, n in zip(
-                    map(slots[x0 & 1].__getitem__, map(pars.__getitem__, row)), keys, row
-                ):
-                    if group[key] != base + n:
-                        self._greatest[key] = base + n
+            sq, hi, base, slot = x0 * x0, x0 * r3, i * span, slots[x0 & 1]
+            # the cube of x packs to (x0^2 - 3p)x0 R^3 + (3x0^2 - p) low; in
+            # box order the first root met is a cube's least, the last its
+            # greatest
+            for n in row:
+                p, low, par = tails[n]
+                key, idx = (sq - 3 * p) * hi + (3 * sq - p) * low, base + n
+                if slot[par].setdefault(key, idx) != idx:
+                    self._greatest[key] = idx
         got = self._groups[sig] = {p: group for p, group in by_par.items() if group}
         return got
 
@@ -600,8 +582,10 @@ def _three_cube_cells(outer: int, t: Coeffs) -> list[tuple[int, int]]:
 
 def _clamp_workers(requested: int, chunks: int) -> int:
     """Processes worth starting for ``requested`` workers over ``chunks``
-    chunks: never more than the CPUs or the chunks, and at least one."""
-    return max(1, min(requested, os.cpu_count() or 1, chunks))
+    chunks: never more than the chunks or the CPUs this process may run
+    on (its affinity set, where the platform has one), and at least one."""
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    return max(1, min(requested, cpus or 1, chunks))
 
 
 def _take_cells(space, t, outer, next_cell, least_hit, before_cell=lambda: None):

@@ -14,7 +14,10 @@ from pathlib import Path
 
 import pytest
 
-SRC = str(Path(__file__).resolve().parent.parent / "src")
+ROOT = Path(__file__).resolve().parent.parent
+SRC = str(ROOT / "src")
+# the CPUs this process may run on, as _clamp_workers counts them
+CPUS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 
 
 def _env():
@@ -79,6 +82,26 @@ def test_verification_holds_under_python_O(broken):
     assert proc.returncode == 0, proc.stderr
 
 
+_FAILING_VERIFY = """
+import runpy
+import sys
+
+import quatcube
+
+quatcube.verify = lambda dec: False
+sys.argv = [sys.argv[1], "--count", "1"]
+runpy.run_path(sys.argv[0], run_name="__main__")
+"""
+
+
+def test_reproduce_bounds_fails_on_an_unverified_decomposition_under_python_O():
+    script = str(ROOT / "scripts" / "reproduce_bounds.py")
+    proc = _run(["-O", "-c", _FAILING_VERIFY, script])
+    assert proc.returncode == 1, proc.stderr
+    assert "(1,1): the decomposition of" in proc.stderr
+    assert "all decompositions verified" not in proc.stdout
+
+
 _UNGUARDED = """
 from quatcube import Quaternion, RingParams, SearchConfig, min_cubes_search
 
@@ -91,7 +114,7 @@ min_cubes_search(
 """
 
 
-@pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="a 3-cube pool needs two CPUs")
+@pytest.mark.skipif(CPUS < 2, reason="3-cube workers need two CPUs")
 def test_dying_search_workers_raise_instead_of_hanging(tmp_path):
     script = tmp_path / "unguarded.py"
     script.write_text(_UNGUARDED)
@@ -139,7 +162,7 @@ if __name__ == "__main__":
 """
 
 
-@pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="3-cube workers need two CPUs")
+@pytest.mark.skipif(CPUS < 2, reason="3-cube workers need two CPUs")
 def test_search_worker_killed_mid_scan_raises(tmp_path):
     # The script runs in its own session so that a hang, workers included,
     # can be killed and fail the test instead of stalling it.
@@ -159,7 +182,7 @@ def test_search_worker_killed_mid_scan_raises(tmp_path):
     assert "exited with code -9" in out
 
 
-_THREADED_POOLS = """
+_THREADED_SEARCHES = """
 import sys
 import threading
 
@@ -186,15 +209,14 @@ if __name__ == "__main__":
 """
 
 
-@pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="a 3-cube pool needs two CPUs")
+@pytest.mark.skipif(CPUS < 2, reason="3-cube workers need two CPUs")
 def test_repeated_parallel_searches_from_threads_never_hang(tmp_path):
-    # Killing pool workers once a hit is found could leave a queue lock
-    # held and hang the pool's shutdown, in a fraction of a percent of
-    # searches, so many rounds run.
+    # Stopping the workers once a hit is found must not hang the search,
+    # not even in a fraction of a percent of searches, so many rounds run.
     # The searches run in their own session so that a hang, workers
     # included, can be killed and fail the test instead of stalling it.
-    script = tmp_path / "threaded_pools.py"
-    script.write_text(_THREADED_POOLS)
+    script = tmp_path / "threaded_searches.py"
+    script.write_text(_THREADED_SEARCHES)
     proc = subprocess.Popen(
         [sys.executable, str(script), "30"], env=_env(), stdout=subprocess.PIPE,
         stderr=subprocess.PIPE, text=True, start_new_session=True,

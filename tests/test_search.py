@@ -43,6 +43,8 @@ from quatcube.search import (
 
 # the package's decompose attribute is the function; the module is here
 _decompose_module = sys.modules["quatcube.decompose"]
+# the CPUs this process may run on, as _clamp_workers counts them
+CPUS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 
 LIPSCHITZ = RingParams(1, 1)
 
@@ -415,16 +417,20 @@ class TestMinCubesSearch:
                 p: set(g) for p, g in negated.items()
             }
 
-    @pytest.mark.parametrize("ring", [(1, 1), (2, 1), (3, 3), (6, 9)])
+    @pytest.mark.parametrize("ring", [(1, 1), (2, 1), (3, 3), (6, 9), (3, 1)])
     def test_groups_map_each_cube_to_its_least_root(self, ring):
+        # in ring (3, 1) at bound 5 the non-real cube (-80, 72, 0, 0) has the
+        # three roots (-5, 1, 0, 0), (1, -3, 0, 0) and (4, 2, 0, 0)
+        bound = 5 if ring == (3, 1) else 2
         params = RingParams(*ring)
-        space = _SearchSpace(params, 2)
-        least, count = {}, {}
-        for idx, x in enumerate(product(range(-2, 3), repeat=4)):
+        space = _SearchSpace(params, bound)
+        least, greatest, count = {}, {}, {}
+        for idx, x in enumerate(product(range(-bound, bound + 1), repeat=4)):
             key = space.pack(cube_coeffs(params.a, params.b, x))
             least.setdefault(key, idx)
+            greatest[key] = idx
             count[key] = count.get(key, 0) + 1
-        seen = {}
+        seen, stored = {}, set()
         for sig in _mod9_tables(params).single:
             groups, sign = space.signed_groups(sig)
             for par, group in groups.items():
@@ -433,9 +439,17 @@ class TestMinCubesSearch:
                     c = cube_coeffs(params.a, params.b, space.root(idx))
                     assert (space.pack(c), _sig(c), _parity(c)) == (sign * key, sig, par)
                     seen[sign * key] = idx
+                    if sign > 0:
+                        stored.add(key)
         assert seen == least
+        # the loop built every canonical signature: each stored cube with
+        # several roots maps to its greatest root, and no other cube has one
+        assert space._greatest == {k: greatest[k] for k in stored if count[k] > 1}
+        if ring == (3, 1):
+            key = space.pack((-80, 72, 0, 0))
+            assert count[key] == 3 and {key, -key} & space._greatest.keys()
         # the views of the negated signatures agree with building them directly
-        direct = _SearchSpace(params, 2)
+        direct = _SearchSpace(params, bound)
         single = _mod9_tables(params).single
         assert space.by_class() == {s: g for s in sorted(single) if (g := direct.groups(s))}
         # 3 x0^2 = p makes the pure part of the cube vanish, so such roots
@@ -587,7 +601,7 @@ class TestMinCubesSearch:
             assert not th.is_alive()
         assert results == expected
 
-    @pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="a 3-cube pool needs two CPUs")
+    @pytest.mark.skipif(CPUS < 2, reason="3-cube workers need two CPUs")
     @pytest.mark.parametrize("coeffs", [(175, 13, -4, -16), (3, 37, -3, 0)])
     def test_parallel_search_kills_no_worker_with_a_cell_out(self, coeffs):
         # whether a witness turned up in the first cell (first target) or in
@@ -599,7 +613,7 @@ class TestMinCubesSearch:
         assert min_cubes_search(target, cfg, workers=2) == serial
         assert multiprocessing.active_children() == []
 
-    @pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="3-cube workers need two CPUs")
+    @pytest.mark.skipif(CPUS < 2, reason="3-cube workers need two CPUs")
     @pytest.mark.parametrize("roots", [[(2, -1, 3, 0)], [(1, 2, 3, 4), (-5, 6, -7, 8)]])
     def test_lower_stage_witness_terminates_the_started_workers(self, monkeypatch, roots):
         t = tuple(map(sum, zip(*(cube_coeffs(1, 1, r) for r in roots))))
@@ -721,11 +735,17 @@ class TestMinCubesSearch:
             scanned.clear()
 
     def test_clamp_workers(self):
-        cpus = os.cpu_count() or 1
-        assert _clamp_workers(10**9, 10**9) == cpus
-        assert _clamp_workers(10**9, 3) == min(cpus, 3)
+        assert _clamp_workers(10**9, 10**9) == CPUS
+        assert _clamp_workers(10**9, 3) == min(CPUS, 3)
         assert _clamp_workers(1, 169) == 1
         assert _clamp_workers(2, 1) == 1
+
+    def test_clamp_workers_counts_only_the_cpus_this_process_may_use(self, monkeypatch):
+        # under taskset or a cpuset the machine has more CPUs than the
+        # process may run on
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 8)
+        assert _clamp_workers(8, 100) == 1
 
     def test_four_cube_search(self):
         params = RingParams(3, 3)
@@ -797,7 +817,7 @@ class TestOuterRootSymmetry:
         assert got == [_brute_min_cubes(t, 3, 1, 1) for t in targets]
         # some least witness has w1 < 0, so scanning w1 >= 0 instead would fail
         assert any(r is not None and len(r) == 3 and r[0].c1 < 0 for r in got)
-        if (os.cpu_count() or 1) >= 2:
+        if CPUS >= 2:
             some = [i for i, r in enumerate(got) if r is not None and len(r) == 3][:2]
             assert [min_cubes_search(targets[i], cfg, workers=2) for i in some] == [
                 got[i] for i in some
