@@ -22,12 +22,12 @@ cases 2b/2c with the parameters in the swapped orientation, the target
 is moved through the mirror-ring isomorphism (c0, c1, c2, c3) ->
 (c0, c2, c1, -c3), decomposed there, and the roots mapped back.
 
-The recipe runs on coefficient tuples in :func:`decompose_coeffs`, which
+The recipe runs on coefficient tuples in :func:`decompose`, which
 classifies the ring once, runs the recipe, sums the roots' cubes and
-compares them with the target exactly.  :func:`decompose` keeps those
-tuples in its :class:`Decomposition`, which builds root ``Quaternion``s
-only when ``roots`` is read; :func:`verify` and the CLI's decompose
-payload read ``root_coeffs`` and build none.  The lemma checks
+compares them with the target exactly.  It keeps those tuples in its
+:class:`Decomposition`, which builds root ``Quaternion``s only when
+``roots`` is read; :func:`verify` and the CLI's decompose payload read
+``root_coeffs`` and build none.  The lemma checks
 (``search.lemma_residue_check``) certify the same tuple helpers,
 ``_congruence_root`` and ``_pair``.  The public object helpers
 ``identity_6z``, ``identity_6z3``, ``cube_root_congruence`` and
@@ -42,7 +42,7 @@ from typing import Iterable
 from .errors import NotRepresentable, PreconditionViolated, VerificationFailed
 # cube, swap_iso, delta and lnr6 are not called here: perfbench/tracing.py
 # wraps them under these names
-from .quat import Coeffs, Quaternion, RingParams, coeffs_text, cube_coeffs
+from .quat import Coeffs, Quaternion, coeffs_text, cube_coeffs
 from .quat import cube, swap_iso  # noqa: F401
 from .residues import (  # noqa: F401
     Case,
@@ -205,7 +205,7 @@ def cube_root_congruence(alpha: Quaternion, case: CaseTag) -> Quaternion:
         )
     cls = ResidueClass.of(alpha)
     if case.case is Case.CASE3:
-        if any(c % 3 for c in alpha.imaginary()):
+        if not _in_cube_subgroup(Case.CASE3, alpha.coefficients()):
             raise PreconditionViolated(
                 "imaginary coefficients must be divisible by 3 in case 3"
             )
@@ -312,13 +312,17 @@ def _shown(c: Coeffs) -> str:
         return "the target"
 
 
-def decompose_coeffs(params: RingParams, c: Coeffs) -> tuple[CaseTag, list[Coeffs]]:
-    """The case of the ring and the roots, as coefficient tuples, of the
-    decomposition of the target with coefficients c.
+def decompose(alpha: Quaternion) -> Decomposition:
+    """Write alpha as a sum of cubes: at most 6 in cases 1/2, 5 in case 3.
 
-    The tuple core behind :func:`decompose`; it raises the same errors
-    and builds no ``Quaternion``.
+    Raises :class:`NotRepresentable` when alpha lies outside the cube
+    subgroup (possible only when 3 divides both a and b).  The roots'
+    cubes are summed and compared with alpha exactly before anything is
+    returned; :class:`VerificationFailed` is raised if they differ.
+    Already-reduced targets get 4 roots.  ``root_coeffs`` of the result
+    holds the roots as coefficient tuples.
     """
+    params, c = alpha.params, alpha.coefficients()
     a, b = params.a, params.b
     tag = classify_case(params)
     case = tag.case
@@ -330,19 +334,6 @@ def decompose_coeffs(params: RingParams, c: Coeffs) -> tuple[CaseTag, list[Coeff
         roots = _roots(c, a, b, case)
     if not _verified(a, b, c, roots, case):
         raise VerificationFailed(f"the root cubes do not sum to {_shown(c)} in ({a},{b})")
-    return tag, roots
-
-
-def decompose(alpha: Quaternion) -> Decomposition:
-    """Write alpha as a sum of cubes: at most 6 in cases 1/2, 5 in case 3.
-
-    Raises :class:`NotRepresentable` when alpha lies outside the cube
-    subgroup (possible only when 3 divides both a and b).  The roots'
-    cubes are summed and compared with alpha exactly before anything is
-    returned; :class:`VerificationFailed` is raised if they differ.
-    Already-reduced targets get 4 roots.
-    """
-    tag, roots = decompose_coeffs(alpha.params, alpha.coefficients())
     return Decomposition._of_coeffs(alpha, roots, tag)
 
 
@@ -350,9 +341,11 @@ def verify(dec: Decomposition) -> bool:
     """Exact check: the cubes of the roots sum to the target and the root
     count respects the case bound (6 for cases 1/2, 5 for case 3)."""
     params = dec.target.params
-    # roots stored as tuples belong to the target's ring by construction
-    if dec._roots is not None and any(
-        r.params is not params and r.params != params for r in dec._roots
+    # roots stored as tuples belong to the target's ring, and their case is
+    # the ring's, by construction; roots a caller passed in are checked
+    if dec._roots is not None and (
+        any(r.params is not params and r.params != params for r in dec._roots)
+        or dec.case != classify_case(params)
     ):
         return False
     return _verified(params.a, params.b, dec.target.coefficients(), dec.root_coeffs, dec.case.case)

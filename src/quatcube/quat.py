@@ -28,6 +28,9 @@ class RingParams:
     b: int
 
     def __post_init__(self) -> None:
+        for v in (self.a, self.b):
+            if isinstance(v, bool) or not isinstance(v, int):
+                raise TypeError(f"ring parameters must be ints, got {v!r}")
         if self.a < 1 or self.b < 1:
             raise ValueError(
                 f"ring parameters must be positive integers, got ({self.a}, {self.b})"

@@ -84,6 +84,9 @@ class SearchConfig:
     outer_bound: int | None = None
 
     def __post_init__(self) -> None:
+        for v in (self.max_cubes, self.coeff_bound, self.outer):
+            if isinstance(v, bool) or not isinstance(v, int):
+                raise TypeError(f"search bounds must be ints, got {v!r}")
         if not 1 <= self.max_cubes <= 4:
             raise ValueError(f"max_cubes must be in 1..4, got {self.max_cubes}")
         if self.coeff_bound < 0:
@@ -175,11 +178,11 @@ class _Mod9Tables:
     s, and the pair set is :func:`_sums` of the singles set and the cube
     signatures.  The sets are built on first use, since
     ``two_cube_obstruction`` needs none.  Instances are shared between
-    threads through ``_MOD9_CACHE``, so a lazy attribute is assigned only
-    once it is complete.
+    searches and threads through ``_MOD9_CACHE``, so they hold nothing
+    per target, and the lazy sets are assigned only once complete.
     """
 
-    __slots__ = ("cube_sig", "root_classes", "single", "by_code", "_sets", "_first_ok_memo")
+    __slots__ = ("cube_sig", "root_classes", "single", "by_code", "_sets")
 
     def __init__(self, a9: int, b9: int) -> None:
         sigs = [_sig(cube_coeffs(a9, b9, r)) for r in islice(product(range(9), repeat=4), 5 * 729)]
@@ -202,7 +205,6 @@ class _Mod9Tables:
         for s in self.single:
             self.by_code.setdefault(s[0] * 9 + s[1], {})[s[2] * 9 + s[3]] = s
         self._sets: tuple | None = None
-        self._first_ok_memo: dict[Coeffs, bytes] = {}
 
     def _signature_sets(self) -> tuple:
         """The singles set, the pair set and a getter of each class's cube's code."""
@@ -225,17 +227,15 @@ class _Mod9Tables:
         Empty (falsy) exactly when no class passes, that is when
         target_sig is no sum of three cube signatures, which rules out
         every 3-cube representation of the target.  Otherwise it holds
-        one byte per class, 6,561 in all, so each memo entry stays small.
+        one byte per class, 6,561 in all.  Each search memoises its own.
         """
-        got = self._first_ok_memo.get(target_sig)
-        if got is None:
-            singles, pairs, class_codes = self._signature_sets()
-            # cube signatures, so pair sums, are closed under negation: t - pairs == t + pairs
-            ok = _sums(pairs, (target_sig,))
-            text = format(ok, "06561b")[::-1].encode()  # b"0" or b"1" at each code
-            mask = bytes(class_codes(text.translate(bytes.maketrans(b"01", b"\0\1"))))
-            got = self._first_ok_memo[target_sig] = mask if ok & singles else b""
-        return got
+        singles, pairs, class_codes = self._signature_sets()
+        # cube signatures, so pair sums, are closed under negation: t - pairs == t + pairs
+        ok = _sums(pairs, (target_sig,))
+        if not ok & singles:
+            return b""
+        text = format(ok, "06561b")[::-1].encode()  # b"0" or b"1" at each code
+        return bytes(class_codes(text.translate(bytes.maketrans(b"01", b"\0\1"))))
 
 
 _MOD9_CACHE: dict[tuple[int, int], _Mod9Tables] = {}
@@ -245,8 +245,7 @@ def _mod9_tables(params: RingParams) -> _Mod9Tables:
     key = (params.a % 9, params.b % 9)
     tabs = _MOD9_CACHE.get(key)
     if tabs is None:
-        tabs = _Mod9Tables(*key)
-        _MOD9_CACHE[key] = tabs
+        tabs = _MOD9_CACHE[key] = _Mod9Tables(*key)
     return tabs
 
 
@@ -316,6 +315,7 @@ class _SearchSpace:
         self._groups: dict[Coeffs, _ParityGroups] = {}
         self._greatest: dict[int, int] = {}
         self._sig_pair_memo: dict[Coeffs, list[_SigPair]] = {}
+        self._first_ok_memo: dict[Coeffs, bytes] = {}
 
     def pack(self, t: Coeffs) -> int | None:
         """The packed form of t, or None when a coefficient exceeds 2*M."""
@@ -450,6 +450,13 @@ class _SearchSpace:
                         if groups and mates:
                             got.append((groups, sign, mates, mate_sign, h == mh and l == ml))
             self._sig_pair_memo[target_sig] = got
+        return got
+
+    def first_root_classes(self, target_sig: Coeffs) -> bytes:
+        """``_Mod9Tables.first_root_classes``, memoised for this search."""
+        got = self._first_ok_memo.get(target_sig)
+        if got is None:
+            got = self._first_ok_memo[target_sig] = self._tabs.first_root_classes(target_sig)
         return got
 
     def pair_sets(self, target_sig: Coeffs, target_par: int) -> Iterator[tuple[_Side, _Side]]:
@@ -596,7 +603,7 @@ def _take_cells(space, t, outer, next_cell, least_hit, before_cell=lambda: None)
     race may hand a cell to two processes but skips none (the first write
     past n is n + 1 from a process that read n), and may leave
     ``least_hit`` above the least hit cell, never below it."""
-    first_ok = space._tabs.first_root_classes(_sig(t))
+    first_ok = space.first_root_classes(_sig(t))
     cells = _three_cube_cells(outer, t)
     while True:
         before_cell()
@@ -618,7 +625,7 @@ def _three_cube_worker(params, bound, t, outer, next_cell, least_hit, conn) -> N
 
 
 @contextlib.contextmanager
-def _three_cube_workers(params: RingParams, cfg: SearchConfig, t: Coeffs, workers: int):
+def _three_cube_workers(space: _SearchSpace, cfg: SearchConfig, t: Coeffs, workers: int):
     """The cell counter, the least hit cell and the ``workers - 1``
     processes that scan the 3-cube cells beside the search's own, each
     with the read end of its one-way pipe; or None when that scan runs
@@ -633,7 +640,7 @@ def _three_cube_workers(params: RingParams, cfg: SearchConfig, t: Coeffs, worker
     """
     cells = len(_three_cube_cells(cfg.outer, t))
     workers = _clamp_workers(workers, cells)
-    if workers == 1 or cfg.max_cubes < 3 or not _mod9_tables(params).first_root_classes(_sig(t)):
+    if workers == 1 or cfg.max_cubes < 3 or not space.first_root_classes(_sig(t)):
         yield None
         return
     import multiprocessing  # only here, so importing the package stays light
@@ -648,7 +655,7 @@ def _three_cube_workers(params: RingParams, cfg: SearchConfig, t: Coeffs, worker
             with writer:
                 proc = ctx.Process(
                     target=_three_cube_worker,
-                    args=(params, cfg.coeff_bound, t, cfg.outer, next_cell, least_hit, writer),
+                    args=(space.params, space.bound, t, cfg.outer, next_cell, least_hit, writer),
                     daemon=True,
                 )
                 proc.start()
@@ -663,13 +670,9 @@ def _three_cube_workers(params: RingParams, cfg: SearchConfig, t: Coeffs, worker
 
 
 def _scan_three(
-    space: _SearchSpace,
-    tabs: _Mod9Tables,
-    t: Coeffs,
-    outer: int,
-    parallel,
+    space: _SearchSpace, tabs: _Mod9Tables, t: Coeffs, outer: int, parallel
 ) -> tuple[Coeffs, Coeffs, Coeffs] | None:
-    first_ok = tabs.first_root_classes(_sig(t))
+    first_ok = space.first_root_classes(_sig(t))
     if not first_ok:
         return None
     if parallel is None:
@@ -703,19 +706,11 @@ def _scan_three(
 
 
 def _scan_four(
-    space: _SearchSpace,
-    tabs: _Mod9Tables,
-    t: Coeffs,
-    outer: int,
+    space: _SearchSpace, tabs: _Mod9Tables, t: Coeffs, outer: int
 ) -> tuple[Coeffs, ...] | None:
     a, b = space.params.a, space.params.b
-    rng = range(-outer, outer + 1)
-    for w in product(rng, *(_outer_span(outer, ti) for ti in t[1:])):
-        t1 = _sub4(t, cube_coeffs(a, b, w))
-        first_ok = tabs.first_root_classes(_sig(t1))
-        if not first_ok:
-            continue
-        res = _scan_three_range(space, tabs, t1, outer, first_ok, rng)
+    for w in product(range(-outer, outer + 1), *(_outer_span(outer, ti) for ti in t[1:])):
+        res = _scan_three(space, tabs, _sub4(t, cube_coeffs(a, b, w)), outer, None)
         if res is not None:
             return (w, *res)
     return None
@@ -758,7 +753,7 @@ def min_cubes_search(
     space = _SearchSpace(params, cfg.coeff_bound)
     tabs = _mod9_tables(params)
 
-    with _three_cube_workers(params, cfg, t, workers) as parallel:
+    with _three_cube_workers(space, cfg, t, workers) as parallel:
         for k in range(1, cfg.max_cubes + 1):
             found: tuple[Coeffs, ...] | None = None
             if k == 1:

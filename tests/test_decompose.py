@@ -344,6 +344,14 @@ class TestVerify:
         dec = Decomposition(Quaternion.scalar(p, 0), roots, classify_case(p))
         assert not verify(dec)
 
+    def test_rejects_a_case_the_ring_does_not_have(self):
+        # labelled case 1, six roots would pass the root bound; the ring
+        # (3, 3) is case 3, which allows 5
+        p = RingParams(3, 3)
+        roots = tuple(Quaternion.scalar(p, n) for n in (1, 1, 1, -1, -1, -1))
+        dec = Decomposition(Quaternion.scalar(p, 0), roots, CaseTag(Case.CASE1))
+        assert not verify(dec)
+
     def test_rejects_roots_from_another_ring(self):
         p = RingParams(1, 1)
         roots = tuple(Quaternion.scalar(RingParams(2, 1), n) for n in (2, 0, -1, -1))

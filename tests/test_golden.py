@@ -1,13 +1,14 @@
-"""Golden outputs: decompose, search and check-lemmas bytes, parser
-error messages.
+"""Golden outputs: decompose, search, check-lemmas and check-lower-bounds
+bytes, parser error messages.
 
 The expected values were recorded from the object-based decomposer and
 the character-by-character parser that preceded the tuple core and the
 regex parser, from the search whose cube groups were split by signature
-mod 9 alone, and from the lemma check that certified the recipes through
-``Quaternion`` and ``ResidueClass`` objects.  All are part of the CLI's
-contract, so any change to them is a change of behaviour, not a
-refactor.
+mod 9 alone, from the lemma check that certified the recipes through
+``Quaternion`` and ``ResidueClass`` objects, and from the lower-bound
+check while the shared mod-9 tables still memoised first-root masks.
+All are part of the CLI's contract, so any change to them is a change
+of behaviour, not a refactor.
 """
 
 import hashlib
@@ -158,3 +159,21 @@ LEMMAS_JSON_SHA256 = "c66d6fe0eabed6705c32e9deef59ff65175eacbad2e365c27dc2ad958f
 def test_check_lemmas_bytes_match_recorded_hash(capsys, flags, digest):
     assert main(["check-lemmas", *flags]) == 0
     assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
+
+
+# check-lower-bounds output, text and --json, for every ring (a, b) with
+# a and b in 1..9: all 81 classes mod 9, each run's output in turn
+LOWER_BOUNDS_SHA256 = "9636926826fd7f0124169d94dc11f2bedbd5dcee1df96ad8f9636e3d182a025a"
+LOWER_BOUNDS_JSON_SHA256 = "5f656a0a83ddb77ba84f386e78cdde9dd5d3df7276da1e54ad0f2eae71d5748c"
+
+
+@pytest.mark.parametrize(
+    "flags, digest", [((), LOWER_BOUNDS_SHA256), (("--json",), LOWER_BOUNDS_JSON_SHA256)]
+)
+def test_check_lower_bounds_bytes_match_recorded_hash(capsys, flags, digest):
+    out = []
+    for a in range(1, 10):
+        for b in range(1, 10):
+            assert main(["check-lower-bounds", "--ring", f"{a},{b}", *flags]) == 0
+            out.append(capsys.readouterr().out)
+    assert hashlib.sha256("".join(out).encode()).hexdigest() == digest

@@ -64,6 +64,20 @@ def test_search_config_validation():
     assert SearchConfig(max_cubes=3, coeff_bound=7, outer_bound=2).outer == 2
 
 
+@pytest.mark.parametrize("build", [
+    lambda: RingParams(1.5, 2),
+    lambda: RingParams(True, True),
+    lambda: SearchConfig(max_cubes=2.5),
+    lambda: SearchConfig(3, coeff_bound=2.0),
+], ids=["float-ring", "bool-ring", "float-max-cubes", "float-coeff-bound"])
+def test_ring_parameters_and_search_bounds_must_be_ints(build):
+    # a float ring would classify as some case and fail verification;
+    # True would print as "True" in the decompose payload; float bounds
+    # would fail deep inside range()
+    with pytest.raises(TypeError, match="must be ints"):
+        build()
+
+
 class TestThreeCubeResidues:
     def test_exact_set(self):
         assert three_cube_residues_mod9() == {0, 1, 2, 3, 6, 7, 8}
@@ -144,7 +158,8 @@ class TestSignatureSets:
 
     def test_shared_tables_agree_across_threads(self):
         # threads share _MOD9_CACHE entries: on one fresh instance, threads
-        # that build its sets and masks at once must agree with a lone one
+        # that build its sets at once, and read masks from them, must agree
+        # with a lone one
         ring = (1, 1)
         rng = random.Random(20261019)
         sigs = [(3, 3, 0, 0), (4, 0, 0, 0)] + [tuple(rng.randrange(9) for _ in range(4)) for _ in range(20)]
@@ -198,8 +213,9 @@ class TestMod9Tables:
     def test_first_root_classes_is_a_byte_mask_by_class(self, ring):
         # byte n says whether class n's cube leaves a sum of two cube
         # signatures; a signature no class passes gets the empty mask, so
-        # each memo entry holds at most one byte per class
-        tabs = _Mod9Tables(*ring)
+        # each entry of a search's memo holds at most one byte per class
+        space = _SearchSpace(RingParams(*ring), 1)
+        tabs = space._tabs
 
         def add(s, u):
             return tuple((x + y) % 9 for x, y in zip(s, u))
@@ -209,15 +225,33 @@ class TestMod9Tables:
         sigs = {(4, 0, 0, 0), (3, 0, 0, 0)}
         sigs.update(tuple(rng.randrange(9) for _ in range(4)) for _ in range(30))
         for t in sigs:
-            mask = tabs.first_root_classes(t)
+            mask = space.first_root_classes(t)
             expected = [int(add(t, _neg9(cs)) in pairs) for cs in tabs.cube_sig]
             assert type(mask) is bytes
             assert list(mask) == (expected if any(expected) else [])
             assert bool(mask) == any(expected)
-        assert len(tabs._first_ok_memo) == len(sigs)
-        assert all(sys.getsizeof(m) < 6561 + 100 for m in tabs._first_ok_memo.values())
+            assert space.first_root_classes(t) is mask and tabs.first_root_classes(t) == mask
+        assert len(space._first_ok_memo) == len(sigs)
+        assert all(sys.getsizeof(m) < 6561 + 100 for m in space._first_ok_memo.values())
         if ring == (3, 3):
-            assert not tabs.first_root_classes((4, 0, 0, 0))
+            assert not space.first_root_classes((4, 0, 0, 0))
+
+    def test_searches_leave_no_mask_in_the_shared_tables(self, monkeypatch):
+        # the process-wide cache holds only per-ring tables: the masks a
+        # search reads stay in its own space and go with it
+        monkeypatch.setattr(search, "_MOD9_CACHE", {})
+        flagship = min_cubes_search(
+            Quaternion(LIPSCHITZ, 3, 3, 0, 0), SearchConfig(max_cubes=3, coeff_bound=10, outer_bound=6)
+        )
+        assert len(flagship) == 3
+        four = min_cubes_search(scalar(RingParams(3, 3), 4), SearchConfig(4, 1, 1))
+        assert len(four) == 4
+        assert len(search._MOD9_CACHE) == 2
+        for tabs in search._MOD9_CACHE.values():
+            held = [getattr(tabs, name) for name in tabs.__slots__]
+            held += [v for h in held if isinstance(h, dict) for v in h.values()]
+            held += [v for h in held if isinstance(h, tuple) for v in h]
+            assert not any(isinstance(h, bytes) for h in held)
 
 
 class TestTwoCubeObstruction:
