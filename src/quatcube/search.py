@@ -25,13 +25,14 @@ parity, ``big.keys() & {±T ∓ h for h in small}`` runs in C.  Three cubes
 scan the outer root in lexicographic order and meet the remainder; with N
 workers, the search's process and N - 1 spawned ones take the outer box's
 ``(w0, w1)`` cells in turn, and the least cell that hits gives the
-witness.  Negating pure coefficients commutes with cubing, so where the
-target has a zero pure coefficient the least witness's outer root is not
-positive there, and the scan skips the outer roots that are
-(:func:`_outer_span`).  That symmetry and the mod-9 and mod-2 patterns of
-cubes (and of sums of two or three cubes) prune only regions proven to
-hold no least witness, so results are identical with and without them, and
-parallel runs return exactly what a serial run returns.
+witness.  A signed permutation of the pure coefficients that keeps the
+weights (a, b, ab) of the norm form commutes with cubing, so one that also
+fixes the target maps witnesses to witnesses, and the least witness's
+outer root is the least of its orbit: the scans visit only those
+(:meth:`_SearchSpace.outer_roots`).  That symmetry and the mod-9 and mod-2 patterns of cubes (and of sums of two or
+three cubes) prune only regions proven to hold no least witness, so
+results are identical with and without them, and parallel runs return
+exactly what a serial run returns.
 """
 
 from __future__ import annotations
@@ -42,7 +43,7 @@ import operator
 import os
 from collections.abc import Iterator
 from dataclasses import dataclass
-from itertools import islice, product
+from itertools import islice, permutations, product
 
 from .decompose import _congruence_root, _pair, _swap
 # cube_root_congruence, select_pair, cube and swap_iso are not called
@@ -71,12 +72,12 @@ class SearchConfig:
     smaller) outer_bound box, defaulting to coeff_bound.  Absence within
     a box is never a proof of non-representability.
 
-    With n = 2*outer + 1, the 3-cube stage makes at most n**4 two-cube
-    meets (one per outer root) and the 4-cube stage at most n**8 (one
-    per pair of outer roots).  Each pure coefficient the target has zero
-    cuts its factor of the outer scan from n to outer + 1, since outer
-    roots that are positive there are skipped; in the 4-cube stage the
-    inner scan follows the zeros of each remainder.
+    The 3-cube stage makes at most one two-cube meet per outer root it
+    scans, and the 4-cube stage one per pair of outer roots.  Of the
+    n**4 roots of the outer box, n = 2*outer + 1, a scan takes n times
+    the number of orbits of pure parts under the symmetries of its
+    target or remainder (see :meth:`_SearchSpace.outer_roots`); for 3+3i
+    in ring (1, 1) at outer 6 that is 13 * 13 * 28 of the 13**4.
     """
 
     max_cubes: int
@@ -261,6 +262,10 @@ _Side = tuple[dict[int, int], int]
 # signatures are one
 _SigPair = tuple[_ParityGroups, int, _ParityGroups, int, bool]
 
+# the pure parts (w1, w2, w3) of a scan's outer roots: each w1's rows
+# (w2, the w3 values), all in increasing order
+_OuterRows = dict[int, list[tuple[int, list[int]]]]
+
 
 class _SearchSpace:
     """Cube groups for one (ring, coeff_bound) box, built one ± pair of
@@ -316,6 +321,18 @@ class _SearchSpace:
         self._greatest: dict[int, int] = {}
         self._sig_pair_memo: dict[Coeffs, list[_SigPair]] = {}
         self._first_ok_memo: dict[Coeffs, bytes] = {}
+        # the signed permutations of (c1, c2, c3) that keep the weights
+        # (a, b, ab) of P, each as (p0, p1, p2, s0, s1, s2): it sends the
+        # pure part v to (s0*v[p0], s1*v[p1], s2*v[p2])
+        weights = (a, b, a * b)
+        self._moves = [
+            (*p, *signs)
+            for p in permutations(range(3))
+            if all(weights[i] == weights[p[i]] for i in range(3))
+            for signs in product((1, -1), repeat=3)
+        ]
+        self._outer_memo: dict[tuple, _OuterRows] = {}
+        self._orbit_memo: dict[tuple, _OuterRows] = {}
 
     def pack(self, t: Coeffs) -> int | None:
         """The packed form of t, or None when a coefficient exceeds 2*M."""
@@ -459,6 +476,43 @@ class _SearchSpace:
             got = self._first_ok_memo[target_sig] = self._tabs.first_root_classes(target_sig)
         return got
 
+    def outer_roots(self, t: Coeffs, outer: int) -> _OuterRows:
+        """The pure parts (w1, w2, w3) of the outer roots in the box of
+        ``outer`` that a scan for t visits: those least in their orbit
+        under G_t, the signed permutations of (c1, c2, c3) that keep the
+        weights (a, b, ab) of P = a*c1**2 + b*c2**2 + ab*c3**2 and fix t's
+        pure part.  Memoised per stabiliser G_t and outer.
+
+        Such a map g is linear and keeps P, so it commutes with cubing:
+        the cube of x0 + v, v pure, is a real part that depends on v only
+        through P, plus ``(3*x0**2 - P) * v`` (see ``cube_coeffs``).  It
+        maps each box onto itself and fixes t, so applying g to every root
+        of a witness gives a witness.  The outer roots that start a
+        witness are thus closed under G_t (g keeps w0), and the least of
+        them is the least of its orbit.  A scan takes the least such root
+        and the least completion of its remainder, so it finds the same
+        witness on the orbits' least roots alone.
+
+        G_t holds the sign flips of the coefficients where t is 0, and
+        the swaps of two coefficients with equal weights that fix t up to
+        sign, such as the j, k swap for 3+3i in ring (1, 1).
+        """
+        _, u1, u2, u3 = t
+        # which coefficients are 0 and which pairs equal or opposite decide G_t
+        key = (outer, u1 == 0, u2 == 0, u3 == 0)
+        key += (u1 == u2, u1 == -u2, u1 == u3, u1 == -u3, u2 == u3, u2 == -u3)
+        got = self._outer_memo.get(key)
+        if got is None:
+            u = t[1:]
+            group = tuple(
+                m for m in self._moves if (m[3] * u[m[0]], m[4] * u[m[1]], m[5] * u[m[2]]) == u
+            )
+            got = self._orbit_memo.get((group, outer))
+            if got is None:
+                got = self._orbit_memo[group, outer] = _orbit_least(group, outer)
+            self._outer_memo[key] = got
+        return got
+
     def pair_sets(self, target_sig: Coeffs, target_par: int) -> Iterator[tuple[_Side, _Side]]:
         """(smaller, larger) groups with their signs, whose signatures sum
         to target_sig mod 9 and whose parities XOR to target_par, each
@@ -509,27 +563,23 @@ def _sub4(t: Coeffs, c: Coeffs) -> Coeffs:
     return (t[0] - c[0], t[1] - c[1], t[2] - c[2], t[3] - c[3])
 
 
-def _outer_span(outer: int, ti: int) -> range:
-    """The values an outer root's pure coefficient i takes in a scan for
-    a target whose coefficient i is ti: all of [-outer, outer], or only
-    [-outer, 0] when ti is 0.
-
-    Negating any set of pure coefficients commutes with cubing in every
-    ring (a, b): the cube of x0 + v, v pure, is a real part that depends
-    on the pure coefficients only through their squares, plus
-    ``(3*x0**2 - P) * v``, with P a sum of their squares (see
-    ``cube_coeffs``).  (Negating two of them is conjugation by i, j or k,
-    an automorphism; negating all three is quaternion conjugation, an
-    anti-automorphism, which still sends x**3 to conj(x)**3.)  So when
-    ti is 0, negating coefficient i of every root of a witness gives
-    another witness, in the same boxes.  The outer roots that start a
-    witness are thus closed under negating coefficient i, and the least
-    of them has w_i <= 0: were w_i > 0, negating it would give a root
-    that agrees with w up to coefficient i and is smaller there.  A scan
-    takes the least such outer root and the least completion of its
-    remainder, so it finds the same witness on the smaller range.
-    """
-    return range(-outer, 1 if ti == 0 else outer + 1)
+def _orbit_least(group: tuple, outer: int) -> _OuterRows:
+    """The pure parts in [-outer, outer]**3 that are least in their orbit
+    under group (see :meth:`_SearchSpace.outer_roots`), as rows."""
+    identity = (0, 1, 2)
+    # the sign flips in group are those of some set of coefficients, and
+    # v is least under them exactly when it is not positive in that set
+    flips = {i for m in group if m[:3] == identity for i in range(3) if m[3 + i] < 0}
+    spans = [range(-outer, 1 if i in flips else outer + 1) for i in range(3)]
+    swaps = [m for m in group if m[:3] != identity]
+    table: dict[int, dict[int, list[int]]] = {}
+    for v in product(*spans):
+        for p0, p1, p2, s0, s1, s2 in swaps:
+            if (s0 * v[p0], s1 * v[p1], s2 * v[p2]) < v:
+                break
+        else:
+            table.setdefault(v[0], {}).setdefault(v[1], []).append(v[2])
+    return {w1: list(rows.items()) for w1, rows in table.items()}
 
 
 def _scan_three_cell(
@@ -548,9 +598,8 @@ def _scan_three_cell(
     true the cell's result is no longer wanted and None comes back.
     """
     a, b = space.params.a, space.params.b
-    w3_values = _outer_span(outer, t[3])
     cell_class = w0 % 9 * 729 + w1 % 9 * 81
-    for w2 in _outer_span(outer, t[2]):
+    for w2, w3_values in space.outer_roots(t, outer)[w1]:
         if stop is not None and stop():
             return None
         row_class = cell_class + w2 % 9 * 9
@@ -575,16 +624,17 @@ def _scan_three_range(
     """Least 3-cube witness whose outer root starts with one of w0_values,
     taken in order."""
     for w0 in w0_values:
-        for w1 in _outer_span(outer, t[1]):
+        for w1 in space.outer_roots(t, outer):
             res = _scan_three_cell(space, tabs, t, outer, first_ok, w0, w1)
             if res is not None:
                 return res
     return None
 
 
-def _three_cube_cells(outer: int, t: Coeffs) -> list[tuple[int, int]]:
+def _three_cube_cells(space: _SearchSpace, outer: int, t: Coeffs) -> list[tuple[int, int]]:
     """The (w0, w1) cells of a parallel 3-cube scan, in lexicographic order."""
-    return [(w0, w1) for w0 in range(-outer, outer + 1) for w1 in _outer_span(outer, t[1])]
+    w1_values = space.outer_roots(t, outer)
+    return [(w0, w1) for w0 in range(-outer, outer + 1) for w1 in w1_values]
 
 
 def _clamp_workers(requested: int, chunks: int) -> int:
@@ -604,7 +654,7 @@ def _take_cells(space, t, outer, next_cell, least_hit, before_cell=lambda: None)
     past n is n + 1 from a process that read n), and may leave
     ``least_hit`` above the least hit cell, never below it."""
     first_ok = space.first_root_classes(_sig(t))
-    cells = _three_cube_cells(outer, t)
+    cells = _three_cube_cells(space, outer, t)
     while True:
         before_cell()
         n = next_cell.value
@@ -638,7 +688,7 @@ def _three_cube_workers(space: _SearchSpace, cfg: SearchConfig, t: Coeffs, worke
     process takes a lock another shares, so leaving the context can
     terminate them at any moment.
     """
-    cells = len(_three_cube_cells(cfg.outer, t))
+    cells = len(_three_cube_cells(space, cfg.outer, t))
     workers = _clamp_workers(workers, cells)
     if workers == 1 or cfg.max_cubes < 3 or not space.first_root_classes(_sig(t)):
         yield None
@@ -709,7 +759,14 @@ def _scan_four(
     space: _SearchSpace, tabs: _Mod9Tables, t: Coeffs, outer: int
 ) -> tuple[Coeffs, ...] | None:
     a, b = space.params.a, space.params.b
-    for w in product(range(-outer, outer + 1), *(_outer_span(outer, ti) for ti in t[1:])):
+    roots = (
+        (w0, w1, w2, w3)
+        for w0 in range(-outer, outer + 1)
+        for w1, rows in space.outer_roots(t, outer).items()
+        for w2, w3_values in rows
+        for w3 in w3_values
+    )
+    for w in roots:
         res = _scan_three(space, tabs, _sub4(t, cube_coeffs(a, b, w)), outer, None)
         if res is not None:
             return (w, *res)
@@ -736,10 +793,11 @@ def min_cubes_search(
     only the signatures that can sum to its target (about 50 of the 513
     in ring (1, 1)).  Three cubes scan the outer root (in the outer_bound
     box) and meet the remainder, four cubes scan an outer root and run
-    the 3-cube stage on the remainder.  Where the target (or remainder)
-    has a zero pure coefficient, the scan skips outer roots positive
-    there: negating that coefficient of every root maps witnesses to
-    witnesses, so such a root never starts the least witness.
+    the 3-cube stage on the remainder.  A scan takes one outer root per
+    orbit of the signed permutations of the pure coefficients that keep
+    the norm form's weights (a, b, ab) and fix the target (or remainder):
+    such a map sends witnesses to witnesses, so only the least root of an
+    orbit can start the least witness.
     ``workers`` > 1 cuts the 3-cube scan into ``(w0, w1)`` cells of the outer
     root's first two coefficients, which this process and ``workers - 1``
     spawned ones (no more than the CPUs or the cells in all) take in turn;

@@ -7,7 +7,7 @@ import threading
 import time
 import types
 from functools import lru_cache
-from itertools import product
+from itertools import permutations, product
 
 import pytest
 from hypothesis import given, settings
@@ -704,8 +704,8 @@ class TestMinCubesSearch:
         # at EOF) is reported before this process takes its next cell, not
         # after it has scanned every cell of a box with no witness
         params, t, outer = RingParams(2, 1), (3, 37, -3, 0), 4
-        cells = len(search._three_cube_cells(outer, t))
         space = _SearchSpace(params, 2)
+        cells = len(search._three_cube_cells(space, outer, t))
         next_cell = multiprocessing.RawValue("i", 0)
         least_hit = multiprocessing.RawValue("i", cells)
         reader, writer = multiprocessing.Pipe(duplex=False)
@@ -723,7 +723,7 @@ class TestMinCubesSearch:
         # interleave between a read and its write; the box holds no
         # witness, so every cell must be scanned, some perhaps twice
         params, t = RingParams(2, 1), (3, 37, -3, 0)
-        cells = search._three_cube_cells(2, t)
+        cells = search._three_cube_cells(_SearchSpace(params, 1), 2, t)
         scanned = []
         scan_cell = search._scan_three_cell
 
@@ -810,23 +810,68 @@ def _record_spawned(monkeypatch):
     return started
 
 
-def _random_sums(params, n_cubes, count, seed):
-    """Seeded sums of n_cubes cubes of roots in the box of 1, with the
-    i coefficient 0, so a scan may skip outer roots with w1 > 0."""
+def _random_sums(params, n_cubes, count, seed, keep=lambda t: t[1] == 0):
+    """Seeded sums of n_cubes cubes of roots in the box of 1 that pass
+    keep; by default those with the i coefficient 0, so a scan may skip
+    outer roots with w1 > 0."""
     rng = random.Random(seed)
     box = list(product(range(-1, 2), repeat=4))
     targets = []
     while len(targets) < count:
         roots = [rng.choice(box) for _ in range(n_cubes)]
         t = tuple(map(sum, zip(*(cube_coeffs(params.a, params.b, x) for x in roots))))
-        if t[1] == 0:
+        if keep(t):
             targets.append(Quaternion(params, *t))
     return targets
 
 
+def _symmetries(ring, u):
+    """The signed permutations of pure parts (c1, c2, c3), as functions,
+    that keep the norm form a*c1**2 + b*c2**2 + ab*c3**2 and fix u: each
+    of the 48 is tried."""
+    a, b = ring
+
+    def norm(v):
+        return a * v[0] ** 2 + b * v[1] ** 2 + a * b * v[2] ** 2
+
+    units = [(1, 0, 0), (0, 1, 0), (0, 0, 1)]
+    group = []
+    for perm in permutations(range(3)):
+        for signs in product((1, -1), repeat=3):
+
+            def g(v, perm=perm, signs=signs):
+                return tuple(s * v[p] for s, p in zip(signs, perm))
+
+            # a signed permutation keeps the form when it keeps each unit's norm
+            if all(norm(g(e)) == norm(e) for e in units) and g(u) == u:
+                group.append(g)
+    return group
+
+
+def _orbit_least(ring, u, outer):
+    """The pure parts of the box of outer, in lexicographic order, that are
+    least in their orbit under :func:`_symmetries`."""
+    group = _symmetries(ring, u)
+    box = product(range(-outer, outer + 1), repeat=3)
+    return [v for v in box if all(v <= g(v) for g in group)]
+
+
+def _symmetric(t):
+    """Whether t's pure part has a zero or two equal or opposite
+    coefficients, so that some signed permutation may fix it."""
+    u = t[1:]
+    return 0 in u or any(abs(u[i]) == abs(u[j]) for i, j in ((0, 1), (0, 2), (1, 2)))
+
+
+# rings whose weights (a, b, ab) allow the i, j swap (2, 2) and (3, 3), the
+# j, k swap (1, 3), the i, k swap (3, 1), every swap (1, 1), and none (2, 3)
+SYMMETRY_RINGS = [(1, 1), (1, 3), (3, 1), (2, 2), (3, 3), (2, 3)]
+
+
 class TestOuterRootSymmetry:
-    # negating pure coefficients commutes with cubing, so scans skip outer
-    # roots with w_i > 0 where the target has t_i == 0
+    # a signed permutation of the pure coefficients that keeps the norm
+    # form's weights commutes with cubing, so scans take only the outer
+    # roots least in their orbit under those that fix the target
 
     @given(
         st.integers(-50, 50),
@@ -840,6 +885,77 @@ class TestOuterRootSymmetry:
             return (c[0], signs[0] * c[1], signs[1] * c[2], signs[2] * c[3])
 
         assert cube_coeffs(a, b, flip(x)) == flip(cube_coeffs(a, b, x))
+
+    @given(
+        st.sampled_from(SYMMETRY_RINGS),
+        st.tuples(*(st.integers(-30, 30),) * 4),
+        st.tuples(*(st.integers(-3, 3),) * 3),
+    )
+    @settings(deadline=None, max_examples=200)
+    def test_norm_preserving_signed_permutations_commute_with_cubing(self, ring, x, u):
+        a, b = ring
+        for g in _symmetries(ring, u):
+            def act(c):
+                return (c[0], *g(c[1:]))
+
+            assert cube_coeffs(a, b, act(x)) == act(cube_coeffs(a, b, x))
+
+    @pytest.mark.parametrize("ring", SYMMETRY_RINGS)
+    def test_outer_roots_are_the_orbit_least_pure_parts(self, ring):
+        space = _SearchSpace(RingParams(*ring), 1)
+        for outer in (1, 2):
+            for u in product(range(-2, 3), repeat=3):
+                t = (0, *u)
+                rows = space.outer_roots(t, outer)
+                got = [(w1, w2, w3) for w1, ws in rows.items() for w2, w3s in ws for w3 in w3s]
+                assert got == _orbit_least(ring, u, outer)
+
+    @pytest.mark.parametrize("ring", SYMMETRY_RINGS)
+    def test_symmetric_three_cube_targets_match_brute_force(self, ring):
+        params = RingParams(*ring)
+        cfg = SearchConfig(max_cubes=3, coeff_bound=1, outer_bound=1)
+        targets = _random_sums(params, 3, 16, 10 * ring[0] + ring[1], _symmetric)
+        targets += [scalar(params, n) for n in (-5, 3, 4, 11)]
+        targets += [Quaternion(params, 2, *u) for u in ((3, 0, 0), (0, -3, 0), (0, 0, 5))]
+        # equal and opposite j and k, the pair a (1, b) ring may swap, and the same on i
+        pure = ((0, 2, 2), (0, 2, -2), (2, 2, 0), (2, 0, -2))
+        targets += [Quaternion(params, 1, *u) for u in pure]
+        got = [min_cubes_search(t, cfg) for t in targets]
+        assert got == [_brute_min_cubes(t, 3, 1, 1) for t in targets]
+        three = [i for i, r in enumerate(got) if r is not None and len(r) == 3]
+        assert len(three) >= 4
+        if CPUS >= 2:
+            i = three[-1]
+            assert min_cubes_search(targets[i], cfg, workers=2) == got[i]
+
+    @pytest.mark.parametrize("ring", SYMMETRY_RINGS)
+    def test_symmetric_four_cube_targets_match_brute_force(self, ring):
+        params = RingParams(*ring)
+        cfg = SearchConfig(max_cubes=4, coeff_bound=1, outer_bound=1)
+        targets = _random_sums(params, 4, 5, 10 * ring[0] + ring[1], _symmetric)
+        targets += [scalar(params, n) for n in (4, -13)]
+        targets += [Quaternion(params, 1, 0, 2, 2), Quaternion(params, 1, 0, 2, -2)]
+        got = [min_cubes_search(t, cfg) for t in targets]
+        assert got == [_brute_min_cubes(t, 4, 1, 1) for t in targets]
+        if CPUS >= 2:
+            assert min_cubes_search(targets[0], cfg, workers=2) == got[0]
+
+    def test_four_cube_stage_builds_each_orbit_table_once(self, monkeypatch):
+        # the remainders of a 4-cube scan share a few stabilisers; each
+        # (stabiliser, outer) gets its outer roots built once
+        built = []
+        orbit_least = search._orbit_least
+
+        def record(group, outer):
+            built.append((group, outer))
+            return orbit_least(group, outer)
+
+        monkeypatch.setattr(search, "_orbit_least", record)
+        # no witness in the box, so every outer root and remainder is scanned
+        target = scalar(RingParams(3, 3), -13)
+        cfg = SearchConfig(max_cubes=4, coeff_bound=1, outer_bound=1)
+        assert min_cubes_search(target, cfg) is None is _brute_min_cubes(target, 4, 1, 1)
+        assert len(built) > 2 and len(set(built)) == len(built)
 
     @pytest.mark.parametrize("ring", [(1, 1), (2, 1), (2, 2), (3, 2)])
     def test_three_cubes_match_brute_force_with_zero_pure_parts(self, ring):
@@ -893,10 +1009,11 @@ class TestOuterRootSymmetry:
         assert search._scan_three(space, tabs, coeffs, outer, None) is None
         rng = range(-outer, outer + 1)
         zero = [i for i in (1, 2, 3) if coeffs[i] == 0]
+        least = set(_orbit_least((1, 1), coeffs[1:], outer))
         expected = [
             w for w in product(rng, repeat=4)
             if first_ok[((w[0] % 9 * 9 + w[1] % 9) * 9 + w[2] % 9) * 9 + w[3] % 9]
-            and all(w[i] <= 0 for i in zero)
+            and w[1:] in least
         ]
         assert scanned == expected
         if not zero:
@@ -910,17 +1027,17 @@ class TestOuterRootSymmetry:
         scanned = self._record_outer_roots(monkeypatch, "_scan_three_range")
         assert search._scan_four(space, tabs, coeffs, outer) is None
         rng = range(-outer, outer + 1)
-        spans = [range(-outer, 1) if c == 0 else rng for c in coeffs[1:]]
-        assert scanned == list(product(rng, *spans))
+        least = _orbit_least((3, 3), coeffs[1:], outer)
+        assert scanned == [(w0, *v) for w0 in rng for v in least]
 
     @pytest.mark.parametrize("coeffs, cells", [((7, 0, 5, 0), 5 * 3), ((7, 3, 0, 0), 5 * 5)])
     def test_parallel_cells_skip_positive_w1(self, coeffs, cells):
         # the cells the workers scan, by number, and that _clamp_workers counts
-        got = search._three_cube_cells(2, coeffs)
+        got = search._three_cube_cells(_SearchSpace(LIPSCHITZ, 1), 2, coeffs)
         assert len(got) == cells and got == sorted(got)
         assert all(w1 <= 0 for _, w1 in got) == (coeffs[1] == 0)
 
-    def test_flagship_scans_582_outer_roots(self, monkeypatch):
+    def test_flagship_scans_327_outer_roots(self, monkeypatch):
         calls = []
         scan_two = search._scan_two
         monkeypatch.setattr(search, "_scan_two", lambda *args: calls.append(1) or scan_two(*args))
@@ -928,7 +1045,7 @@ class TestOuterRootSymmetry:
         roots = min_cubes_search(target, SearchConfig(max_cubes=3, coeff_bound=10, outer_bound=6))
         assert [r.coefficients() for r in roots] == [(-5, -4, -4, -2), (5, 2, 6, 3), (6, 1, 0, 0)]
         # one call for the 2-cube stage, the rest for outer roots
-        assert len(calls) == 582
+        assert len(calls) == 327
 
 
 class TestLemmaResidueCheck:
