@@ -23,7 +23,7 @@ target ``T`` by set intersection: for each pair of groups whose signatures
 sum to the target's signature and whose parities XOR to the target's
 parity, ``big.keys() & {±T ∓ h for h in small}`` runs in C.  Three cubes
 scan the outer root in lexicographic order and meet the remainder; with N
-workers, the search's process and N - 1 spawned ones take the outer box's
+workers, the search's process and N - 1 helper ones take the outer box's
 ``(w0, w1)`` cells in turn, and the least cell that hits gives the
 witness.  A signed permutation of the pure coefficients that keeps the
 weights (a, b, ab) of the norm form commutes with cubing, so one that also
@@ -670,7 +670,7 @@ def _take_cells(space, t, outer, next_cell, least_hit, before_cell=lambda: None)
 
 
 def _three_cube_worker(params, bound, t, outer, next_cell, least_hit, conn) -> None:
-    """A spawned 3-cube worker: send what :func:`_take_cells` returns."""
+    """A 3-cube worker process: send what :func:`_take_cells` returns."""
     conn.send(_take_cells(_SearchSpace(params, bound), t, outer, next_cell, least_hit))
 
 
@@ -683,19 +683,30 @@ def _three_cube_workers(space: _SearchSpace, cfg: SearchConfig, t: Coeffs, worke
 
     The processes start before the 1- and 2-cube stages and scan at once;
     each builds the cube groups its cells meet, as a serial scan does.
-    They are spawned, not forked, so a caller's threads cannot leave them
-    holding a lock, and they get only small picklable arguments.  No
-    process takes a lock another shares, so leaving the context can
-    terminate them at any moment.
+    When this process has no other thread (counted by the OS, so C
+    threads such as faulthandler's watchdog count too) they are forked:
+    no interpreter starts, and they inherit the mod-9 tables built here.
+    Otherwise, or where the threads cannot be counted, they are spawned,
+    so another thread cannot leave them holding a lock, and a script
+    must guard its entry point.  Either way they get only small
+    arguments.  No process takes a lock another shares, so leaving the
+    context can terminate them at any moment.
     """
-    cells = len(_three_cube_cells(space, cfg.outer, t))
+    cells = 0
+    if workers > 1 and cfg.max_cubes >= 3 and space.first_root_classes(_sig(t)):
+        # counting the cells enumerates the outer box's orbit-least roots
+        cells = len(_three_cube_cells(space, cfg.outer, t))
     workers = _clamp_workers(workers, cells)
-    if workers == 1 or cfg.max_cubes < 3 or not space.first_root_classes(_sig(t)):
+    if workers == 1:
         yield None
         return
     import multiprocessing  # only here, so importing the package stays light
 
-    ctx = multiprocessing.get_context("spawn")
+    try:
+        single_thread = len(os.listdir("/proc/self/task")) == 1
+    except OSError:
+        single_thread = False
+    ctx = multiprocessing.get_context("fork" if single_thread else "spawn")
     next_cell, least_hit = ctx.RawValue("i", 0), ctx.RawValue("i", cells)
     procs = []
     try:
@@ -800,11 +811,14 @@ def min_cubes_search(
     orbit can start the least witness.
     ``workers`` > 1 cuts the 3-cube scan into ``(w0, w1)`` cells of the outer
     root's first two coefficients, which this process and ``workers - 1``
-    spawned ones (no more than the CPUs or the cells in all) take in turn;
+    helper ones (no more than the CPUs or the cells in all) take in turn;
     every cell before the least hit runs to its end, so the result is
-    identical to a serial run.  A dying spawned worker is reported before
-    this process takes its next cell; a script calling this with ``workers``
-    > 1 must guard its entry point with ``if __name__ == "__main__":``.
+    identical to a serial run.  The helpers are forked when this process
+    has no other thread and spawned otherwise (see
+    :func:`_three_cube_workers`).  A dying helper is reported before this
+    process takes its next cell; a script that calls this with ``workers``
+    > 1 from a process with other threads must guard its entry point with
+    ``if __name__ == "__main__":``.
     """
     params = alpha.params
     t = alpha.coefficients()

@@ -250,16 +250,34 @@ class TestCliDigitLimit:
         assert err == "error: 1+i is not in the cube subgroup of (3,3)\n"
 
 
+def _src_env():
+    """The environment of a child interpreter that imports this checkout."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+
+
 def test_importing_the_cli_leaves_multiprocessing_unimported():
     # only a parallel search needs multiprocessing, so no command pays for
-    # importing it up front
-    src = str(Path(__file__).resolve().parent.parent / "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        p for p in (src, os.environ.get("PYTHONPATH")) if p))
-    code = "import sys, quatcube.cli; print('multiprocessing' in sys.modules)"
-    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+    # importing it up front; nor does the package import threading (site
+    # may have imported it already)
+    code = ("import sys; before = set(sys.modules); import quatcube.cli; "
+            "print(sorted({'multiprocessing', 'threading'} & (set(sys.modules) - before)))")
+    proc = subprocess.run([sys.executable, "-c", code], env=_src_env(), capture_output=True,
                           text=True, timeout=60)
-    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "False\n", "")
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "[]\n", "")
+
+
+@pytest.mark.parametrize("workers", ["1", "2"])
+def test_two_cube_search_leaves_a_huge_outer_box_alone(workers):
+    # only the 3- and 4-cube stages scan the outer box; its 4001**3 pure
+    # parts would take hours to enumerate
+    argv = ["search", "--ring", "1,1", "--max-cubes", "2", "--bound", "3",
+            "--outer-bound", "2000", "--workers", workers, "3+3i"]
+    proc = subprocess.run([sys.executable, "-m", "quatcube.cli", *argv], env=_src_env(),
+                          capture_output=True, text=True, timeout=20)
+    assert proc.returncode == 1, proc.stderr
+    assert proc.stdout.startswith("no representation with at most 2 cubes")
 
 
 def test_json_stable_across_runs(capsys):
@@ -278,13 +296,10 @@ def test_json_stable_across_runs(capsys):
 def test_closed_stdout_exits_141_without_a_traceback(argv):
     # the read end is closed before the child starts, so its first write
     # to stdout fails with EPIPE, as under `quatcube check-lemmas | head -1`
-    src = str(Path(__file__).resolve().parent.parent / "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        p for p in (src, os.environ.get("PYTHONPATH")) if p))
     read_end, write_end = os.pipe()
     os.close(read_end)
     try:
-        proc = subprocess.run([sys.executable, "-m", "quatcube.cli", *argv], env=env,
+        proc = subprocess.run([sys.executable, "-m", "quatcube.cli", *argv], env=_src_env(),
                               stdout=write_end, stderr=subprocess.PIPE, text=True, timeout=60)
     finally:
         os.close(write_end)

@@ -3,9 +3,11 @@
 The verification gates must hold under ``python -O``, which strips
 ``assert`` statements, a parallel search whose worker processes die
 must fail instead of waiting for results that never come, and a
-parallel search must always shut its workers down.
+parallel search must always shut its workers down, whether it forked
+them or spawned them.
 """
 
+import json
 import os
 import signal
 import subprocess
@@ -103,14 +105,21 @@ def test_reproduce_bounds_fails_on_an_unverified_decomposition_under_python_O():
 
 
 _UNGUARDED = """
+import sys
+import threading
+
 from quatcube import Quaternion, RingParams, SearchConfig, min_cubes_search
 
-# no `if __name__ == "__main__":` guard, so every spawned worker dies starting
-min_cubes_search(
+if sys.argv[1:] == ["thread"]:
+    # a second thread makes the search spawn its workers, not fork them
+    threading.Thread(target=threading.Event().wait, daemon=True).start()
+# no `if __name__ == "__main__":` guard, so every spawned worker dies
+# starting; a forked one does not run this script again
+print(min_cubes_search(
     Quaternion(RingParams(1, 1), 3, 3, 0, 0),
     SearchConfig(max_cubes=3, coeff_bound=2, outer_bound=1),
     workers=2,
-)
+))
 """
 
 
@@ -118,10 +127,89 @@ min_cubes_search(
 def test_dying_search_workers_raise_instead_of_hanging(tmp_path):
     script = tmp_path / "unguarded.py"
     script.write_text(_UNGUARDED)
-    proc = _run([str(script)], timeout=60)
+    proc = _run([str(script), "thread"], timeout=60)
     assert proc.returncode != 0
     assert "QuatcubeError" in proc.stderr
     assert "__main__" in proc.stderr
+
+
+@pytest.mark.skipif(CPUS < 2, reason="3-cube workers need two CPUs")
+def test_unguarded_single_threaded_search_forks_and_finds_the_serial_witness(tmp_path):
+    from quatcube import Quaternion, RingParams, SearchConfig, min_cubes_search
+
+    serial = min_cubes_search(Quaternion(RingParams(1, 1), 3, 3, 0, 0), SearchConfig(3, 2, 1))
+    script = tmp_path / "unguarded.py"
+    script.write_text(_UNGUARDED)
+    proc = _run([str(script)], timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == f"{serial}\n"
+
+
+# records each worker process the search starts
+_RECORD_STARTS = """
+import contextlib
+
+from quatcube import search
+
+started = []
+_workers = search._three_cube_workers
+
+
+@contextlib.contextmanager
+def _recorded(*args):
+    with _workers(*args) as parallel:
+        if parallel is not None:
+            started.extend(proc for proc, _ in parallel[2])
+        yield parallel
+
+
+search._three_cube_workers = _recorded
+"""
+
+_START_METHOD = _RECORD_STARTS + """
+import faulthandler
+import json
+import multiprocessing
+import sys
+import threading
+from multiprocessing import resource_tracker
+
+from quatcube import Quaternion, RingParams, SearchConfig, min_cubes_search
+
+if __name__ == "__main__":
+    if sys.argv[1] == "thread":
+        threading.Thread(target=threading.Event().wait, daemon=True).start()
+    elif sys.argv[1] == "watchdog":
+        # a C thread, which the threading module does not see
+        faulthandler.dump_traceback_later(600)
+    # the witness's outer root sits in cell 22 of 25
+    target = Quaternion(RingParams(2, 1), -192, -16, -16, 0)
+    cfg = SearchConfig(max_cubes=3, coeff_bound=2, outer_bound=2)
+    same = min_cubes_search(target, cfg, workers=2) == min_cubes_search(target, cfg)
+    print(json.dumps({
+        "same": same,
+        "methods": [proc._start_method for proc in started],
+        "tracker": resource_tracker._resource_tracker._pid is not None,
+        "children": len(multiprocessing.active_children()),
+    }))
+"""
+
+
+@pytest.mark.skipif(CPUS < 2, reason="3-cube workers need two CPUs")
+@pytest.mark.parametrize("other_thread, method, tracker", [
+    ("none", "fork", False), ("thread", "spawn", True), ("watchdog", "spawn", True),
+])
+def test_workers_fork_only_when_the_search_has_no_other_thread(
+    tmp_path, other_thread, method, tracker
+):
+    # a forked worker needs no new interpreter and no resource tracker; a
+    # process with another thread spawns, as a fork could copy a held lock
+    script = tmp_path / "start_method.py"
+    script.write_text(_START_METHOD)
+    proc = _run([str(script), other_thread], timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    got = json.loads(proc.stdout)
+    assert got == {"same": True, "methods": [method], "tracker": tracker, "children": 0}
 
 
 _KILLED_WORKER = """
@@ -182,6 +270,63 @@ def test_search_worker_killed_mid_scan_raises(tmp_path):
     assert "exited with code -9" in out
 
 
+_KILLED_FORKED_WORKER = _RECORD_STARTS + """
+import multiprocessing
+import os
+import signal
+import sys
+import time
+
+from quatcube import QuatcubeError, Quaternion, RingParams, SearchConfig, min_cubes_search
+
+
+@contextlib.contextmanager
+def _killing(*args):
+    with _recorded(*args) as parallel:
+        # no thread may kill it, or the search would spawn it: wait for the
+        # worker to build its first groups, then kill it from here
+        time.sleep(0.5)
+        os.kill(started[0].pid, signal.SIGKILL)
+        yield parallel
+
+
+search._three_cube_workers = _killing
+
+if __name__ == "__main__":
+    try:
+        # no witness in this box
+        min_cubes_search(
+            Quaternion(RingParams(1, 1), 4001, 2999, -1234, 777),
+            SearchConfig(max_cubes=3, coeff_bound=10, outer_bound=4),
+            workers=2,
+        )
+    except QuatcubeError as exc:
+        print(exc, started[0]._start_method)
+        left = multiprocessing.active_children()
+        sys.exit(f"worker processes left: {left}" if left else 0)
+    sys.exit("the search returned although a worker was killed")
+"""
+
+
+@pytest.mark.skipif(CPUS < 2, reason="3-cube workers need two CPUs")
+def test_forked_search_worker_killed_mid_scan_raises(tmp_path):
+    # as above, for a worker forked from a process with no other thread
+    script = tmp_path / "killed_forked_worker.py"
+    script.write_text(_KILLED_FORKED_WORKER)
+    proc = subprocess.Popen(
+        [sys.executable, str(script)], env=_env(), stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE, text=True, start_new_session=True,
+    )
+    try:
+        out, err = proc.communicate(timeout=60)
+    except subprocess.TimeoutExpired:
+        os.killpg(proc.pid, signal.SIGKILL)
+        proc.communicate()
+        pytest.fail("a search with a killed forked worker did not end in 60 s")
+    assert proc.returncode == 0, err
+    assert "exited with code -9" in out and out.endswith(" fork\n")
+
+
 _THREADED_SEARCHES = """
 import sys
 import threading
@@ -228,3 +373,57 @@ def test_repeated_parallel_searches_from_threads_never_hang(tmp_path):
         proc.communicate()
         pytest.fail("30 rounds of two threaded parallel searches did not end in 180 s")
     assert proc.returncode == 0, err
+
+
+_FORKED_SEARCHES = _RECORD_STARTS + """
+import multiprocessing
+import signal
+import sys
+
+from quatcube import Quaternion, RingParams, SearchConfig, min_cubes_search
+
+if __name__ == "__main__":
+    cfg = SearchConfig(max_cubes=3, coeff_bound=2, outer_bound=2)
+    # the third target is a sum of two cubes, found while the worker scans
+    targets = [Quaternion(RingParams(2, 1), -192, -16, -16, 0),
+               Quaternion(RingParams(1, 1), -66, 8, 8, 10),
+               Quaternion(RingParams(1, 1), -39, -13, 17, -3)]
+    expected = [min_cubes_search(t, cfg) for t in targets]
+    rounds = int(sys.argv[1])
+    for _ in range(rounds):
+        for target, want in zip(targets, expected):
+            got = min_cubes_search(target, cfg, workers=2)
+            if got != want:
+                sys.exit(f"parallel result {got} differs from serial {want}")
+            left = multiprocessing.active_children()
+            if left:
+                sys.exit(f"worker processes left: {left}")
+    if [proc._start_method for proc in started] != ["fork"] * len(targets) * rounds:
+        sys.exit("the workers were not all forked")
+    if not any(proc.exitcode == -signal.SIGTERM for proc in started):
+        sys.exit("no worker was terminated")
+"""
+
+
+@pytest.mark.skipif(CPUS < 2, reason="3-cube workers need two CPUs")
+def test_repeated_forked_parallel_searches_never_hang(tmp_path):
+    # The single-threaded counterpart of the test above: every search forks
+    # its worker and terminates it, often mid-scan, once a hit is found.
+    # The searches run in their own session so that a hang, workers
+    # included, can be killed and fail the test instead of stalling it,
+    # and so that any process left behind can be found by its group.
+    script = tmp_path / "forked_searches.py"
+    script.write_text(_FORKED_SEARCHES)
+    proc = subprocess.Popen(
+        [sys.executable, str(script), "50"], env=_env(), stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE, text=True, start_new_session=True,
+    )
+    try:
+        _, err = proc.communicate(timeout=180)
+    except subprocess.TimeoutExpired:
+        os.killpg(proc.pid, signal.SIGKILL)
+        proc.communicate()
+        pytest.fail("50 rounds of three forked parallel searches did not end in 180 s")
+    assert proc.returncode == 0, err
+    with pytest.raises(ProcessLookupError):
+        os.killpg(proc.pid, 0)

@@ -795,7 +795,9 @@ class TestMinCubesSearch:
 
 def _record_spawned(monkeypatch):
     """The list that the search's worker processes are added to as they
-    are spawned, from now on."""
+    are started, from now on.  In a test they are spawned: pytest's
+    faulthandler watchdog is a second OS thread, so the search does not
+    fork (tests/test_robustness.py runs the forked ones)."""
     started = []
     workers = search._three_cube_workers
 
