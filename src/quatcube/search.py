@@ -16,23 +16,26 @@ Each cube of the box is packed into one int, exactly, and the packed cubes
 are grouped by their mod-9 signature and, within it, by their parity
 pattern (coefficients mod 2); only one signature of each ± pair is stored,
 and a signature's groups are built the first time a search meets it (see
-:class:`_SearchSpace`).  Which signatures are sums of two or three cube
-signatures comes from one routine, :func:`_sums`, on sets of signatures
-held as 6,561-bit ints (see :class:`_Mod9Tables`).  Two cubes meet a
-target ``T`` by set intersection: for each pair of groups whose signatures
-sum to the target's signature and whose parities XOR to the target's
-parity, ``big.keys() & {±T ∓ h for h in small}`` runs in C.  Three cubes
-scan the outer root in lexicographic order and meet the remainder; with N
-workers, the search's process and N - 1 helper ones take the outer box's
-``(w0, w1)`` cells in turn, and the least cell that hits gives the
-witness.  A signed permutation of the pure coefficients that keeps the
-weights (a, b, ab) of the norm form commutes with cubing, so one that also
-fixes the target maps witnesses to witnesses, and the least witness's
-outer root is the least of its orbit: the scans visit only those
-(:meth:`_SearchSpace.outer_roots`).  That symmetry and the mod-9 and mod-2 patterns of cubes (and of sums of two or
-three cubes) prune only regions proven to hold no least witness, so
-results are identical with and without them, and parallel runs return
-exactly what a serial run returns.
+:class:`_SearchSpace`).  S_k, the sums of k cube signatures, comes from
+one routine, :func:`_sums`, on sets of signatures held as 6,561-bit ints
+(see :class:`_Mod9Tables`).  One recursion, :func:`_scan`, searches each
+number of cubes k, and level k starts only when its target's signature
+is in S_k.  One cube is a lookup; two cubes meet a target ``T`` by set
+intersection: for each pair of groups whose signatures sum to the
+target's signature and whose parities XOR to the target's parity,
+``big.keys() & {±T ∓ h for h in small}`` runs in C.  k >= 3 cubes scan
+the outer root in lexicographic order, keep the roots that leave a
+remainder in S_(k-1), and search it at level k - 1.  With N workers,
+the search's process and N - 1 helper ones take the 3-cube level's
+``(w0, w1)`` cells of the outer box in turn, and the least cell that
+hits gives the witness.  A signed permutation of the pure coefficients
+that keeps the weights (a, b, ab) of the norm form commutes with cubing,
+so one that also fixes the target maps witnesses to witnesses, and the
+least witness's outer root is the least of its orbit: the scans visit
+only those (:meth:`_SearchSpace.outer_roots`).  That symmetry and the
+mod-9 and mod-2 patterns of cubes (and the sets S_k) prune only regions
+proven to hold no least witness, so results are identical with and
+without them, and parallel runs return exactly what a serial run returns.
 """
 
 from __future__ import annotations
@@ -43,7 +46,7 @@ import operator
 import os
 from collections.abc import Iterator
 from dataclasses import dataclass
-from itertools import islice, permutations, product
+from itertools import permutations, product
 
 from .decompose import _congruence_root, _pair, _swap
 # cube_root_congruence, select_pair, cube and swap_iso are not called
@@ -73,7 +76,8 @@ class SearchConfig:
     a box is never a proof of non-representability.
 
     The 3-cube stage makes at most one two-cube meet per outer root it
-    scans, and the 4-cube stage one per pair of outer roots.  Of the
+    scans, and the 4-cube stage one per pair of outer roots; a stage
+    whose target is ruled out by its signature mod 9 scans none.  Of the
     n**4 roots of the outer box, n = 2*outer + 1, a scan takes n times
     the number of orbits of pure parts under the symmetries of its
     target or remainder (see :meth:`_SearchSpace.outer_roots`); for 3+3i
@@ -176,67 +180,64 @@ class _Mod9Tables:
     signature, ``root_classes`` inverts it, ``single`` holds the cube
     signatures, and ``by_code[9*s0 + s1][9*s2 + s3]`` is the signature s.
     A set of signatures is a 6,561-bit int with bit :func:`_code` (s) for
-    s, and the pair set is :func:`_sums` of the singles set and the cube
-    signatures.  The sets are built on first use, since
-    ``two_cube_obstruction`` needs none.  Instances are shared between
-    searches and threads through ``_MOD9_CACHE``, so they hold nothing
-    per target, and the lazy sets are assigned only once complete.
+    s.  S_k, the set of sums of k cube signatures, is :func:`_sums` of
+    S_(k-1) and the cube signatures (:meth:`sums`): S_1 is the singles
+    set and S_2 the pair set.  The sets from S_2 on are built on first
+    use, since ``two_cube_obstruction`` needs none.  Instances are shared
+    between searches and threads through ``_MOD9_CACHE``, so they hold
+    nothing per target, and the lazy sets are assigned only once complete.
     """
 
-    __slots__ = ("cube_sig", "root_classes", "single", "by_code", "_sets")
+    __slots__ = ("cube_sig", "root_classes", "single", "by_code", "_sets", "_class_codes")
 
     def __init__(self, a9: int, b9: int) -> None:
-        sigs = [_sig(cube_coeffs(a9, b9, r)) for r in islice(product(range(9), repeat=4), 5 * 729)]
-        # (-x)**3 == -(x**3), so class -r cubes to the negated signature of
-        # class r; the classes with r0 in 5..8 are the negated ones with r0
-        # in 4..1, tail by tail
-        neg_tail = [
-            (-r1 % 9 * 9 + -r2 % 9) * 9 + -r3 % 9 for r1, r2, r3 in product(range(9), repeat=3)
-        ]
-        neg = {s: _neg9(s) for s in set(sigs)}
-        for r0 in range(5, 9):
-            row = sigs[(9 - r0) * 729 : (10 - r0) * 729]
-            sigs += map(neg.__getitem__, map(row.__getitem__, neg_tail))
+        sigs = [_sig(cube_coeffs(a9, b9, r)) for r in product(range(9), repeat=4)]
         self.cube_sig: list[Coeffs] = sigs
         self.root_classes: dict[Coeffs, list[int]] = {}
         for n, cs in enumerate(sigs):
             self.root_classes.setdefault(cs, []).append(n)
         self.single = frozenset(self.root_classes)
         self.by_code: dict[int, dict[int, Coeffs]] = {}
+        code = {}
         for s in self.single:
             self.by_code.setdefault(s[0] * 9 + s[1], {})[s[2] * 9 + s[3]] = s
-        self._sets: tuple | None = None
+            code[s] = _code(s)
+        # (S_1, ..., S_k) for the greatest k asked for so far
+        self._sets = (sum(1 << n for n in code.values()),)
+        # each class's cube's code, read from a text indexed by code
+        self._class_codes = operator.itemgetter(*map(code.__getitem__, sigs))
 
-    def _signature_sets(self) -> tuple:
-        """The singles set, the pair set and a getter of each class's cube's code."""
+    def sums(self, k: int) -> int:
+        """S_k as a signature set, built on first use from S_(k-1).
+
+        Cube signatures are closed under negation, as (-x)**3 == -(x**3),
+        so every S_k is too.
+        """
         sets = self._sets
-        if sets is None:
-            code = {s: _code(s) for s in self.single}
-            singles = sum(1 << n for n in code.values())
-            pairs = _sums(singles, self.single)
-            class_codes = operator.itemgetter(*map(code.__getitem__, self.cube_sig))
-            sets = self._sets = (singles, pairs, class_codes)
-        return sets
+        while len(sets) < k:
+            sets = self._sets = (*sets, _sums(sets[-1], self.single))
+        return sets[k - 1]
 
-    def pair_attainable(self, s: Coeffs) -> bool:
-        return self._signature_sets()[1] >> _code(s) & 1 == 1
+    def attains(self, sig: Coeffs, k: int) -> bool:
+        """Whether sig is in S_k: no sum of k cubes has another signature."""
+        return self.sums(k) >> _code(sig) & 1 == 1
 
-    def first_root_classes(self, target_sig: Coeffs) -> bytes:
-        """A mask by root class number mod 9: byte n is 1 when class n's
-        cube leaves a pair-attainable remainder, else 0.
+    def first_root_classes(self, target_sig: Coeffs, k: int) -> bytes:
+        """A mask by root class number mod 9 for a scan of k >= 2 cubes:
+        byte n is 1 when class n's cube leaves a remainder in S_(k-1),
+        else 0.
 
         Empty (falsy) exactly when no class passes, that is when
-        target_sig is no sum of three cube signatures, which rules out
-        every 3-cube representation of the target.  Otherwise it holds
-        one byte per class, 6,561 in all.  Each search memoises its own.
+        target_sig is not in S_k, which rules out every k-cube
+        representation of the target.  Otherwise it holds one byte per
+        class, 6,561 in all.  Each search memoises its own.
         """
-        singles, pairs, class_codes = self._signature_sets()
-        # cube signatures, so pair sums, are closed under negation: t - pairs == t + pairs
-        ok = _sums(pairs, (target_sig,))
-        if not ok & singles:
+        # S_(k-1) is closed under negation: t - S_(k-1) == t + S_(k-1)
+        ok = _sums(self.sums(k - 1), (target_sig,))
+        if not ok & self.sums(1):
             return b""
         text = format(ok, "06561b")[::-1].encode()  # b"0" or b"1" at each code
-        return bytes(class_codes(text.translate(bytes.maketrans(b"01", b"\0\1"))))
+        return bytes(self._class_codes(text.translate(bytes.maketrans(b"01", b"\0\1"))))
 
 
 _MOD9_CACHE: dict[tuple[int, int], _Mod9Tables] = {}
@@ -320,7 +321,7 @@ class _SearchSpace:
         self._groups: dict[Coeffs, _ParityGroups] = {}
         self._greatest: dict[int, int] = {}
         self._sig_pair_memo: dict[Coeffs, list[_SigPair]] = {}
-        self._first_ok_memo: dict[Coeffs, bytes] = {}
+        self._first_ok_memo: dict[tuple[Coeffs, int], bytes] = {}
         # the signed permutations of (c1, c2, c3) that keep the weights
         # (a, b, ab) of P, each as (p0, p1, p2, s0, s1, s2): it sends the
         # pure part v to (s0*v[p0], s1*v[p1], s2*v[p2])
@@ -469,11 +470,12 @@ class _SearchSpace:
             self._sig_pair_memo[target_sig] = got
         return got
 
-    def first_root_classes(self, target_sig: Coeffs) -> bytes:
+    def first_root_classes(self, target_sig: Coeffs, k: int) -> bytes:
         """``_Mod9Tables.first_root_classes``, memoised for this search."""
-        got = self._first_ok_memo.get(target_sig)
+        got = self._first_ok_memo.get((target_sig, k))
         if got is None:
-            got = self._first_ok_memo[target_sig] = self._tabs.first_root_classes(target_sig)
+            got = self._tabs.first_root_classes(target_sig, k)
+            self._first_ok_memo[target_sig, k] = got
         return got
 
     def outer_roots(self, t: Coeffs, outer: int) -> _OuterRows:
@@ -527,7 +529,7 @@ class _SearchSpace:
                     yield (one, other) if len(group) <= len(mate) else (other, one)
 
 
-def _scan_two(space: _SearchSpace, tabs: _Mod9Tables, t: Coeffs) -> tuple[Coeffs, Coeffs] | None:
+def _scan_two(space: _SearchSpace, t: Coeffs) -> tuple[Coeffs, Coeffs] | None:
     """Least (x, y) with x**3 + y**3 = t, both in the coeff box.
 
     Only groups that can sum to t are met: their signatures sum to t's
@@ -542,7 +544,7 @@ def _scan_two(space: _SearchSpace, tabs: _Mod9Tables, t: Coeffs) -> tuple[Coeffs
     full lexicographic scan would find.
     """
     sig = _sig(t)
-    if not tabs.pair_attainable(sig):
+    if not space._tabs.attains(sig, 2):
         return None
     packed = space.pack(t)
     if packed is None:
@@ -582,17 +584,45 @@ def _orbit_least(group: tuple, outer: int) -> _OuterRows:
     return {w1: list(rows.items()) for w1, rows in table.items()}
 
 
-def _scan_three_cell(
+def _scan(space: _SearchSpace, t: Coeffs, k: int, outer: int) -> tuple[Coeffs, ...] | None:
+    """Least witness of t as a sum of exactly k cubes, or None.
+
+    Level k runs only when t's signature is in S_k (see
+    :meth:`_Mod9Tables.sums`).  One cube is one lookup, and two are met in
+    the middle (:func:`_scan_two`).  For k >= 3 the first root runs over
+    the outer box's orbit-least roots (:meth:`_SearchSpace.outer_roots`)
+    whose class passes the mask ``first_root_classes(sig, k)``, so that
+    the remainder is in S_(k-1); the mask is empty exactly when the
+    signature is not in S_k.  The least (k-1)-cube witness of the
+    remainder completes it.
+    """
+    sig = _sig(t)
+    if k == 1:
+        packed = space.pack(t)
+        if packed is None or not space._tabs.attains(sig, 1):
+            return None
+        groups, sign = space.signed_groups(sig)
+        group, key = groups.get(_parity(t), {}), sign * packed
+        return (space.root(space.least(group, key, sign)),) if key in group else None
+    if k == 2:
+        return _scan_two(space, t)  # which tests S_2 itself
+    first_ok = space.first_root_classes(sig, k)
+    if not first_ok:
+        return None
+    return _scan_three_range(space, k, t, outer, first_ok, range(-outer, outer + 1))
+
+
+def _scan_cell(
     space: _SearchSpace,
-    tabs: _Mod9Tables,
+    k: int,
     t: Coeffs,
     outer: int,
     first_ok: bytes,
     w0: int,
     w1: int,
     stop=None,
-) -> tuple[Coeffs, Coeffs, Coeffs] | None:
-    """Least 3-cube witness whose outer root starts with (w0, w1).
+) -> tuple[Coeffs, ...] | None:
+    """Least k-cube witness whose first root starts with (w0, w1).
 
     ``stop``, when given, is called before each w2 row; once it returns
     true the cell's result is no longer wanted and None comes back.
@@ -607,25 +637,27 @@ def _scan_three_cell(
             if not first_ok[row_class + w3 % 9]:
                 continue
             w = (w0, w1, w2, w3)
-            res = _scan_two(space, tabs, _sub4(t, cube_coeffs(a, b, w)))
+            res = _scan(space, _sub4(t, cube_coeffs(a, b, w)), k - 1, outer)
             if res is not None:
                 return (w, *res)
     return None
 
 
+# named for the 3-cube scan it began as: perfbench/tracing.py wraps it by
+# this name and forwards its six arguments
 def _scan_three_range(
     space: _SearchSpace,
-    tabs: _Mod9Tables,
+    k: int,
     t: Coeffs,
     outer: int,
     first_ok: bytes,
     w0_values,
-) -> tuple[Coeffs, Coeffs, Coeffs] | None:
-    """Least 3-cube witness whose outer root starts with one of w0_values,
+) -> tuple[Coeffs, ...] | None:
+    """Least k-cube witness whose first root starts with one of w0_values,
     taken in order."""
     for w0 in w0_values:
         for w1 in space.outer_roots(t, outer):
-            res = _scan_three_cell(space, tabs, t, outer, first_ok, w0, w1)
+            res = _scan_cell(space, k, t, outer, first_ok, w0, w1)
             if res is not None:
                 return res
     return None
@@ -653,7 +685,7 @@ def _take_cells(space, t, outer, next_cell, least_hit, before_cell=lambda: None)
     race may hand a cell to two processes but skips none (the first write
     past n is n + 1 from a process that read n), and may leave
     ``least_hit`` above the least hit cell, never below it."""
-    first_ok = space.first_root_classes(_sig(t))
+    first_ok = space.first_root_classes(_sig(t), 3)
     cells = _three_cube_cells(space, outer, t)
     while True:
         before_cell()
@@ -661,9 +693,7 @@ def _take_cells(space, t, outer, next_cell, least_hit, before_cell=lambda: None)
         next_cell.value = n + 1
         if n >= least_hit.value:
             return None
-        res = _scan_three_cell(
-            space, space._tabs, t, outer, first_ok, *cells[n], lambda: least_hit.value < n
-        )
+        res = _scan_cell(space, 3, t, outer, first_ok, *cells[n], lambda: least_hit.value < n)
         if res is not None:
             least_hit.value = min(n, least_hit.value)
             return n, res
@@ -693,7 +723,7 @@ def _three_cube_workers(space: _SearchSpace, cfg: SearchConfig, t: Coeffs, worke
     context can terminate them at any moment.
     """
     cells = 0
-    if workers > 1 and cfg.max_cubes >= 3 and space.first_root_classes(_sig(t)):
+    if workers > 1 and cfg.max_cubes >= 3 and space.first_root_classes(_sig(t), 3):
         # counting the cells enumerates the outer box's orbit-least roots
         cells = len(_three_cube_cells(space, cfg.outer, t))
     workers = _clamp_workers(workers, cells)
@@ -730,14 +760,10 @@ def _three_cube_workers(space: _SearchSpace, cfg: SearchConfig, t: Coeffs, worke
             reader.close()
 
 
-def _scan_three(
-    space: _SearchSpace, tabs: _Mod9Tables, t: Coeffs, outer: int, parallel
-) -> tuple[Coeffs, Coeffs, Coeffs] | None:
-    first_ok = space.first_root_classes(_sig(t))
-    if not first_ok:
-        return None
-    if parallel is None:
-        return _scan_three_range(space, tabs, t, outer, first_ok, range(-outer, outer + 1))
+def _scan_three(space: _SearchSpace, t: Coeffs, outer: int, parallel) -> tuple[Coeffs, ...] | None:
+    """The 3-cube level of :func:`_scan` with the workers that
+    :func:`_three_cube_workers` started, which exist only when t's
+    signature is in S_3."""
     from multiprocessing.connection import wait
 
     # This process takes cells as the workers do.  The cell holding the
@@ -766,24 +792,6 @@ def _scan_three(
     return min(filter(None, hits), default=(None, None))[1]
 
 
-def _scan_four(
-    space: _SearchSpace, tabs: _Mod9Tables, t: Coeffs, outer: int
-) -> tuple[Coeffs, ...] | None:
-    a, b = space.params.a, space.params.b
-    roots = (
-        (w0, w1, w2, w3)
-        for w0 in range(-outer, outer + 1)
-        for w1, rows in space.outer_roots(t, outer).items()
-        for w2, w3_values in rows
-        for w3 in w3_values
-    )
-    for w in roots:
-        res = _scan_three(space, tabs, _sub4(t, cube_coeffs(a, b, w)), outer, None)
-        if res is not None:
-            return (w, *res)
-    return None
-
-
 def min_cubes_search(
     alpha: Quaternion, cfg: SearchConfig, workers: int = 1
 ) -> list[Quaternion] | None:
@@ -802,9 +810,10 @@ def min_cubes_search(
     of s (257 of the 513 signatures in ring (1, 1)).  A signature's groups
     are built when a search first meets it, so a two-cube search builds
     only the signatures that can sum to its target (about 50 of the 513
-    in ring (1, 1)).  Three cubes scan the outer root (in the outer_bound
-    box) and meet the remainder, four cubes scan an outer root and run
-    the 3-cube stage on the remainder.  A scan takes one outer root per
+    in ring (1, 1)).  k >= 3 cubes scan an outer root (in the outer_bound
+    box) and search the remainder with k - 1 cubes.  One rule prunes
+    every level: level k runs only when its target's signature mod 9 is
+    in S_k, the sums of k cube signatures.  A scan takes one outer root per
     orbit of the signed permutations of the pure coefficients that keep
     the norm form's weights (a, b, ab) and fix the target (or remainder):
     such a map sends witnesses to witnesses, so only the least root of an
@@ -823,24 +832,13 @@ def min_cubes_search(
     params = alpha.params
     t = alpha.coefficients()
     space = _SearchSpace(params, cfg.coeff_bound)
-    tabs = _mod9_tables(params)
 
     with _three_cube_workers(space, cfg, t, workers) as parallel:
         for k in range(1, cfg.max_cubes + 1):
-            found: tuple[Coeffs, ...] | None = None
-            if k == 1:
-                packed = space.pack(t) if _sig(t) in tabs.single else None
-                if packed is not None:
-                    groups, sign = space.signed_groups(_sig(t))
-                    group = groups.get(_parity(t), {})
-                    if sign * packed in group:
-                        found = (space.root(space.least(group, sign * packed, sign)),)
-            elif k == 2:
-                found = _scan_two(space, tabs, t)
-            elif k == 3:
-                found = _scan_three(space, tabs, t, cfg.outer, parallel)
+            if k == 3 and parallel is not None:
+                found = _scan_three(space, t, cfg.outer, parallel)
             else:
-                found = _scan_four(space, tabs, t, cfg.outer)
+                found = _scan(space, t, k, cfg.outer)
             if found is not None:
                 return [Quaternion(params, *c) for c in found]
     return None

@@ -13,7 +13,11 @@ of behaviour, not a refactor.
 
 import hashlib
 import json
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -148,6 +152,69 @@ def test_search_json_bytes_match_recorded_hash():
     ]
     assert len(lines) == SEARCH_GOLDEN_TARGETS
     assert hashlib.sha256(b"\n".join(lines)).hexdigest() == SEARCH_GOLDEN_SHA256
+
+
+# search --json payloads at max_cubes=4: seeded four-cube sums, the
+# scalars 4 and -5 and plain random targets, in rings of every case
+# and both rings whose a and b are multiples of 3 (recorded before the
+# per-k scans became one)
+FOUR_CUBE_RINGS = [(1, 1), (2, 3), (3, 3), (2, 9), (3, 9)]
+FOUR_CUBE_GOLDEN_TARGETS = 40
+FOUR_CUBE_GOLDEN_SHA256 = "d1d799100325ff9c9284b7a04e22dd9f18a6c8de31d3ef9612e84b69e5a5a086"
+
+
+def _four_cube_golden_cases():
+    rng = random.Random(20261020)
+
+    def box_root(params, bound):
+        return Quaternion(params, *(rng.randint(-bound, bound) for _ in range(4)))
+
+    for a, b in FOUR_CUBE_RINGS:
+        params = RingParams(a, b)
+        for _ in range(4):
+            x, y = box_root(params, 1), box_root(params, 1)
+            z, w = box_root(params, 2), box_root(params, 2)
+            yield cube(x) + cube(y) + cube(z) + cube(w), SearchConfig(4, 2, 1)
+        for n in (4, -5):
+            yield Quaternion.scalar(params, n), SearchConfig(4, 1, 1)
+        for _ in range(2):
+            target = Quaternion(params, *(rng.randint(-30, 30) for _ in range(4)))
+            yield target, SearchConfig(4, 2, 1)
+
+
+def test_four_cube_search_json_bytes_match_recorded_hash():
+    cases = list(_four_cube_golden_cases())
+    payloads = [search_payload(target, cfg) for target, cfg in cases]
+    # found with 2, 3 and 4 cubes, and not found
+    assert {p["count"] if p["found"] else None for p in payloads} == {2, 3, 4, None}
+    lines = [json.dumps(p, separators=(",", ":")).encode() for p in payloads]
+    assert len(lines) == FOUR_CUBE_GOLDEN_TARGETS
+    assert hashlib.sha256(b"\n".join(lines)).hexdigest() == FOUR_CUBE_GOLDEN_SHA256
+    # the same bytes with --workers 2, from a fresh interpreter with no
+    # other thread, so its workers are forked as the CLI's are; here a
+    # spawned worker per search would cost about 0.25 s each
+    specs = [
+        [t.params.a, t.params.b, list(t.coefficients()), cfg.max_cubes, cfg.coeff_bound, cfg.outer]
+        for t, cfg in cases
+    ]
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+    proc = subprocess.run(
+        [sys.executable, "-c", _PARALLEL_PAYLOADS], input=json.dumps(specs), env=env,
+        capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.encode() == b"\n".join(lines) + b"\n"
+
+
+_PARALLEL_PAYLOADS = """
+import json, sys
+from quatcube import Quaternion, RingParams, SearchConfig
+from quatcube.cli import search_payload
+for a, b, c, k, bound, outer in json.load(sys.stdin):
+    payload = search_payload(Quaternion(RingParams(a, b), *c), SearchConfig(k, bound, outer), 2)
+    print(json.dumps(payload, separators=(",", ":")))
+"""
 
 
 # check-lemmas output, text and --json, for all 36 (a mod 6, b mod 6) pairs

@@ -92,8 +92,11 @@ ALL_SIGS = list(product(range(9), repeat=4))
 
 @lru_cache(maxsize=None)
 def _brute_signature_sets(ring):
-    """The cube signatures of a ring, by plain quaternion products of the
-    6,561 root classes, and the sums of two of them, digit by digit."""
+    """S_1 to S_4 of a ring, the sums of 1 to 4 cube signatures: the cube
+    signatures by plain quaternion products of the 6,561 root classes,
+    the sums of two of them digit by digit, and then each t whose
+    difference with some cube signature, digit by digit, is in the set
+    before."""
     params = RingParams(*ring)
     singles = frozenset(
         _sig((x * x * x).coefficients()) for x in (Quaternion(params, *r) for r in ALL_SIGS)
@@ -103,16 +106,35 @@ def _brute_signature_sets(ring):
         for s0, s1, s2, s3 in singles
         for u0, u1, u2, u3 in singles
     )
-    return singles, pairs
+    sets = [singles, pairs]
+    # signatures as (first two digits, last two digits), each half a number
+    # in 0..80; diff[81*x + y] is half x minus half y, digit by digit
+    diff = [(x // 9 - y // 9) % 9 * 9 + (x - y) % 9 for x in range(81) for y in range(81)]
+    halves = [(s0 * 9 + s1, s2 * 9 + s3) for s0, s1, s2, s3 in singles]
+    for _ in range(2):
+        held = bytearray(6561)
+        for s0, s1, s2, s3 in sets[-1]:
+            held[(s0 * 9 + s1) * 81 + s2 * 9 + s3] = 1
+        sets.append(frozenset(
+            t for t in ALL_SIGS
+            if any(
+                held[diff[(t[0] * 9 + t[1]) * 81 + h] * 81 + diff[(t[2] * 9 + t[3]) * 81 + l]]
+                for h, l in halves
+            )
+        ))
+    return tuple(sets)
 
 
 def _members(bits):
     return {s for s in ALL_SIGS if bits >> _code(s) & 1}
 
 
-def _pair_set(sigs):
-    """The pair set that _Mod9Tables builds, from the signatures given."""
-    return _members(_sums(sum(1 << _code(s) for s in sigs), sigs))
+def _sum_set(sigs, k):
+    """S_k as _Mod9Tables builds it, from the signatures given."""
+    bits = sum(1 << _code(s) for s in sigs)
+    for _ in range(k - 1):
+        bits = _sums(bits, sigs)
+    return _members(bits)
 
 
 class TestSignatureSets:
@@ -139,38 +161,46 @@ class TestSignatureSets:
 
     @pytest.mark.parametrize("ring", [(1, 1), (2, 3), (1, 3), (3, 3), (2, 9), (3, 9)])
     def test_pair_lookup_matches_brute_force_pair_sums(self, ring):
-        singles, pairs = _brute_signature_sets(ring)
+        sets = _brute_signature_sets(ring)
         tabs = _Mod9Tables(ring[0] % 9, ring[1] % 9)
-        assert tabs.single == singles
-        # (-x)**3 == -(x**3): first_root_classes relies on t - pairs == t + pairs
-        assert {_neg9(s) for s in singles} == singles
-        assert {s for s in ALL_SIGS if tabs.pair_attainable(s)} == pairs
+        assert tabs.single == sets[0]
+        # (-x)**3 == -(x**3): first_root_classes relies on t - S_k == t + S_k
+        assert {_neg9(s) for s in sets[0]} == sets[0]
+        for k, expected in enumerate(sets, 1):
+            assert _members(tabs.sums(k)) == expected
+            assert {s for s in ALL_SIGS if tabs.attains(s, k)} == expected
 
-    @pytest.mark.parametrize("ring, dropped", [
-        ((3, 9), (0, 0, 0, 0)), ((3, 9), (1, 0, 0, 0)), ((1, 3), (1, 0, 3, 3)),
+    @pytest.mark.parametrize("ring, dropped, levels", [
+        ((3, 9), (0, 0, 0, 0), {2, 3, 4}), ((3, 9), (1, 0, 0, 0), {2}), ((1, 3), (1, 0, 3, 3), {2}),
     ])
-    def test_a_dropped_cube_signature_shows_in_the_pair_sums(self, ring, dropped):
-        # the brute-force comparison above would catch a pair set built
-        # without one cube signature
-        singles, pairs = _brute_signature_sets(ring)
-        assert _pair_set(singles) == pairs
-        assert _pair_set(singles - {dropped}) != pairs
+    def test_a_dropped_cube_signature_shows_in_the_pair_sums(self, ring, dropped, levels):
+        # the brute-force comparison above would catch S_k built without
+        # one cube signature, at the levels k where the sums lose a member
+        # (in these rings only a dropped 0 changes S_3)
+        sets = _brute_signature_sets(ring)
+        for k in (2, 3, 4):
+            assert _sum_set(sets[0], k) == sets[k - 1]
+            assert (_sum_set(sets[0] - {dropped}, k) != sets[k - 1]) == (k in levels)
 
     def test_shared_tables_agree_across_threads(self):
         # threads share _MOD9_CACHE entries: on one fresh instance, threads
-        # that build its sets at once, and read masks from them, must agree
-        # with a lone one
+        # that build its sets S_1 to S_3 at once, and read masks from them,
+        # must agree with a lone one
         ring = (1, 1)
         rng = random.Random(20261019)
         sigs = [(3, 3, 0, 0), (4, 0, 0, 0)] + [tuple(rng.randrange(9) for _ in range(4)) for _ in range(20)]
+        def read(tabs, t):
+            # the k = 4 masks read S_3, which the first of them builds
+            return tabs.attains(t, 2), tabs.first_root_classes(t, 3), tabs.first_root_classes(t, 4)
+
         lone = _Mod9Tables(*ring)
-        expected = [(lone.pair_attainable(t), lone.first_root_classes(t)) for t in sigs]
+        expected = [read(lone, t) for t in sigs]
         tabs = _Mod9Tables(*ring)
         results = [None] * 8
 
         def run(i):
             order = sigs[i:] + sigs[:i]
-            results[i] = [(tabs.pair_attainable(t), tabs.first_root_classes(t)) for t in order]
+            results[i] = [read(tabs, t) for t in order]
 
         threads = [threading.Thread(target=run, args=(i,)) for i in range(8)]
         switch = sys.getswitchinterval()
@@ -188,7 +218,6 @@ class TestSignatureSets:
 
 class TestMod9Tables:
     def test_cube_signatures_match_the_cube_formula(self):
-        # half the classes are filled by negating the other half
         for a9, b9 in product(range(9), repeat=2):
             assert _Mod9Tables(a9, b9).cube_sig == [
                 _sig(cube_coeffs(a9, b9, r)) for r in product(range(9), repeat=4)
@@ -196,8 +225,9 @@ class TestMod9Tables:
 
     @pytest.mark.parametrize("ring", [(3, 3), (6, 9)])
     def test_first_root_classes_match_brute_force_triple_sums(self, ring):
-        # a signature is a sum of three cube signatures exactly when some
-        # root class leaves a sum of two; both rings miss real part 4 mod 9
+        # a signature is a sum of k cube signatures exactly when some root
+        # class leaves a sum of k - 1; both rings miss real part 4 mod 9 with
+        # three cubes and reach it with four
         tabs = _Mod9Tables(ring[0] % 9, ring[1] % 9)
 
         def add(s, u):
@@ -205,36 +235,44 @@ class TestMod9Tables:
 
         pairs = {add(s, u) for s in tabs.single for u in tabs.single}
         triples = {add(p, u) for p in pairs for u in tabs.single}
+        quads = {add(p, u) for p in triples for u in tabs.single}
         assert (4, 0, 0, 0) not in triples and (3, 0, 0, 0) in triples
+        assert (4, 0, 0, 0) in quads and (0, 1, 0, 0) not in quads
         for t in product(range(9), repeat=4):
-            assert bool(tabs.first_root_classes(t)) == (t in triples)
+            assert bool(tabs.first_root_classes(t, 3)) == (t in triples)
+            assert bool(tabs.first_root_classes(t, 4)) == (t in quads)
 
     @pytest.mark.parametrize("ring", [(1, 1), (3, 3)])
     def test_first_root_classes_is_a_byte_mask_by_class(self, ring):
-        # byte n says whether class n's cube leaves a sum of two cube
-        # signatures; a signature no class passes gets the empty mask, so
-        # each entry of a search's memo holds at most one byte per class
+        # byte n of the mask for k cubes says whether class n's cube leaves
+        # a sum of k - 1 cube signatures; a signature no class passes gets
+        # the empty mask, so each entry of a search's memo holds at most
+        # one byte per class
         space = _SearchSpace(RingParams(*ring), 1)
         tabs = space._tabs
 
         def add(s, u):
             return tuple((x + y) % 9 for x, y in zip(s, u))
 
-        pairs = {add(s, u) for s in tabs.single for u in tabs.single}
+        _, pairs, triples, _ = _brute_signature_sets(ring)
         rng = random.Random(20261020)
-        sigs = {(4, 0, 0, 0), (3, 0, 0, 0)}
+        sigs = {(4, 0, 0, 0), (3, 0, 0, 0), (0, 1, 0, 0)}
         sigs.update(tuple(rng.randrange(9) for _ in range(4)) for _ in range(30))
-        for t in sigs:
-            mask = space.first_root_classes(t)
-            expected = [int(add(t, _neg9(cs)) in pairs) for cs in tabs.cube_sig]
-            assert type(mask) is bytes
-            assert list(mask) == (expected if any(expected) else [])
-            assert bool(mask) == any(expected)
-            assert space.first_root_classes(t) is mask and tabs.first_root_classes(t) == mask
-        assert len(space._first_ok_memo) == len(sigs)
+        for k, below in ((3, pairs), (4, triples)):
+            for t in sigs:
+                mask = space.first_root_classes(t, k)
+                expected = [int(add(t, _neg9(cs)) in below) for cs in tabs.cube_sig]
+                assert type(mask) is bytes
+                assert list(mask) == (expected if any(expected) else [])
+                assert bool(mask) == any(expected)
+                assert space.first_root_classes(t, k) is mask
+                assert tabs.first_root_classes(t, k) == mask
+        assert len(space._first_ok_memo) == 2 * len(sigs)
         assert all(sys.getsizeof(m) < 6561 + 100 for m in space._first_ok_memo.values())
         if ring == (3, 3):
-            assert not space.first_root_classes((4, 0, 0, 0))
+            assert not space.first_root_classes((4, 0, 0, 0), 3)
+            assert space.first_root_classes((4, 0, 0, 0), 4)
+            assert not space.first_root_classes((0, 1, 0, 0), 4)
 
     def test_searches_leave_no_mask_in_the_shared_tables(self, monkeypatch):
         # the process-wide cache holds only per-ring tables: the masks a
@@ -538,7 +576,7 @@ class TestMinCubesSearch:
         x, y = (1, 2, 3, 4), (-5, 6, -7, 8)
         t = tuple(u + v for u, v in zip(cube_coeffs(1, 1, x), cube_coeffs(1, 1, y)))
         space = _SearchSpace(params, 10)
-        got = _scan_two(space, _mod9_tables(params), t)
+        got = _scan_two(space, t)
         assert got is not None and got[0] <= y
         assert tuple(map(sum, zip(*(cube_coeffs(1, 1, r) for r in got)))) == t
         assert len(space._groups) < 64
@@ -696,7 +734,7 @@ class TestMinCubesSearch:
             writer.send((23, ((0, 0, 0, 0),) * 3))
             worker = types.SimpleNamespace(exitcode=None, join=lambda: None)
             parallel = (next_cell, least_hit, [(worker, reader)])
-            got = search._scan_three(space, _mod9_tables(params), t, 2, parallel)
+            got = search._scan_three(space, t, 2, parallel)
         assert [Quaternion(params, *c) for c in got] == serial
 
     def test_dead_worker_stops_own_cells_at_once(self):
@@ -714,7 +752,7 @@ class TestMinCubesSearch:
             worker = types.SimpleNamespace(exitcode=1, join=lambda: None)
             parallel = (next_cell, least_hit, [(worker, reader)])
             with pytest.raises(QuatcubeError, match="exited with code 1"):
-                search._scan_three(space, _mod9_tables(params), t, outer, parallel)
+                search._scan_three(space, t, outer, parallel)
         assert cells == 81 and next_cell.value <= 1
 
     def test_cell_counter_without_a_lock_skips_no_cell(self, monkeypatch):
@@ -725,11 +763,11 @@ class TestMinCubesSearch:
         params, t = RingParams(2, 1), (3, 37, -3, 0)
         cells = search._three_cube_cells(_SearchSpace(params, 1), 2, t)
         scanned = []
-        scan_cell = search._scan_three_cell
+        scan_cell = search._scan_cell
 
-        def recorded(space, tabs, t, outer, first_ok, w0, w1, stop=None):
+        def recorded(space, k, t, outer, first_ok, w0, w1, stop=None):
             scanned.append((w0, w1))
-            return scan_cell(space, tabs, t, outer, first_ok, w0, w1, stop)
+            return scan_cell(space, k, t, outer, first_ok, w0, w1, stop)
 
         class YieldingInt:
             def __init__(self, value):
@@ -745,7 +783,7 @@ class TestMinCubesSearch:
                 time.sleep(0)
                 self._value = value
 
-        monkeypatch.setattr(search, "_scan_three_cell", recorded)
+        monkeypatch.setattr(search, "_scan_cell", recorded)
         switch = sys.getswitchinterval()
         for _ in range(5):
             next_cell, least_hit = YieldingInt(0), YieldingInt(len(cells))
@@ -989,8 +1027,10 @@ class TestOuterRootSymmetry:
 
     @staticmethod
     def _record_outer_roots(monkeypatch, skip: str):
-        # record every root cubed by the scan; the stage below it (named by
-        # skip) always misses, so the scan runs through its whole range
+        # record every root cubed by the scan; the level below it (named by
+        # skip) always misses, so the scan runs through its whole range.
+        # The scan is called through the name it had before the patch, so
+        # stubbing _scan stubs only the levels below it
         roots = []
 
         def record(a, b, w):
@@ -1005,10 +1045,10 @@ class TestOuterRootSymmetry:
     def test_three_cube_scan_skips_positive_outer_coefficients(self, monkeypatch, coeffs):
         params, outer = RingParams(1, 1), 2
         tabs, space = _mod9_tables(params), _SearchSpace(params, 1)
-        first_ok = tabs.first_root_classes(_sig(coeffs))
+        first_ok = tabs.first_root_classes(_sig(coeffs), 3)
         assert first_ok
         scanned = self._record_outer_roots(monkeypatch, "_scan_two")
-        assert search._scan_three(space, tabs, coeffs, outer, None) is None
+        assert search._scan(space, coeffs, 3, outer) is None
         rng = range(-outer, outer + 1)
         zero = [i for i in (1, 2, 3) if coeffs[i] == 0]
         least = set(_orbit_least((1, 1), coeffs[1:], outer))
@@ -1022,15 +1062,44 @@ class TestOuterRootSymmetry:
             # no zero pure coefficient: the whole outer box, bar the sieve
             assert any(w[1] > 0 for w in scanned)
 
-    @pytest.mark.parametrize("coeffs", [(7, 0, 5, 0), (4, 0, 0, 0), (7, 3, 5, 2)])
+    @pytest.mark.parametrize("coeffs", [
+        (7, 0, 5, 0), (4, 0, 0, 0), (7, 3, 5, 2), (7, 0, 3, 0), (7, 3, 6, 3),
+    ])
     def test_four_cube_scan_skips_positive_outer_coefficients(self, monkeypatch, coeffs):
+        # level 4 cubes exactly the orbit-least roots that pass its mask;
+        # (7, 0, 5, 0) and (7, 3, 5, 2) lie outside ring (3, 3)'s cube
+        # subgroup, so their signatures are not in S_4 and nothing is cubed
         params, outer = RingParams(3, 3), 1
         tabs, space = _mod9_tables(params), _SearchSpace(params, 1)
-        scanned = self._record_outer_roots(monkeypatch, "_scan_three_range")
-        assert search._scan_four(space, tabs, coeffs, outer) is None
+        first_ok = tabs.first_root_classes(_sig(coeffs), 4)
+        assert bool(first_ok) == all(c % 3 == 0 for c in coeffs[1:])
+        scan = search._scan
+        scanned = self._record_outer_roots(monkeypatch, "_scan")
+        assert scan(space, coeffs, 4, outer) is None
         rng = range(-outer, outer + 1)
         least = _orbit_least((3, 3), coeffs[1:], outer)
-        assert scanned == [(w0, *v) for w0 in rng for v in least]
+        expected = [
+            (w0, *v) for w0 in rng for v in least
+            if first_ok and first_ok[((w0 % 9 * 9 + v[0] % 9) * 9 + v[1] % 9) * 9 + v[2] % 9]
+        ]
+        assert scanned == expected
+        assert bool(scanned) == bool(first_ok)
+
+    def test_ruled_out_four_cube_stage_scans_no_outer_root(self, monkeypatch):
+        # 4+3i in ring (3, 9) lies outside the cube subgroup, so its
+        # signature is in neither S_3 nor S_4: both stages end before any
+        # outer root is enumerated
+        calls = []
+        outer_roots, orbit_least = _SearchSpace.outer_roots, search._orbit_least
+        monkeypatch.setattr(
+            _SearchSpace, "outer_roots", lambda *args: calls.append(args) or outer_roots(*args)
+        )
+        monkeypatch.setattr(
+            search, "_orbit_least", lambda *args: calls.append(args) or orbit_least(*args)
+        )
+        target = Quaternion(RingParams(3, 9), 4, 3, 0, 0)
+        assert min_cubes_search(target, SearchConfig(max_cubes=4, coeff_bound=2, outer_bound=2)) is None
+        assert calls == []
 
     @pytest.mark.parametrize("coeffs, cells", [((7, 0, 5, 0), 5 * 3), ((7, 3, 0, 0), 5 * 5)])
     def test_parallel_cells_skip_positive_w1(self, coeffs, cells):
