@@ -356,7 +356,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--outer-bound", type=int, default=None, metavar="B1",
                    help="reduced box for the outermost root (3- and 4-cube searches)")
     p.add_argument("--workers", type=int, default=1, metavar="N",
-                   help="processes for the 3-cube search, at most one per CPU; "
+                   help="processes for the 3- and 4-cube stages, at most one per CPU; "
                    "output is identical to a serial run")
     p.set_defaults(func=_cmd_search)
 

@@ -26,7 +26,7 @@ target's signature and whose parities XOR to the target's parity,
 ``big.keys() & {±T ∓ h for h in small}`` runs in C.  k >= 3 cubes scan
 the outer root in lexicographic order, keep the roots that leave a
 remainder in S_(k-1), and search it at level k - 1.  With N workers,
-the search's process and N - 1 helper ones take the 3-cube level's
+the search's process and N - 1 helpers take a 3- or 4-cube stage's
 ``(w0, w1)`` cells of the outer box in turn, and the least cell that
 hits gives the witness.  A signed permutation of the pure coefficients
 that keeps the weights (a, b, ab) of the norm form commutes with cubing,
@@ -40,7 +40,6 @@ without them, and parallel runs return exactly what a serial run returns.
 
 from __future__ import annotations
 
-import contextlib
 import functools
 import operator
 import os
@@ -584,7 +583,9 @@ def _orbit_least(group: tuple, outer: int) -> _OuterRows:
     return {w1: list(rows.items()) for w1, rows in table.items()}
 
 
-def _scan(space: _SearchSpace, t: Coeffs, k: int, outer: int) -> tuple[Coeffs, ...] | None:
+def _scan(
+    space: _SearchSpace, t: Coeffs, k: int, outer: int, workers: int = 1
+) -> tuple[Coeffs, ...] | None:
     """Least witness of t as a sum of exactly k cubes, or None.
 
     Level k runs only when t's signature is in S_k (see
@@ -594,7 +595,7 @@ def _scan(space: _SearchSpace, t: Coeffs, k: int, outer: int) -> tuple[Coeffs, .
     whose class passes the mask ``first_root_classes(sig, k)``, so that
     the remainder is in S_(k-1); the mask is empty exactly when the
     signature is not in S_k.  The least (k-1)-cube witness of the
-    remainder completes it.
+    remainder completes it.  ``workers`` > 1 splits only level k itself.
     """
     sig = _sig(t)
     if k == 1:
@@ -609,6 +610,8 @@ def _scan(space: _SearchSpace, t: Coeffs, k: int, outer: int) -> tuple[Coeffs, .
     first_ok = space.first_root_classes(sig, k)
     if not first_ok:
         return None
+    if workers > 1:
+        return _scan_cells(space, t, k, outer, workers)
     return _scan_three_range(space, k, t, outer, first_ok, range(-outer, outer + 1))
 
 
@@ -663,12 +666,6 @@ def _scan_three_range(
     return None
 
 
-def _three_cube_cells(space: _SearchSpace, outer: int, t: Coeffs) -> list[tuple[int, int]]:
-    """The (w0, w1) cells of a parallel 3-cube scan, in lexicographic order."""
-    w1_values = space.outer_roots(t, outer)
-    return [(w0, w1) for w0 in range(-outer, outer + 1) for w1 in w1_values]
-
-
 def _clamp_workers(requested: int, chunks: int) -> int:
     """Processes worth starting for ``requested`` workers over ``chunks``
     chunks: never more than the chunks or the CPUs this process may run
@@ -677,59 +674,55 @@ def _clamp_workers(requested: int, chunks: int) -> int:
     return max(1, min(requested, cpus or 1, chunks))
 
 
-def _take_cells(space, t, outer, next_cell, least_hit, before_cell=lambda: None):
-    """Scan the 3-cube cells numbered by the shared counter ``next_cell``
-    until one hits or none is left before ``least_hit``; return
-    ``(cell number, witness)`` or None, calling ``before_cell`` before
-    each cell is taken.  No lock guards the two ints: a
-    race may hand a cell to two processes but skips none (the first write
-    past n is n + 1 from a process that read n), and may leave
-    ``least_hit`` above the least hit cell, never below it."""
-    first_ok = space.first_root_classes(_sig(t), 3)
-    cells = _three_cube_cells(space, outer, t)
+def _take_cells(space, t, k, outer, next_cell, least_hit, before_cell=lambda: None):
+    """Scan the k-cube cells, the outer roots' (w0, w1) in lexicographic
+    order, numbered by the shared counter ``next_cell`` until one hits or
+    none is left before ``least_hit``; return ``(cell number, witness)``
+    or None, calling ``before_cell`` before each cell is taken.  No lock
+    guards the two ints: a race may hand a cell to two processes but
+    skips none (the first write past n is n + 1 from a process that read
+    n), and may leave ``least_hit`` above the least hit cell, never below it."""
+    first_ok = space.first_root_classes(_sig(t), k)
+    w1_values = list(space.outer_roots(t, outer))
     while True:
         before_cell()
         n = next_cell.value
         next_cell.value = n + 1
         if n >= least_hit.value:
             return None
-        res = _scan_cell(space, 3, t, outer, first_ok, *cells[n], lambda: least_hit.value < n)
+        i, j = divmod(n, len(w1_values))
+        w0, w1 = i - outer, w1_values[j]
+        res = _scan_cell(space, k, t, outer, first_ok, w0, w1, lambda: least_hit.value < n)
         if res is not None:
             least_hit.value = min(n, least_hit.value)
             return n, res
 
 
-def _three_cube_worker(params, bound, t, outer, next_cell, least_hit, conn) -> None:
-    """A 3-cube worker process: send what :func:`_take_cells` returns."""
-    conn.send(_take_cells(_SearchSpace(params, bound), t, outer, next_cell, least_hit))
+def _cell_worker(params, bound, t, k, outer, next_cell, least_hit, conn) -> None:
+    """A helper process of a parallel level: send what :func:`_take_cells` returns."""
+    conn.send(_take_cells(_SearchSpace(params, bound), t, k, outer, next_cell, least_hit))
 
 
-@contextlib.contextmanager
-def _three_cube_workers(space: _SearchSpace, cfg: SearchConfig, t: Coeffs, workers: int):
-    """The cell counter, the least hit cell and the ``workers - 1``
-    processes that scan the 3-cube cells beside the search's own, each
-    with the read end of its one-way pipe; or None when that scan runs
-    serially or the mod-9 patterns rule it out.
+def _scan_cells(
+    space: _SearchSpace, t: Coeffs, k: int, outer: int, workers: int
+) -> tuple[Coeffs, ...] | None:
+    """Level k >= 3 of :func:`_scan`, its cells taken by this process and
+    at most ``workers - 1`` helpers, started here and joined before it returns.
 
-    The processes start before the 1- and 2-cube stages and scan at once;
-    each builds the cube groups its cells meet, as a serial scan does.
-    When this process has no other thread (counted by the OS, so C
-    threads such as faulthandler's watchdog count too) they are forked:
+    Each helper builds the cube groups its cells meet, as a serial scan
+    does.  When this process has no other thread (counted by the OS, so
+    C threads such as faulthandler's watchdog count too) they are forked:
     no interpreter starts, and they inherit the mod-9 tables built here.
     Otherwise, or where the threads cannot be counted, they are spawned,
     so another thread cannot leave them holding a lock, and a script
     must guard its entry point.  Either way they get only small
-    arguments.  No process takes a lock another shares, so leaving the
-    context can terminate them at any moment.
+    arguments.  No process takes a lock another shares, so the helpers
+    can be terminated at any moment.
     """
-    cells = 0
-    if workers > 1 and cfg.max_cubes >= 3 and space.first_root_classes(_sig(t), 3):
-        # counting the cells enumerates the outer box's orbit-least roots
-        cells = len(_three_cube_cells(space, cfg.outer, t))
+    cells = (2 * outer + 1) * len(space.outer_roots(t, outer))
     workers = _clamp_workers(workers, cells)
     if workers == 1:
-        yield None
-        return
+        return _scan(space, t, k, outer)
     import multiprocessing  # only here, so importing the package stays light
 
     try:
@@ -745,13 +738,13 @@ def _three_cube_workers(space: _SearchSpace, cfg: SearchConfig, t: Coeffs, worke
             # the parent keeps no write end, so a dead worker's pipe reads EOF
             with writer:
                 proc = ctx.Process(
-                    target=_three_cube_worker,
-                    args=(space.params, space.bound, t, cfg.outer, next_cell, least_hit, writer),
+                    target=_cell_worker,
+                    args=(space.params, space.bound, t, k, outer, next_cell, least_hit, writer),
                     daemon=True,
                 )
                 proc.start()
             procs.append((proc, reader))
-        yield next_cell, least_hit, procs
+        return _own_cells(space, t, k, outer, next_cell, least_hit, procs)
     finally:
         for proc, _ in procs:
             proc.terminate()
@@ -760,15 +753,13 @@ def _three_cube_workers(space: _SearchSpace, cfg: SearchConfig, t: Coeffs, worke
             reader.close()
 
 
-def _scan_three(space: _SearchSpace, t: Coeffs, outer: int, parallel) -> tuple[Coeffs, ...] | None:
-    """The 3-cube level of :func:`_scan` with the workers that
-    :func:`_three_cube_workers` started, which exist only when t's
-    signature is in S_3."""
+def _own_cells(space, t, k, outer, next_cell, least_hit, procs) -> tuple[Coeffs, ...] | None:
+    """This process's share of :func:`_scan_cells`, beside the started
+    helpers ``procs``, each with the read end of its one-way pipe."""
     from multiprocessing.connection import wait
 
     # This process takes cells as the workers do.  The cell holding the
     # least witness runs to its end, so the least hit cell gives the serial result.
-    next_cell, least_hit, procs = parallel
     pending = {reader: proc for proc, reader in procs}
     hits = []
 
@@ -786,7 +777,7 @@ def _scan_three(space: _SearchSpace, t: Coeffs, outer: int, parallel) -> tuple[C
                     "with if __name__ == '__main__':"
                 ) from None
 
-    hits.append(_take_cells(space, t, outer, next_cell, least_hit, lambda: collect(0)))
+    hits.append(_take_cells(space, t, k, outer, next_cell, least_hit, lambda: collect(0)))
     while pending:
         collect(None)
     return min(filter(None, hits), default=(None, None))[1]
@@ -818,29 +809,25 @@ def min_cubes_search(
     the norm form's weights (a, b, ab) and fix the target (or remainder):
     such a map sends witnesses to witnesses, so only the least root of an
     orbit can start the least witness.
-    ``workers`` > 1 cuts the 3-cube scan into ``(w0, w1)`` cells of the outer
-    root's first two coefficients, which this process and ``workers - 1``
-    helper ones (no more than the CPUs or the cells in all) take in turn;
-    every cell before the least hit runs to its end, so the result is
-    identical to a serial run.  The helpers are forked when this process
-    has no other thread and spawned otherwise (see
-    :func:`_three_cube_workers`).  A dying helper is reported before this
-    process takes its next cell; a script that calls this with ``workers``
-    > 1 from a process with other threads must guard its entry point with
-    ``if __name__ == "__main__":``.
+    ``workers`` > 1 cuts the scan of each stage k >= 3 that runs into
+    ``(w0, w1)`` cells of the outer root's first two coefficients, which
+    this process and ``workers - 1`` helper ones (no more than the CPUs
+    or the cells in all) take in turn; every cell before the least hit
+    runs to its end, so the result is identical to a serial run.  The
+    helpers start with that stage and end with it, so a witness of 1 or
+    2 cubes starts none.  They are forked when this process has no other
+    thread and spawned otherwise (see :func:`_scan_cells`).  A dying
+    helper is reported before this process takes its next cell; a script
+    that calls this with ``workers`` > 1 from a process with other
+    threads must guard its entry point with ``if __name__ == "__main__":``.
     """
     params = alpha.params
     t = alpha.coefficients()
     space = _SearchSpace(params, cfg.coeff_bound)
-
-    with _three_cube_workers(space, cfg, t, workers) as parallel:
-        for k in range(1, cfg.max_cubes + 1):
-            if k == 3 and parallel is not None:
-                found = _scan_three(space, t, cfg.outer, parallel)
-            else:
-                found = _scan(space, t, k, cfg.outer)
-            if found is not None:
-                return [Quaternion(params, *c) for c in found]
+    for k in range(1, cfg.max_cubes + 1):
+        found = _scan(space, t, k, cfg.outer, workers)
+        if found is not None:
+            return [Quaternion(params, *c) for c in found]
     return None
 
 

@@ -145,25 +145,22 @@ def test_unguarded_single_threaded_search_forks_and_finds_the_serial_witness(tmp
     assert proc.stdout == f"{serial}\n"
 
 
-# records each worker process the search starts
+# records each process started, the search's worker processes among them,
+# and its arguments, which starting it drops
 _RECORD_STARTS = """
-import contextlib
+import multiprocessing.process
 
-from quatcube import search
-
-started = []
-_workers = search._three_cube_workers
+started, started_args = [], []
+_start = multiprocessing.process.BaseProcess.start
 
 
-@contextlib.contextmanager
-def _recorded(*args):
-    with _workers(*args) as parallel:
-        if parallel is not None:
-            started.extend(proc for proc, _ in parallel[2])
-        yield parallel
+def _recorded(proc):
+    started_args.append(proc._args)
+    _start(proc)
+    started.append(proc)
 
 
-search._three_cube_workers = _recorded
+multiprocessing.process.BaseProcess.start = _recorded
 """
 
 _START_METHOD = _RECORD_STARTS + """
@@ -280,41 +277,45 @@ import time
 from quatcube import QuatcubeError, Quaternion, RingParams, SearchConfig, min_cubes_search
 
 
-@contextlib.contextmanager
-def _killing(*args):
-    with _recorded(*args) as parallel:
-        # no thread may kill it, or the search would spawn it: wait for the
-        # worker to build its first groups, then kill it from here
-        time.sleep(0.5)
-        os.kill(started[0].pid, signal.SIGKILL)
-        yield parallel
+def _killing(proc):
+    _recorded(proc)
+    # no thread may kill it, or the search would spawn it: wait for the
+    # worker to build its first groups, then kill it from here
+    time.sleep(0.5)
+    os.kill(proc.pid, signal.SIGKILL)
 
 
-search._three_cube_workers = _killing
+multiprocessing.process.BaseProcess.start = _killing
+
+# no witness in either box; in ring (3, 3) S_3 leaves out the target's
+# signature, so its first worker starts at level 4
+SEARCHES = {
+    "3": (RingParams(1, 1), (4001, 2999, -1234, 777), SearchConfig(3, 10, 4)),
+    "4": (RingParams(3, 3), (1003, 300, 600, -900), SearchConfig(4, 3, 2)),
+}
 
 if __name__ == "__main__":
+    params, coeffs, cfg = SEARCHES[sys.argv[1]]
     try:
-        # no witness in this box
-        min_cubes_search(
-            Quaternion(RingParams(1, 1), 4001, 2999, -1234, 777),
-            SearchConfig(max_cubes=3, coeff_bound=10, outer_bound=4),
-            workers=2,
-        )
+        min_cubes_search(Quaternion(params, *coeffs), cfg, workers=2)
     except QuatcubeError as exc:
-        print(exc, started[0]._start_method)
+        # the worker's arguments are (params, bound, t, k, ...)
+        print(exc, started[0]._start_method, started_args[0][3])
         left = multiprocessing.active_children()
         sys.exit(f"worker processes left: {left}" if left else 0)
     sys.exit("the search returned although a worker was killed")
 """
 
 
-@pytest.mark.skipif(CPUS < 2, reason="3-cube workers need two CPUs")
-def test_forked_search_worker_killed_mid_scan_raises(tmp_path):
-    # as above, for a worker forked from a process with no other thread
+@pytest.mark.skipif(CPUS < 2, reason="search workers need two CPUs")
+@pytest.mark.parametrize("level", ["3", "4"])
+def test_forked_search_worker_killed_mid_scan_raises(tmp_path, level):
+    # as above, for a worker forked from a process with no other thread,
+    # at the 3-cube and at the 4-cube stage
     script = tmp_path / "killed_forked_worker.py"
     script.write_text(_KILLED_FORKED_WORKER)
     proc = subprocess.Popen(
-        [sys.executable, str(script)], env=_env(), stdout=subprocess.PIPE,
+        [sys.executable, str(script), level], env=_env(), stdout=subprocess.PIPE,
         stderr=subprocess.PIPE, text=True, start_new_session=True,
     )
     try:
@@ -324,7 +325,7 @@ def test_forked_search_worker_killed_mid_scan_raises(tmp_path):
         proc.communicate()
         pytest.fail("a search with a killed forked worker did not end in 60 s")
     assert proc.returncode == 0, err
-    assert "exited with code -9" in out and out.endswith(" fork\n")
+    assert "exited with code -9" in out and out.endswith(f" fork {level}\n")
 
 
 _THREADED_SEARCHES = """
@@ -384,7 +385,7 @@ from quatcube import Quaternion, RingParams, SearchConfig, min_cubes_search
 
 if __name__ == "__main__":
     cfg = SearchConfig(max_cubes=3, coeff_bound=2, outer_bound=2)
-    # the third target is a sum of two cubes, found while the worker scans
+    # the third target is a sum of two cubes, found before a worker starts
     targets = [Quaternion(RingParams(2, 1), -192, -16, -16, 0),
                Quaternion(RingParams(1, 1), -66, 8, 8, 10),
                Quaternion(RingParams(1, 1), -39, -13, 17, -3)]
@@ -398,8 +399,8 @@ if __name__ == "__main__":
             left = multiprocessing.active_children()
             if left:
                 sys.exit(f"worker processes left: {left}")
-    if [proc._start_method for proc in started] != ["fork"] * len(targets) * rounds:
-        sys.exit("the workers were not all forked")
+    if [proc._start_method for proc in started] != ["fork"] * 2 * rounds:
+        sys.exit("the workers were not all forked, or a 2-cube search started one")
     if not any(proc.exitcode == -signal.SIGTERM for proc in started):
         sys.exit("no worker was terminated")
 """
@@ -407,8 +408,9 @@ if __name__ == "__main__":
 
 @pytest.mark.skipif(CPUS < 2, reason="3-cube workers need two CPUs")
 def test_repeated_forked_parallel_searches_never_hang(tmp_path):
-    # The single-threaded counterpart of the test above: every search forks
-    # its worker and terminates it, often mid-scan, once a hit is found.
+    # The single-threaded counterpart of the test above: every search that
+    # reaches the 3-cube stage forks its worker there and terminates it,
+    # often mid-scan, once a hit is found.
     # The searches run in their own session so that a hang, workers
     # included, can be killed and fail the test instead of stalling it,
     # and so that any process left behind can be found by its group.

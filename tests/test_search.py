@@ -1,4 +1,3 @@
-import contextlib
 import multiprocessing
 import os
 import random
@@ -650,7 +649,7 @@ class TestMinCubesSearch:
         cfg = SearchConfig(max_cubes=3, coeff_bound=2, outer_bound=2)
         serial = min_cubes_search(target, cfg)
         assert serial[0] == Quaternion(params, 2, 0, -2, 0)
-        started = _record_spawned(monkeypatch)
+        started = _record_started(monkeypatch)
         assert min_cubes_search(target, cfg, workers=2) == serial
         # two workers are the search's own process and one spawned one
         assert len(started) == _clamp_workers(2, 25) - 1
@@ -685,19 +684,36 @@ class TestMinCubesSearch:
         assert min_cubes_search(target, cfg, workers=2) == serial
         assert multiprocessing.active_children() == []
 
-    @pytest.mark.skipif(CPUS < 2, reason="3-cube workers need two CPUs")
     @pytest.mark.parametrize("roots", [[(2, -1, 3, 0)], [(1, 2, 3, 4), (-5, 6, -7, 8)]])
-    def test_lower_stage_witness_terminates_the_started_workers(self, monkeypatch, roots):
+    def test_lower_stage_witness_starts_no_helper(self, monkeypatch, roots):
+        # helpers start with the 3-cube stage, which a 1- or 2-cube
+        # witness ends the search before
         t = tuple(map(sum, zip(*(cube_coeffs(1, 1, r) for r in roots))))
         target = Quaternion(LIPSCHITZ, *t)
         cfg = SearchConfig(max_cubes=3, coeff_bound=10, outer_bound=2)
         serial = min_cubes_search(target, cfg)
         assert len(serial) == len(roots)
-        started = _record_spawned(monkeypatch)
-        workers = 2
-        assert min_cubes_search(target, cfg, workers=workers) == serial
-        # the search's own process is one of the workers
-        assert len(started) == workers - 1 and not any(proc.is_alive() for proc in started)
+        started = _record_started(monkeypatch)
+        assert min_cubes_search(target, cfg, workers=2) == serial
+        assert started == [] and multiprocessing.active_children() == []
+
+    @pytest.mark.skipif(CPUS < 2, reason="search workers need two CPUs")
+    @pytest.mark.parametrize("coeffs, bounds, levels", [
+        # S_3 leaves out 4's signature, so only level 4 runs, and finds 1+1+1+1
+        ((4, 0, 0, 0), (1, 1), [4]),
+        # no witness: levels 3 and 4 each start and end their own helper
+        ((1000, 300, 600, -900), (2, 1), [3, 4]),
+    ])
+    def test_top_four_cube_stage_runs_on_helpers(self, monkeypatch, coeffs, bounds, levels):
+        target = Quaternion(RingParams(3, 3), *coeffs)
+        cfg = SearchConfig(4, *bounds)
+        serial = min_cubes_search(target, cfg)
+        assert (serial is None) == (levels == [3, 4])
+        started = _record_started(monkeypatch)
+        assert min_cubes_search(target, cfg, workers=2) == serial
+        # a helper's arguments are (params, bound, t, k, ...)
+        assert [args[3] for _, args in started] == levels
+        assert not any(proc.is_alive() for proc, _ in started)
         assert multiprocessing.active_children() == []
 
     def test_worker_runs_every_cell_before_a_hit_to_its_end(self):
@@ -711,7 +727,7 @@ class TestMinCubesSearch:
         for first in (22, 24):
             next_cell = multiprocessing.Value("i", first)
             least_hit = multiprocessing.RawValue("i", 23)
-            search._three_cube_worker(params, 2, t, 2, next_cell, least_hit, conn)
+            search._cell_worker(params, 2, t, 3, 2, next_cell, least_hit, conn)
             least_hits.append(least_hit.value)
         assert sent[0][0] == 22 and [Quaternion(params, *c) for c in sent[0][1]] == serial
         assert sent[1:] == [None] and least_hits == [22, 23]
@@ -725,7 +741,7 @@ class TestMinCubesSearch:
         space = _SearchSpace(params, 2)
         next_cell = multiprocessing.RawValue("i", 22)
         least_hit = multiprocessing.RawValue("i", 23)
-        n, got = search._take_cells(space, t, 2, next_cell, least_hit)
+        n, got = search._take_cells(space, t, 3, 2, next_cell, least_hit)
         assert n == 22 and [Quaternion(params, *c) for c in got] == serial
         assert least_hit.value == 22
         next_cell.value, least_hit.value = 22, 25
@@ -733,8 +749,7 @@ class TestMinCubesSearch:
         with reader, writer:
             writer.send((23, ((0, 0, 0, 0),) * 3))
             worker = types.SimpleNamespace(exitcode=None, join=lambda: None)
-            parallel = (next_cell, least_hit, [(worker, reader)])
-            got = search._scan_three(space, t, 2, parallel)
+            got = search._own_cells(space, t, 3, 2, next_cell, least_hit, [(worker, reader)])
         assert [Quaternion(params, *c) for c in got] == serial
 
     def test_dead_worker_stops_own_cells_at_once(self):
@@ -743,16 +758,15 @@ class TestMinCubesSearch:
         # after it has scanned every cell of a box with no witness
         params, t, outer = RingParams(2, 1), (3, 37, -3, 0), 4
         space = _SearchSpace(params, 2)
-        cells = len(search._three_cube_cells(space, outer, t))
+        cells = (2 * outer + 1) * len(space.outer_roots(t, outer))
         next_cell = multiprocessing.RawValue("i", 0)
         least_hit = multiprocessing.RawValue("i", cells)
         reader, writer = multiprocessing.Pipe(duplex=False)
         writer.close()
         with reader:
             worker = types.SimpleNamespace(exitcode=1, join=lambda: None)
-            parallel = (next_cell, least_hit, [(worker, reader)])
             with pytest.raises(QuatcubeError, match="exited with code 1"):
-                search._scan_three(space, t, outer, parallel)
+                search._own_cells(space, t, 3, outer, next_cell, least_hit, [(worker, reader)])
         assert cells == 81 and next_cell.value <= 1
 
     def test_cell_counter_without_a_lock_skips_no_cell(self, monkeypatch):
@@ -761,7 +775,8 @@ class TestMinCubesSearch:
         # interleave between a read and its write; the box holds no
         # witness, so every cell must be scanned, some perhaps twice
         params, t = RingParams(2, 1), (3, 37, -3, 0)
-        cells = search._three_cube_cells(_SearchSpace(params, 1), 2, t)
+        w1_values = _SearchSpace(params, 1).outer_roots(t, 2)
+        cells = [(w0, w1) for w0 in range(-2, 3) for w1 in w1_values]
         scanned = []
         scan_cell = search._scan_cell
 
@@ -791,7 +806,7 @@ class TestMinCubesSearch:
 
             def take():
                 space = _SearchSpace(params, 2)
-                results.append(search._take_cells(space, t, 2, next_cell, least_hit))
+                results.append(search._take_cells(space, t, 3, 2, next_cell, least_hit))
 
             threads = [threading.Thread(target=take) for _ in range(8)]
             sys.setswitchinterval(1e-6)
@@ -831,22 +846,21 @@ class TestMinCubesSearch:
         assert total == scalar(params, 4)
 
 
-def _record_spawned(monkeypatch):
-    """The list that the search's worker processes are added to as they
-    are started, from now on.  In a test they are spawned: pytest's
-    faulthandler watchdog is a second OS thread, so the search does not
-    fork (tests/test_robustness.py runs the forked ones)."""
+def _record_started(monkeypatch):
+    """The list that every process started from now on is added to, with
+    the arguments that starting it drops, the search's helpers among
+    them.  In a test they are spawned: pytest's faulthandler watchdog is
+    a second OS thread, so the search does not fork
+    (tests/test_robustness.py runs the forked ones)."""
     started = []
-    workers = search._three_cube_workers
+    start = multiprocessing.process.BaseProcess.start
 
-    @contextlib.contextmanager
-    def recorded(*args):
-        with workers(*args) as parallel:
-            if parallel is not None:
-                started.extend(proc for proc, _ in parallel[2])
-            yield parallel
+    def recorded(proc):
+        args = proc._args
+        start(proc)
+        started.append((proc, args))
 
-    monkeypatch.setattr(search, "_three_cube_workers", recorded)
+    monkeypatch.setattr(multiprocessing.process.BaseProcess, "start", recorded)
     return started
 
 
@@ -1102,11 +1116,21 @@ class TestOuterRootSymmetry:
         assert calls == []
 
     @pytest.mark.parametrize("coeffs, cells", [((7, 0, 5, 0), 5 * 3), ((7, 3, 0, 0), 5 * 5)])
-    def test_parallel_cells_skip_positive_w1(self, coeffs, cells):
-        # the cells the workers scan, by number, and that _clamp_workers counts
-        got = search._three_cube_cells(_SearchSpace(LIPSCHITZ, 1), 2, coeffs)
-        assert len(got) == cells and got == sorted(got)
-        assert all(w1 <= 0 for _, w1 in got) == (coeffs[1] == 0)
+    def test_parallel_cells_skip_positive_w1(self, monkeypatch, coeffs, cells):
+        # the cells that _clamp_workers counts, and that the workers scan
+        # by number in the serial scan's order
+        space, counted, scanned = _SearchSpace(LIPSCHITZ, 1), [], []
+        monkeypatch.setattr(
+            search, "_clamp_workers", lambda n, chunks: counted.append(chunks) or 1
+        )
+        monkeypatch.setattr(search, "_scan_cell", lambda *args: scanned.append(args[5:7]))
+        assert search._scan(space, coeffs, 3, 2, workers=2) is None
+        assert counted == [cells] and len(scanned) == cells
+        serial, scanned[:] = scanned[:], []
+        next_cell, least_hit = types.SimpleNamespace(value=0), types.SimpleNamespace(value=cells)
+        assert search._take_cells(space, coeffs, 3, 2, next_cell, least_hit) is None
+        assert scanned == serial == sorted(serial)
+        assert all(w1 <= 0 for _, w1 in scanned) == (coeffs[1] == 0)
 
     def test_flagship_scans_327_outer_roots(self, monkeypatch):
         calls = []
