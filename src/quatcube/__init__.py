@@ -8,10 +8,12 @@ search and exhaustive modular enumerators.
 
 from .decompose import (
     Decomposition,
+    LemmaReport,
     cube_root_congruence,
     decompose,
     identity_6z,
     identity_6z3,
+    lemma_residue_check,
     member_cube_subgroup,
     select_pair,
     verify,
@@ -39,9 +41,7 @@ from .residues import (
     lnr6,
 )
 from .search import (
-    LemmaReport,
     SearchConfig,
-    lemma_residue_check,
     min_cubes_search,
     three_cube_residues_mod9,
     two_cube_obstruction,

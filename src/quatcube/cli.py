@@ -16,14 +16,13 @@ import os
 import re
 import sys
 
-from .decompose import decompose, member_cube_subgroup, verify
+from .decompose import decompose, lemma_residue_check, member_cube_subgroup, verify
 from .errors import NotRepresentable, ParseError, QuatcubeError, VerificationFailed
 from .parser import parse_quaternion
 from .quat import Coeffs, Quaternion, RingParams, cube
 from .residues import Case, classify_case
 from .search import (
     SearchConfig,
-    lemma_residue_check,
     min_cubes_search,
     three_cube_residues_mod9,
     two_cube_obstruction,
@@ -44,26 +43,30 @@ class _Parser(argparse.ArgumentParser):
             return None
         return super()._parse_optional(arg_string)
 
+    def error(self, message):
+        # one stderr line and exit 2, like every other usage error here
+        sys.exit(_usage_error(message))
+
+
+def _int_pair(text: str, expected: str) -> tuple[int, int]:
+    # "A,B" as two ints; anything else is refused with what was expected
+    try:
+        a, b = text.split(",")
+        return int(a), int(b)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected {expected}, got {text!r}") from None
+
 
 def _ring(text: str) -> RingParams:
-    parts = text.split(",")
-    if len(parts) != 2:
-        raise argparse.ArgumentTypeError(f"expected A,B with positive integers, got {text!r}")
+    a, b = _int_pair(text, "A,B with positive integers")
     try:
-        a, b = int(parts[0]), int(parts[1])
         return RingParams(a, b)
     except ValueError as exc:
         raise argparse.ArgumentTypeError(str(exc))
 
 
 def _residue_pair(text: str) -> tuple[int, int]:
-    parts = text.split(",")
-    if len(parts) != 2:
-        raise argparse.ArgumentTypeError(f"expected a6,b6 in 0..5, got {text!r}")
-    try:
-        a6, b6 = int(parts[0]), int(parts[1])
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected a6,b6 in 0..5, got {text!r}")
+    a6, b6 = _int_pair(text, "a6,b6 in 0..5")
     if not (0 <= a6 <= 5 and 0 <= b6 <= 5):
         raise argparse.ArgumentTypeError(f"residues must lie in 0..5, got {text!r}")
     return a6, b6

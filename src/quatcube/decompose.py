@@ -27,22 +27,24 @@ classifies the ring once, runs the recipe, sums the roots' cubes and
 compares them with the target exactly.  It keeps those tuples in its
 :class:`Decomposition`, which builds root ``Quaternion``s only when
 ``roots`` is read; :func:`verify` and the CLI's decompose payload read
-``root_coeffs`` and build none.  The lemma checks
-(``search.lemma_residue_check``) certify the same tuple helpers,
-``_congruence_root`` and ``_pair``.  The public object helpers
+``root_coeffs`` and build none.  :func:`lemma_residue_check` certifies
+the same tuple helpers, ``_congruence_root``, ``_pair`` and ``_swap``,
+over whole residue classes mod 6.  The public object helpers
 ``identity_6z``, ``identity_6z3``, ``cube_root_congruence`` and
 ``select_pair`` wrap them for library callers, and build ``Quaternion``s.
 """
 
 from __future__ import annotations
 
-from dataclasses import FrozenInstanceError
+import functools
+from dataclasses import FrozenInstanceError, dataclass
+from itertools import product
 from typing import Iterable
 
-from .errors import NotRepresentable, PreconditionViolated, VerificationFailed
+from .errors import InvalidResidues, NotRepresentable, PreconditionViolated, VerificationFailed
 # cube, swap_iso, delta and lnr6 are not called here: perfbench/tracing.py
 # wraps them under these names
-from .quat import Coeffs, Quaternion, coeffs_text, cube_coeffs
+from .quat import Coeffs, Quaternion, RingParams, coeffs_text, cube_coeffs
 from .quat import cube, swap_iso  # noqa: F401
 from .residues import (  # noqa: F401
     Case,
@@ -290,6 +292,108 @@ def _roots(c: Coeffs, a: int, b: int, case: Case) -> list[Coeffs]:
 def _swap(c: Coeffs) -> Coeffs:
     # swap_iso on coefficients; it is its own inverse
     return (c[0], c[2], c[1], -c[3])
+
+
+@dataclass(frozen=True)
+class LemmaReport:
+    """Result of certifying the recipes of one (a mod 6, b mod 6) pair.
+
+    ``classes_checked`` counts the recipe classes whose congruence root
+    was checked, ``pair_targets_checked`` the target classes whose pair
+    was checked (0 in case 3), and ``failures`` holds the classes that
+    failed, recipe classes first.  A ``ResidueClass`` is built only for
+    a failure.
+    """
+
+    case: CaseTag
+    classes_checked: int
+    failures: tuple[ResidueClass, ...]
+    pair_targets_checked: int
+
+    @property
+    def passed(self) -> bool:
+        return not self.failures
+
+
+@functools.cache
+def _class_sets() -> tuple[frozenset[Coeffs], frozenset[Coeffs], frozenset[Coeffs]]:
+    """S, T2 and T3 as sets of residue tuples, by :func:`in_S`,
+    :func:`in_T2` and :func:`in_T3`; built once, on first use."""
+    classes = [ResidueClass(*r, 0, 0) for r in product(range(6), repeat=4)]
+    return tuple(
+        frozenset(c.residues() for c in classes if test(c)) for test in (in_S, in_T2, in_T3)
+    )
+
+
+def lemma_residue_check(a6: int, b6: int) -> LemmaReport:
+    """Exhaustively certify the congruence recipe and pair tables for one
+    (a mod 6, b mod 6) pair.
+
+    This runs the decomposer's own tuple helpers, ``_congruence_root``
+    and ``_pair``, on every residue class mod 6.  For each class in the
+    case's set (192 classes for S and for T2 + T3, the 48 cube-subgroup
+    classes for case 3) it checks that the recipe root's cube matches the
+    class mod 3 on the real part and mod 6 on the imaginary parts.  For
+    cases 1 and 2 it also checks the pair chosen for each of the 1296
+    target classes: both classes lie in the sets the case requires, and
+    they sum to the target class.  A swapped 2b/2c ring is checked the
+    way the decomposer runs it: each class goes through ``_swap`` to the
+    normalized ring, and the recipe root comes back through it.  Cubes
+    mod 6 depend on the ring only through (a mod 6, b mod 6), so this
+    covers every ring.  The failures list the failed recipe classes,
+    then the failed pair targets, as classes of the ring asked about.
+    """
+    if not (0 <= a6 <= 5 and 0 <= b6 <= 5):
+        raise InvalidResidues(f"residues must lie in 0..5, got ({a6}, {b6})")
+    params = RingParams(a6 if a6 else 6, b6 if b6 else 6)
+    tag = classify_case(params)
+    case, swapped = tag.case, tag.swapped
+    a, b = params.a, params.b
+    S, T2, T3 = _class_sets()
+    classes = list(product(range(6), repeat=4))
+    if case is Case.CASE3:
+        recipe = {r for r in classes if not (r[1] % 3 or r[2] % 3 or r[3] % 3)}
+    else:
+        recipe = S if case is Case.CASE1 else T2 | T3
+    checked = 0
+    bad_roots: list[Coeffs] = []
+    bad_pairs: list[Coeffs] = []
+    for r in classes:
+        # r's class in the normalized ring, where the recipe runs
+        t = _swap(r) if swapped else r
+        t = (t[0], t[1], t[2], t[3] % 6)
+        if t in recipe:
+            checked += 1
+            x = _congruence_root(t, b, a, case) if swapped else _congruence_root(t, a, b, case)
+            c0, c1, c2, c3 = cube_coeffs(a, b, _swap(x) if swapped else x)
+            if (c0 - r[0]) % 3 or (c1 - r[1]) % 6 or (c2 - r[2]) % 6 or (c3 - r[3]) % 6:
+                bad_roots.append(r)
+        if case is Case.CASE3:
+            continue
+        u, v = _pair(t, case)
+        if case is Case.CASE1:
+            u_set, v_set = S, S
+        elif t[2] % 3 == 0:
+            u_set, v_set = T2, T2
+        elif t[3] % 3 == 0:
+            u_set, v_set = T3, T3
+        else:
+            u_set, v_set = T2, T3
+        if not (
+            u in u_set
+            and v in v_set
+            and (u[0] + v[0] - t[0]) % 3 == 0
+            and (u[1] + v[1] - t[1]) % 6 == 0
+            and (u[2] + v[2] - t[2]) % 6 == 0
+            and (u[3] + v[3] - t[3]) % 6 == 0
+        ):
+            bad_pairs.append(r)
+    return LemmaReport(
+        tag,
+        checked,
+        tuple(ResidueClass(*r, a6, b6) for r in bad_roots + bad_pairs),
+        0 if case is Case.CASE3 else len(classes),
+    )
 
 
 def _verified(a: int, b: int, target: Coeffs, roots, case: Case) -> bool:

@@ -1,16 +1,12 @@
 """Bounded search and exhaustive modular verification oracles.
 
 The search and the enumerators are deliberately independent of the
-constructive decomposition pipeline, so the two can certify each other;
-the lemma check runs the decomposer's own tuple helpers, so it
-certifies the code that ``decompose`` runs:
+constructive decomposition pipeline, so the two can certify each other:
 
 * :func:`min_cubes_search` -- box-bounded minimal-representation search
   by meet-in-the-middle over groups of single cubes;
 * :func:`three_cube_residues_mod9` / :func:`two_cube_obstruction` --
-  modular enumerators proving the two non-representability witnesses;
-* :func:`lemma_residue_check` -- exhaustive certification of the
-  congruence recipes and pair tables over whole residue classes.
+  modular enumerators proving the two non-representability witnesses.
 
 Each cube of the box is packed into one int, exactly, and the packed cubes
 are grouped by their mod-9 signature and, within it, by their parity
@@ -47,22 +43,14 @@ from collections.abc import Iterator
 from dataclasses import dataclass
 from itertools import permutations, product
 
-from .decompose import _congruence_root, _pair, _swap
-# cube_root_congruence, select_pair, cube and swap_iso are not called
-# here: perfbench/tracing.py wraps them under these names
-from .decompose import cube_root_congruence, select_pair  # noqa: F401
-from .errors import InvalidResidues, MixedRings, QuatcubeError
-from .quat import Coeffs, Quaternion, RingParams, cube_coeffs
-from .quat import cube, swap_iso  # noqa: F401
-from .residues import (
-    Case,
-    CaseTag,
-    ResidueClass,
-    classify_case,
-    in_S,
-    in_T2,
-    in_T3,
+# Nothing here calls these: perfbench/workloads.py imports lemma_residue_check
+# from this module, and perfbench/tracing.py wraps the rest under these names
+from .decompose import (  # noqa: F401
+    classify_case, cube, cube_root_congruence, in_S, in_T2, in_T3,
+    lemma_residue_check, select_pair, swap_iso,
 )
+from .errors import MixedRings, QuatcubeError
+from .quat import Coeffs, Quaternion, RingParams, cube_coeffs
 
 
 @dataclass(frozen=True)
@@ -101,27 +89,6 @@ class SearchConfig:
     @property
     def outer(self) -> int:
         return self.coeff_bound if self.outer_bound is None else self.outer_bound
-
-
-@dataclass(frozen=True)
-class LemmaReport:
-    """Result of certifying the recipes of one (a mod 6, b mod 6) pair.
-
-    ``classes_checked`` counts the recipe classes whose congruence root
-    was checked, ``pair_targets_checked`` the target classes whose pair
-    was checked (0 in case 3), and ``failures`` holds the classes that
-    failed, recipe classes first.  A ``ResidueClass`` is built only for
-    a failure.
-    """
-
-    case: CaseTag
-    classes_checked: int
-    failures: tuple[ResidueClass, ...]
-    pair_targets_checked: int
-
-    @property
-    def passed(self) -> bool:
-        return not self.failures
 
 
 def _sig(c: Coeffs) -> Coeffs:
@@ -820,7 +787,13 @@ def min_cubes_search(
     helper is reported before this process takes its next cell; a script
     that calls this with ``workers`` > 1 from a process with other
     threads must guard its entry point with ``if __name__ == "__main__":``.
+    A ``workers`` that is not an int raises ``TypeError``, and one below 1
+    ``ValueError``, before any level runs.
     """
+    if isinstance(workers, bool) or not isinstance(workers, int):
+        raise TypeError(f"workers must be an int, got {workers!r}")
+    if workers < 1:
+        raise ValueError(f"workers must be at least 1, got {workers}")
     params = alpha.params
     t = alpha.coefficients()
     space = _SearchSpace(params, cfg.coeff_bound)
@@ -867,84 +840,3 @@ def two_cube_obstruction(params: RingParams, target: Quaternion) -> bool:
         if ((g0 - r) % 9, (g1 - p1) % 3, (g2 - p2) % 3, (g3 - p3) % 3) in patterns:
             return False
     return True
-
-
-@functools.cache
-def _class_sets() -> tuple[frozenset[Coeffs], frozenset[Coeffs], frozenset[Coeffs]]:
-    """S, T2 and T3 as sets of residue tuples, by :func:`in_S`,
-    :func:`in_T2` and :func:`in_T3`; built once, on first use."""
-    classes = [ResidueClass(*r, 0, 0) for r in product(range(6), repeat=4)]
-    return tuple(
-        frozenset(c.residues() for c in classes if test(c)) for test in (in_S, in_T2, in_T3)
-    )
-
-
-def lemma_residue_check(a6: int, b6: int) -> LemmaReport:
-    """Exhaustively certify the congruence recipe and pair tables for one
-    (a mod 6, b mod 6) pair.
-
-    This runs the decomposer's own tuple helpers, ``_congruence_root``
-    and ``_pair``, on every residue class mod 6.  For each class in the
-    case's set (192 classes for S and for T2 + T3, the 48 cube-subgroup
-    classes for case 3) it checks that the recipe root's cube matches the
-    class mod 3 on the real part and mod 6 on the imaginary parts.  For
-    cases 1 and 2 it also checks the pair chosen for each of the 1296
-    target classes: both classes lie in the sets the case requires, and
-    they sum to the target class.  A swapped 2b/2c ring is checked the
-    way the decomposer runs it: each class goes through ``_swap`` to the
-    normalized ring, and the recipe root comes back through it.  Cubes
-    mod 6 depend on the ring only through (a mod 6, b mod 6), so this
-    covers every ring.  The failures list the failed recipe classes,
-    then the failed pair targets, as classes of the ring asked about.
-    """
-    if not (0 <= a6 <= 5 and 0 <= b6 <= 5):
-        raise InvalidResidues(f"residues must lie in 0..5, got ({a6}, {b6})")
-    params = RingParams(a6 if a6 else 6, b6 if b6 else 6)
-    tag = classify_case(params)
-    case, swapped = tag.case, tag.swapped
-    a, b = params.a, params.b
-    S, T2, T3 = _class_sets()
-    classes = list(product(range(6), repeat=4))
-    if case is Case.CASE3:
-        recipe = {r for r in classes if not (r[1] % 3 or r[2] % 3 or r[3] % 3)}
-    else:
-        recipe = S if case is Case.CASE1 else T2 | T3
-    checked = 0
-    bad_roots: list[Coeffs] = []
-    bad_pairs: list[Coeffs] = []
-    for r in classes:
-        # r's class in the normalized ring, where the recipe runs
-        t = _swap(r) if swapped else r
-        t = (t[0], t[1], t[2], t[3] % 6)
-        if t in recipe:
-            checked += 1
-            x = _congruence_root(t, b, a, case) if swapped else _congruence_root(t, a, b, case)
-            c0, c1, c2, c3 = cube_coeffs(a, b, _swap(x) if swapped else x)
-            if (c0 - r[0]) % 3 or (c1 - r[1]) % 6 or (c2 - r[2]) % 6 or (c3 - r[3]) % 6:
-                bad_roots.append(r)
-        if case is Case.CASE3:
-            continue
-        u, v = _pair(t, case)
-        if case is Case.CASE1:
-            u_set, v_set = S, S
-        elif t[2] % 3 == 0:
-            u_set, v_set = T2, T2
-        elif t[3] % 3 == 0:
-            u_set, v_set = T3, T3
-        else:
-            u_set, v_set = T2, T3
-        if not (
-            u in u_set
-            and v in v_set
-            and (u[0] + v[0] - t[0]) % 3 == 0
-            and (u[1] + v[1] - t[1]) % 6 == 0
-            and (u[2] + v[2] - t[2]) % 6 == 0
-            and (u[3] + v[3] - t[3]) % 6 == 0
-        ):
-            bad_pairs.append(r)
-    return LemmaReport(
-        tag,
-        checked,
-        tuple(ResidueClass(*r, a6, b6) for r in bad_roots + bad_pairs),
-        0 if case is Case.CASE3 else len(classes),
-    )

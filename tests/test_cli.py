@@ -204,6 +204,34 @@ class TestCliErrors:
             main([])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("argv", [
+        ["decompose", "--ring", "a,b", "6"],
+        ["decompose", "--ring", "1", "6"],
+        ["decompose", "--ring", "0,1", "6"],
+        ["search", "--ring", "1,1", "--bound", "x", "3+3i"],
+        ["decompose", "--ring", "1,1"],
+        [],
+        ["nope"],
+        ["check-lemmas", "--residues", "6,0"],
+        ["decompose", "--ring", "1,1", "--nope", "6"],
+    ])
+    def test_bad_argument_is_one_usage_line(self, capsys, argv):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        out, err = capsys.readouterr()
+        assert (code, out) == (2, "")
+        assert len(err.splitlines()) == 1 and err.startswith("usage error:")
+        assert "Traceback" not in err and "invalid literal" not in err
+
+    def test_malformed_ring_names_the_expected_form(self, capsys):
+        with pytest.raises(SystemExit):
+            main(["decompose", "--ring", "a,b", "6"])
+        assert capsys.readouterr().err == (
+            "usage error: argument --ring: expected A,B with positive integers, got 'a,b'\n"
+        )
+
 
 _DIGIT_LIMIT = sys.get_int_max_str_digits()
 

@@ -1,3 +1,4 @@
+import sys
 from dataclasses import FrozenInstanceError
 from itertools import product
 
@@ -5,10 +6,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import quatcube
 from quatcube import (
     Case,
     CaseTag,
     Decomposition,
+    InvalidResidues,
     NotRepresentable,
     PreconditionViolated,
     Quaternion,
@@ -23,11 +26,15 @@ from quatcube import (
     in_S,
     in_T2,
     in_T3,
+    lemma_residue_check,
     member_cube_subgroup,
     select_pair,
     swap_iso,
     verify,
 )
+
+# the package's decompose attribute is the function; the module is here
+decompose_module = sys.modules["quatcube.decompose"]
 
 SHOWCASE_RINGS = [
     (1, 1), (2, 1), (1, 2), (4, 4), (2, 3), (3, 2), (1, 3), (3, 1),
@@ -388,3 +395,98 @@ class TestDecomposition:
             with pytest.raises(FrozenInstanceError):
                 delattr(dec, name)
         assert verify(dec)
+
+
+class TestLemmaResidueCheck:
+    def test_case1_counts(self):
+        rep = lemma_residue_check(2, 1)
+        assert rep.case.case is Case.CASE1
+        assert rep.classes_checked == 192
+        assert rep.pair_targets_checked == 1296
+        assert rep.passed
+
+    def test_case3_counts(self):
+        rep = lemma_residue_check(3, 3)
+        assert rep.case.case is Case.CASE3
+        assert rep.classes_checked == 48
+        assert rep.pair_targets_checked == 0
+        assert rep.passed
+
+    def test_case2c_normalized(self):
+        rep = lemma_residue_check(1, 3)
+        assert rep.case.case is Case.CASE2C
+        assert not rep.case.swapped
+        assert rep.passed
+
+    def test_swapped_orientation(self):
+        rep = lemma_residue_check(0, 2)
+        assert rep.case.case is Case.CASE2B
+        assert rep.case.swapped
+        assert rep.classes_checked == 192
+        assert rep.passed
+
+    def test_rejects_bad_residues(self):
+        with pytest.raises(InvalidResidues):
+            lemma_residue_check(6, 0)
+        with pytest.raises(InvalidResidues):
+            lemma_residue_check(0, -1)
+
+    @staticmethod
+    def _failures():
+        return [
+            (a6, b6, f.residues())
+            for a6 in range(6)
+            for b6 in range(6)
+            for f in lemma_residue_check(a6, b6).failures
+        ]
+
+    def test_catches_a_broken_pair_table(self, monkeypatch):
+        # the unit pair for 1 mod 6 made (1, 1), which sums to 2: every
+        # case-1 and case-2 ring fails on the targets whose i-coefficient
+        # is 1 mod 6 (or, through the mirror ring, the ones it maps there)
+        uu = list(decompose_module._UU)
+        uu[1] = (1, 1)
+        monkeypatch.setattr(decompose_module, "_UU", uu)
+        failed = self._failures()
+        assert len(failed) == 13272
+        assert {(a6, b6) for a6, b6, _ in failed} == {
+            (a6, b6) for a6 in range(6) for b6 in range(6) if a6 % 3 or b6 % 3
+        }
+
+    @pytest.mark.parametrize("shift", [2, 3])
+    def test_catches_a_broken_recipe_root(self, monkeypatch, shift):
+        # the root for class (1, 1, 1, 1) moved on its real part: by 2 its
+        # cube's real part moves by 2 mod 3 and its pure parts stay put mod
+        # 6, by 3 only its (odd) pure parts move, by 3 mod 6.  That class
+        # lies in S only, so each of the 12 case-1 pairs fails on it alone
+        root = decompose_module._congruence_root
+
+        def shifted(r, a, b, case):
+            x = root(r, a, b, case)
+            return (x[0] + shift, *x[1:]) if r == (1, 1, 1, 1) else x
+
+        monkeypatch.setattr(decompose_module, "_congruence_root", shifted)
+        failed = self._failures()
+        assert len(failed) == 12
+        for a6, b6, residues in failed:
+            assert residues == (1, 1, 1, 1)
+            assert lemma_residue_check(a6, b6).case.case is Case.CASE1
+
+    def test_passing_check_builds_no_quaternion(self, monkeypatch):
+        built = []
+        init = Quaternion.__init__
+
+        def counted(self, *args, **kwargs):
+            built.append(args)
+            init(self, *args, **kwargs)
+
+        decompose_module._class_sets.cache_clear()
+        monkeypatch.setattr(Quaternion, "__init__", counted)
+        reports = [lemma_residue_check(a6, b6) for a6 in range(6) for b6 in range(6)]
+        monkeypatch.undo()
+        assert all(rep.passed for rep in reports)
+        assert built == []
+
+    def test_reachable_through_the_search_module(self):
+        # perfbench/workloads.py imports the certificate from quatcube.search
+        assert sys.modules["quatcube.search"].lemma_residue_check is quatcube.lemma_residue_check

@@ -13,14 +13,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from quatcube import (
-    Case,
-    InvalidResidues,
     QuatcubeError,
     Quaternion,
     RingParams,
     SearchConfig,
     cube,
-    lemma_residue_check,
     min_cubes_search,
     three_cube_residues_mod9,
     two_cube_obstruction,
@@ -40,8 +37,6 @@ from quatcube.search import (
     _sums,
 )
 
-# the package's decompose attribute is the function; the module is here
-_decompose_module = sys.modules["quatcube.decompose"]
 # the CPUs this process may run on, as _clamp_workers counts them
 CPUS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 
@@ -75,6 +70,20 @@ def test_ring_parameters_and_search_bounds_must_be_ints(build):
     # would fail deep inside range()
     with pytest.raises(TypeError, match="must be ints"):
         build()
+
+
+@pytest.mark.parametrize("workers, error", [
+    (0, ValueError), (-3, ValueError), (True, TypeError), ("2", TypeError), (None, TypeError),
+])
+def test_workers_are_checked_before_any_level_runs(monkeypatch, workers, error):
+    # these once ran serially without a word, or failed in the 3-cube
+    # stage after the 1- and 2-cube levels had run
+    scanned = []
+    monkeypatch.setattr(search, "_scan", lambda *args: scanned.append(args))
+    target = Quaternion(LIPSCHITZ, 3, 3, 0, 0)
+    with pytest.raises(error, match="workers"):
+        min_cubes_search(target, SearchConfig(max_cubes=3, coeff_bound=2), workers=workers)
+    assert scanned == []
 
 
 class TestThreeCubeResidues:
@@ -1141,94 +1150,3 @@ class TestOuterRootSymmetry:
         assert [r.coefficients() for r in roots] == [(-5, -4, -4, -2), (5, 2, 6, 3), (6, 1, 0, 0)]
         # one call for the 2-cube stage, the rest for outer roots
         assert len(calls) == 327
-
-
-class TestLemmaResidueCheck:
-    def test_case1_counts(self):
-        rep = lemma_residue_check(2, 1)
-        assert rep.case.case is Case.CASE1
-        assert rep.classes_checked == 192
-        assert rep.pair_targets_checked == 1296
-        assert rep.passed
-
-    def test_case3_counts(self):
-        rep = lemma_residue_check(3, 3)
-        assert rep.case.case is Case.CASE3
-        assert rep.classes_checked == 48
-        assert rep.pair_targets_checked == 0
-        assert rep.passed
-
-    def test_case2c_normalized(self):
-        rep = lemma_residue_check(1, 3)
-        assert rep.case.case is Case.CASE2C
-        assert not rep.case.swapped
-        assert rep.passed
-
-    def test_swapped_orientation(self):
-        rep = lemma_residue_check(0, 2)
-        assert rep.case.case is Case.CASE2B
-        assert rep.case.swapped
-        assert rep.classes_checked == 192
-        assert rep.passed
-
-    def test_rejects_bad_residues(self):
-        with pytest.raises(InvalidResidues):
-            lemma_residue_check(6, 0)
-        with pytest.raises(InvalidResidues):
-            lemma_residue_check(0, -1)
-
-    @staticmethod
-    def _failures():
-        return [
-            (a6, b6, f.residues())
-            for a6 in range(6)
-            for b6 in range(6)
-            for f in lemma_residue_check(a6, b6).failures
-        ]
-
-    def test_catches_a_broken_pair_table(self, monkeypatch):
-        # the unit pair for 1 mod 6 made (1, 1), which sums to 2: every
-        # case-1 and case-2 ring fails on the targets whose i-coefficient
-        # is 1 mod 6 (or, through the mirror ring, the ones it maps there)
-        uu = list(_decompose_module._UU)
-        uu[1] = (1, 1)
-        monkeypatch.setattr(_decompose_module, "_UU", uu)
-        failed = self._failures()
-        assert len(failed) == 13272
-        assert {(a6, b6) for a6, b6, _ in failed} == {
-            (a6, b6) for a6 in range(6) for b6 in range(6) if a6 % 3 or b6 % 3
-        }
-
-    @pytest.mark.parametrize("shift", [2, 3])
-    def test_catches_a_broken_recipe_root(self, monkeypatch, shift):
-        # the root for class (1, 1, 1, 1) moved on its real part: by 2 its
-        # cube's real part moves by 2 mod 3 and its pure parts stay put mod
-        # 6, by 3 only its (odd) pure parts move, by 3 mod 6.  That class
-        # lies in S only, so each of the 12 case-1 pairs fails on it alone
-        root = _decompose_module._congruence_root
-
-        def shifted(r, a, b, case):
-            x = root(r, a, b, case)
-            return (x[0] + shift, *x[1:]) if r == (1, 1, 1, 1) else x
-
-        monkeypatch.setattr(search, "_congruence_root", shifted)
-        failed = self._failures()
-        assert len(failed) == 12
-        for a6, b6, residues in failed:
-            assert residues == (1, 1, 1, 1)
-            assert lemma_residue_check(a6, b6).case.case is Case.CASE1
-
-    def test_passing_check_builds_no_quaternion(self, monkeypatch):
-        built = []
-        init = Quaternion.__init__
-
-        def counted(self, *args, **kwargs):
-            built.append(args)
-            init(self, *args, **kwargs)
-
-        search._class_sets.cache_clear()
-        monkeypatch.setattr(Quaternion, "__init__", counted)
-        reports = [lemma_residue_check(a6, b6) for a6 in range(6) for b6 in range(6)]
-        monkeypatch.undo()
-        assert all(rep.passed for rep in reports)
-        assert built == []
