@@ -48,13 +48,34 @@ class _Parser(argparse.ArgumentParser):
         sys.exit(_usage_error(message))
 
 
+# a refused argument is echoed up to this many characters
+_ECHO_CHARS = 40
+# the text of a decimal int, as int() reads it
+_INT_TEXT = re.compile(r"\s*[+-]?([0-9]+)\s*")
+
+
+def _echo(text: str) -> str:
+    return repr(text) if len(text) <= _ECHO_CHARS else f"{text[:_ECHO_CHARS]!r}..."
+
+
 def _int_pair(text: str, expected: str) -> tuple[int, int]:
-    # "A,B" as two ints; anything else is refused with what was expected
+    # "A,B" as two ints; anything else is refused with what was expected,
+    # and an integer int() will not read for its length is refused as such
+    parts = text.split(",")
     try:
-        a, b = text.split(",")
+        a, b = parts
         return int(a), int(b)
     except ValueError:
-        raise argparse.ArgumentTypeError(f"expected {expected}, got {text!r}") from None
+        pass
+    limit = sys.get_int_max_str_digits()
+    for part in parts:
+        m = _INT_TEXT.fullmatch(part)
+        if m and limit and len(m[1]) > limit:
+            raise argparse.ArgumentTypeError(
+                f"integer of {len(m[1])} digits exceeds the limit of {limit} digits, "
+                f"got {_echo(text)}"
+            )
+    raise argparse.ArgumentTypeError(f"expected {expected}, got {_echo(text)}")
 
 
 def _ring(text: str) -> RingParams:
@@ -68,7 +89,7 @@ def _ring(text: str) -> RingParams:
 def _residue_pair(text: str) -> tuple[int, int]:
     a6, b6 = _int_pair(text, "a6,b6 in 0..5")
     if not (0 <= a6 <= 5 and 0 <= b6 <= 5):
-        raise argparse.ArgumentTypeError(f"residues must lie in 0..5, got {text!r}")
+        raise argparse.ArgumentTypeError(f"residues must lie in 0..5, got {_echo(text)}")
     return a6, b6
 
 
@@ -112,12 +133,15 @@ def decompose_payload(alpha: Quaternion) -> dict:
     dec = decompose(alpha)
     if not verify(dec):
         raise VerificationFailed("decompose returned an unverified decomposition")
-    roots = dec.root_coeffs
+    try:
+        roots = [[str(c0), str(c1), str(c2), str(c3)] for c0, c1, c2, c3 in dec.root_coeffs]
+    except ValueError:  # beyond sys.get_int_max_str_digits()
+        raise _too_many_digits() from None
     return {
         "ring": _ring_json(alpha.params),
         "target": _coeffs(alpha),
         "case": str(dec.case),
-        "roots": [_strs(r) for r in roots],
+        "roots": roots,
         "count": len(roots),
         "verified": True,
     }

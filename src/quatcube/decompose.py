@@ -23,8 +23,9 @@ is moved through the mirror-ring isomorphism (c0, c1, c2, c3) ->
 (c0, c2, c1, -c3), decomposed there, and the roots mapped back.
 
 The recipe runs on coefficient tuples in :func:`decompose`, which
-classifies the ring once, runs the recipe, sums the roots' cubes and
-compares them with the target exactly.  It keeps those tuples in its
+classifies the ring once, runs the recipe, sums the roots' cubes in one
+``quat.cube_sum`` call and compares them with the target exactly;
+:func:`verify` repeats that check on its own.  It keeps those tuples in its
 :class:`Decomposition`, which builds root ``Quaternion``s only when
 ``roots`` is read; :func:`verify` and the CLI's decompose payload read
 ``root_coeffs`` and build none.  :func:`lemma_residue_check` certifies
@@ -44,7 +45,7 @@ from typing import Iterable
 from .errors import InvalidResidues, NotRepresentable, PreconditionViolated, VerificationFailed
 # cube, swap_iso, delta and lnr6 are not called here: perfbench/tracing.py
 # wraps them under these names
-from .quat import Coeffs, Quaternion, RingParams, coeffs_text, cube_coeffs
+from .quat import Coeffs, Quaternion, RingParams, coeffs_text, cube_coeffs, cube_sum
 from .quat import cube, swap_iso  # noqa: F401
 from .residues import (  # noqa: F401
     Case,
@@ -398,13 +399,7 @@ def lemma_residue_check(a6: int, b6: int) -> LemmaReport:
 
 def _verified(a: int, b: int, target: Coeffs, roots, case: Case) -> bool:
     # the exact check: root count within the case bound, cubes sum to target
-    if len(roots) > (5 if case is Case.CASE3 else 6):
-        return False
-    s0 = s1 = s2 = s3 = 0
-    for r in roots:
-        d0, d1, d2, d3 = cube_coeffs(a, b, r)
-        s0, s1, s2, s3 = s0 + d0, s1 + d1, s2 + d2, s3 + d3
-    return (s0, s1, s2, s3) == target
+    return len(roots) <= (5 if case is Case.CASE3 else 6) and cube_sum(a, b, roots) == target
 
 
 def _shown(c: Coeffs) -> str:

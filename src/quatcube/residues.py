@@ -84,9 +84,8 @@ def lnr6(n: int) -> int:
     return n % 6
 
 
-def classify_case(params: RingParams) -> CaseTag:
-    """The case of (a, b), with the swap normalization for cases 2b/2c."""
-    a3, b3 = params.a % 3, params.b % 3
+def _case_rule(a3: int, b3: int) -> CaseTag:
+    # the case of a ring with a = a3 and b = b3 mod 3
     if a3 == 0 and b3 == 0:
         return CaseTag(Case.CASE3)
     if a3 == 2 or b3 == 2:
@@ -96,6 +95,16 @@ def classify_case(params: RingParams) -> CaseTag:
     if a3 == 1 and b3 == 1:
         return CaseTag(Case.CASE2A)
     return CaseTag(Case.CASE2C, swapped=(a3 == 0))
+
+
+# the tag of every (a mod 3, b mod 3), built once; the tags are frozen,
+# so every caller, in any thread, may share them
+_CASE_TABLE = tuple(tuple(_case_rule(a3, b3) for b3 in range(3)) for a3 in range(3))
+
+
+def classify_case(params: RingParams) -> CaseTag:
+    """The case of (a, b), with the swap normalization for cases 2b/2c."""
+    return _CASE_TABLE[params.a % 3][params.b % 3]
 
 
 def in_S(c: ResidueClass) -> bool:

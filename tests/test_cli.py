@@ -247,6 +247,24 @@ class TestCliDigitLimit:
             f"{_DIGIT_LIMIT} digits (at position 0)\n"
         )
 
+    @pytest.mark.parametrize("argv", [
+        ["decompose", "--ring", "1,{}", "6"],
+        ["decompose", "--ring", "-{},1", "6"],
+        ["check-lemmas", "--residues", "{},0"],
+    ])
+    def test_argument_beyond_the_limit_is_one_short_usage_line(self, capsys, argv):
+        # the message names the limit and echoes only a prefix of the argument
+        nines = "9" * (_DIGIT_LIMIT + 700)
+        with pytest.raises(SystemExit) as exc:
+            main([arg.format(nines) for arg in argv])
+        out, err = capsys.readouterr()
+        assert (exc.value.code, out) == (2, "")
+        assert err.startswith(
+            f"usage error: argument {argv[1]}: integer of {_DIGIT_LIMIT + 700} digits "
+            f"exceeds the limit of {_DIGIT_LIMIT} digits, got '"
+        )
+        assert err.count("\n") == 1 and len(err) < 200
+
     def test_literal_at_the_limit_parses(self, capsys):
         code, out, _ = run_cli(capsys, "decompose", "--ring", "1,1", "--json", "1" * _DIGIT_LIMIT)
         assert code == 0

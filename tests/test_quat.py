@@ -1,8 +1,11 @@
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from quatcube import MixedRings, Quaternion, RingParams, cube, p_value, swap_iso
+from quatcube import MixedRings, Quaternion, RingParams, cube, cube_coeffs, p_value, swap_iso
+from quatcube.quat import cube_sum
 
 LIPSCHITZ = RingParams(1, 1)
 
@@ -151,6 +154,30 @@ class TestCube:
     @settings(max_examples=30, deadline=None)
     def test_exact_at_any_magnitude(self, x):
         assert cube(x) == x * x * x
+
+
+# rings of all five cases, with both orientations of 2b and 2c
+CASE_RINGS = [(1, 1), (2, 1), (4, 4), (2, 3), (3, 2), (1, 3), (3, 1), (3, 3), (6, 9)]
+
+
+class TestCubeSum:
+    def test_no_roots_sum_to_zero(self):
+        assert cube_sum(2, 3, []) == (0, 0, 0, 0)
+
+    @pytest.mark.parametrize("digits", [6, 100, 1000])
+    @pytest.mark.parametrize("ring", CASE_RINGS)
+    def test_matches_cube_coeffs_and_the_direct_product(self, ring, digits):
+        rnd = random.Random(f"{ring}-{digits}")
+        bound = 10**digits
+        params = RingParams(*ring)
+        for count in range(1, 8):
+            roots = [tuple(rnd.randint(-bound, bound) for _ in range(4)) for _ in range(count)]
+            by_coeffs = [sum(col) for col in zip(*(cube_coeffs(*ring, r) for r in roots))]
+            total = Quaternion.scalar(params, 0)
+            for r in roots:
+                x = Quaternion(params, *r)
+                total = total + x * x * x
+            assert cube_sum(*ring, roots) == tuple(by_coeffs) == total.coefficients()
 
 
 class TestSwapIso:

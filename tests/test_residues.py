@@ -57,6 +57,29 @@ class TestClassify:
                 )
 
 
+def _case_by_rule(a: int, b: int) -> CaseTag:
+    # the if-chain classify_case's table was built from, kept as the reference
+    a3, b3 = a % 3, b % 3
+    if a3 == 0 and b3 == 0:
+        return CaseTag(Case.CASE3)
+    if a3 == 2 or b3 == 2:
+        if a3 != 0 and b3 != 0:
+            return CaseTag(Case.CASE1)
+        return CaseTag(Case.CASE2B, swapped=(a3 == 0))
+    if a3 == 1 and b3 == 1:
+        return CaseTag(Case.CASE2A)
+    return CaseTag(Case.CASE2C, swapped=(a3 == 0))
+
+
+def test_case_table_matches_the_rule_for_rings_up_to_9():
+    seen = set()
+    for a, b in product(range(1, 10), repeat=2):
+        tag, want = classify_case(RingParams(a, b)), _case_by_rule(a, b)
+        assert (tag.case, tag.swapped, str(tag)) == (want.case, want.swapped, str(want))
+        seen.add((a % 3, b % 3))
+    assert len(seen) == 9  # every entry of the table was read
+
+
 class TestLnr6:
     def test_examples(self):
         assert lnr6(-1) == 5

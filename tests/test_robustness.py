@@ -53,6 +53,12 @@ def wrong_cube(a, b, c):
 sys.modules["quatcube.decompose"].cube_coeffs = wrong_cube
 run = lambda: cli.decompose_payload(Quaternion(RingParams(2, 1), 7, 1, 2, 3))
 """,
+    "cube-sum kernel that skips the last root, under an intact recipe": """
+from quatcube.quat import cube_sum
+
+sys.modules["quatcube.decompose"].cube_sum = lambda a, b, roots: cube_sum(a, b, roots[:-1])
+run = lambda: cli.decompose_payload(Quaternion(RingParams(2, 1), 7, 1, 2, 3))
+""",
     "perturbed root reaching the decompose payload": """
 decompose = cli.decompose
 
