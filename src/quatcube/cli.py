@@ -82,8 +82,11 @@ def _ring(text: str) -> RingParams:
     a, b = _int_pair(text, "A,B with positive integers")
     try:
         return RingParams(a, b)
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(str(exc))
+    except ValueError:
+        # RingParams' message would echo both ints in full
+        raise argparse.ArgumentTypeError(
+            f"ring parameters must be positive integers, got {_echo(text)}"
+        ) from None
 
 
 def _residue_pair(text: str) -> tuple[int, int]:

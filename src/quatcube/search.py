@@ -22,13 +22,14 @@ target's signature and whose parities XOR to the target's parity,
 ``big.keys() & {±T ∓ h for h in small}`` runs in C.  k >= 3 cubes scan
 the outer root in lexicographic order, keep the roots that leave a
 remainder in S_(k-1), and search it at level k - 1.  With N workers,
-the search's process and N - 1 helpers take a 3- or 4-cube stage's
-``(w0, w1)`` cells of the outer box in turn, and the least cell that
-hits gives the witness.  A signed permutation of the pure coefficients
-that keeps the weights (a, b, ab) of the norm form commutes with cubing,
-so one that also fixes the target maps witnesses to witnesses, and the
-least witness's outer root is the least of its orbit: the scans visit
-only those (:meth:`_SearchSpace.outer_roots`).  That symmetry and the
+the search's process and N - 1 helpers, each on its own CPU, take a
+3- or 4-cube stage's ``(w0, w1)`` cells of the outer box in turn, and
+the least cell that hits gives the witness.  A signed permutation of
+the pure coefficients that keeps the weights (a, b, ab) of the norm
+form commutes with cubing, so one that also fixes the target maps
+witnesses to witnesses, and the least witness's outer root is the
+least of its orbit: the scans visit only those
+(:meth:`_SearchSpace.outer_roots`).  That symmetry and the
 mod-9 and mod-2 patterns of cubes (and the sets S_k) prune only regions
 proven to hold no least witness, so results are identical with and
 without them, and parallel runs return exactly what a serial run returns.
@@ -633,12 +634,30 @@ def _scan_three_range(
     return None
 
 
-def _clamp_workers(requested: int, chunks: int) -> int:
+def _affinity() -> list[int] | None:
+    """The CPUs this thread may run on, in order, or None where the
+    platform has no affinity set."""
+    return sorted(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else None
+
+
+def _clamp_workers(requested: int, chunks: int, cpus: list[int] | None = None) -> int:
     """Processes worth starting for ``requested`` workers over ``chunks``
     chunks: never more than the chunks or the CPUs this process may run
-    on (its affinity set, where the platform has one), and at least one."""
-    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-    return max(1, min(requested, cpus or 1, chunks))
+    on (``cpus``, its affinity set, read here when not given; the CPU
+    count where the platform has none), and at least one."""
+    if cpus is None:
+        cpus = _affinity()
+    n = len(cpus) if cpus is not None else os.cpu_count()
+    return max(1, min(requested, n or 1, chunks))
+
+
+def _pin(cpus) -> None:
+    """Keep the calling thread on ``cpus``; where the OS refuses, it
+    stays where it was."""
+    try:
+        os.sched_setaffinity(0, cpus)
+    except OSError:
+        pass
 
 
 def _take_cells(space, t, k, outer, next_cell, least_hit, before_cell=lambda: None):
@@ -665,8 +684,11 @@ def _take_cells(space, t, k, outer, next_cell, least_hit, before_cell=lambda: No
             return n, res
 
 
-def _cell_worker(params, bound, t, k, outer, next_cell, least_hit, conn) -> None:
-    """A helper process of a parallel level: send what :func:`_take_cells` returns."""
+def _cell_worker(params, bound, t, k, outer, next_cell, least_hit, conn, cpu=None) -> None:
+    """A helper process of a parallel level: move to CPU ``cpu`` first,
+    when one is given, then send what :func:`_take_cells` returns."""
+    if cpu is not None:
+        _pin((cpu,))
     conn.send(_take_cells(_SearchSpace(params, bound), t, k, outer, next_cell, least_hit))
 
 
@@ -685,9 +707,19 @@ def _scan_cells(
     must guard its entry point.  Either way they get only small
     arguments.  No process takes a lock another shares, so the helpers
     can be terminated at any moment.
+
+    Each process gets its own CPUs of this thread's affinity set, read
+    once: helper i moves itself to the i-th CPU as it starts, and once
+    every helper has started this thread keeps the CPUs no helper took,
+    until the level ends, however it ends.  Left to the OS, a forked
+    helper shares its parent's CPU for about half a second, longer than
+    a small level lasts.  This thread moves only after the helpers have
+    started, so a spawned helper's interpreter starts with the whole
+    set.  Where the OS refuses a move, that process stays where it was.
     """
     cells = (2 * outer + 1) * len(space.outer_roots(t, outer))
-    workers = _clamp_workers(workers, cells)
+    cpus = _affinity()
+    workers = _clamp_workers(workers, cells, cpus)
     if workers == 1:
         return _scan(space, t, k, outer)
     import multiprocessing  # only here, so importing the package stays light
@@ -698,21 +730,28 @@ def _scan_cells(
         single_thread = False
     ctx = multiprocessing.get_context("fork" if single_thread else "spawn")
     next_cell, least_hit = ctx.RawValue("i", 0), ctx.RawValue("i", cells)
+    # clamped to the set, so each helper has a CPU and this thread keeps one
+    place = cpus is not None and hasattr(os, "sched_setaffinity")
     procs = []
     try:
-        for _ in range(workers - 1):
+        for i in range(workers - 1):
             reader, writer = ctx.Pipe(duplex=False)
             # the parent keeps no write end, so a dead worker's pipe reads EOF
             with writer:
                 proc = ctx.Process(
                     target=_cell_worker,
-                    args=(space.params, space.bound, t, k, outer, next_cell, least_hit, writer),
+                    args=(space.params, space.bound, t, k, outer, next_cell, least_hit, writer,
+                          cpus[i] if place else None),
                     daemon=True,
                 )
                 proc.start()
             procs.append((proc, reader))
+        if place:
+            _pin(cpus[workers - 1:])
         return _own_cells(space, t, k, outer, next_cell, least_hit, procs)
     finally:
+        if place:
+            _pin(cpus)
         for proc, _ in procs:
             proc.terminate()
         for proc, reader in procs:
@@ -783,7 +822,9 @@ def min_cubes_search(
     runs to its end, so the result is identical to a serial run.  The
     helpers start with that stage and end with it, so a witness of 1 or
     2 cubes starts none.  They are forked when this process has no other
-    thread and spawned otherwise (see :func:`_scan_cells`).  A dying
+    thread and spawned otherwise, and each process of the stage runs on
+    its own CPUs of the calling thread's affinity set, which the thread
+    gets back when the stage ends (see :func:`_scan_cells`).  A dying
     helper is reported before this process takes its next cell; a script
     that calls this with ``workers`` > 1 from a process with other
     threads must guard its entry point with ``if __name__ == "__main__":``.

@@ -214,6 +214,7 @@ class TestCliErrors:
         ["nope"],
         ["check-lemmas", "--residues", "6,0"],
         ["decompose", "--ring", "1,1", "--nope", "6"],
+        ["decompose", "--ring", "0," + "9" * 4000, "6"],
     ])
     def test_bad_argument_is_one_usage_line(self, capsys, argv):
         try:
@@ -230,6 +231,24 @@ class TestCliErrors:
             main(["decompose", "--ring", "a,b", "6"])
         assert capsys.readouterr().err == (
             "usage error: argument --ring: expected A,B with positive integers, got 'a,b'\n"
+        )
+
+    @pytest.mark.parametrize("ring, echo", [
+        ("0,1", "'0,1'"),
+        ("-1,7", "'-1,7'"),
+        ("0," + "9" * 4000, repr("0," + "9" * 38) + "..."),
+    ])
+    def test_non_positive_ring_echoes_at_most_a_prefix(self, capsys, ring, echo):
+        # a part within the digit limit that is not positive is refused with
+        # the argument as typed, cut to a prefix, not with both ints in full
+        if 0 < sys.get_int_max_str_digits() < len(ring):
+            pytest.skip("the int/str digit limit refuses this part first")
+        with pytest.raises(SystemExit) as exc:
+            main(["decompose", "--ring", ring, "6"])
+        out, err = capsys.readouterr()
+        assert (exc.value.code, out) == (2, "")
+        assert err == (
+            f"usage error: argument --ring: ring parameters must be positive integers, got {echo}\n"
         )
 
 

@@ -435,3 +435,127 @@ def test_repeated_forked_parallel_searches_never_hang(tmp_path):
     assert proc.returncode == 0, err
     with pytest.raises(ProcessLookupError):
         os.killpg(proc.pid, 0)
+
+
+# logs, from every process of each parallel level, the CPUs a helper
+# inherits and the CPUs each process scans its cells on
+_PLACEMENT = """
+import json
+import os
+import sys
+import threading
+
+from quatcube import Quaternion, RingParams, SearchConfig, min_cubes_search, search
+
+LOG = sys.argv[1]
+
+
+def record(what):
+    with open(LOG, "a") as f:
+        f.write(json.dumps([what, os.getpid(), sorted(os.sched_getaffinity(0))]) + "\\n")
+
+
+# patched outside the guard, so a spawned helper, which runs this file
+# again, logs too
+cell_worker, take_cells = search._cell_worker, search._take_cells
+
+
+def recorded_worker(*args):
+    record("inherited")
+    cell_worker(*args)
+
+
+def recorded_take(*args, **kwargs):
+    record("scan")
+    return take_cells(*args, **kwargs)
+
+
+search._cell_worker, search._take_cells = recorded_worker, recorded_take
+
+if __name__ == "__main__":
+    if sys.argv[2] == "thread":
+        # a second thread makes the search spawn its helpers
+        threading.Thread(target=threading.Event().wait, daemon=True).start()
+    cfg = SearchConfig(max_cubes=3, coeff_bound=2, outer_bound=2)
+    # a hit in cell 22 of 25, then no witness in the box
+    for coeffs in [(-192, -16, -16, 0), (3, 37, -3, 0)]:
+        target = Quaternion(RingParams(2, 1), *coeffs)
+        if min_cubes_search(target, cfg, workers=int(sys.argv[3])) != min_cubes_search(target, cfg):
+            sys.exit("the parallel result differs from the serial one")
+        record("after")
+    print(os.getpid())
+"""
+
+
+@pytest.mark.skipif(CPUS < 2, reason="placement needs two CPUs")
+@pytest.mark.parametrize(
+    "other_thread, workers",
+    [("none", 2), ("thread", 2)] + ([("none", min(CPUS, 4))] if CPUS > 2 else []),
+)
+def test_each_process_of_a_parallel_level_scans_on_its_own_cpus(tmp_path, other_thread, workers):
+    # helpers start with the caller's whole set and each moves to one CPU
+    # of it; the caller then keeps the rest, and gets the whole set back
+    script, log = tmp_path / "placement.py", tmp_path / "placement.log"
+    script.write_text(_PLACEMENT)
+    before = sorted(os.sched_getaffinity(0))
+    proc = _run([str(script), str(log), other_thread, str(workers)], timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    caller = int(proc.stdout)
+    levels = [[]]
+    for what, pid, cpus in map(json.loads, log.read_text().splitlines()):
+        if what == "after":
+            assert (pid, cpus) == (caller, before)
+            levels.append([])
+        else:
+            levels[-1].append((what, pid, cpus))
+    assert len(levels) == 3 and levels[-1] == []
+    for level in levels[:-1]:
+        inherited = {pid: cpus for what, pid, cpus in level if what == "inherited"}
+        scans = {pid: cpus for what, pid, cpus in level if what == "scan"}
+        assert len(inherited) == workers - 1 and caller not in inherited
+        assert list(inherited.values()) == [before] * (workers - 1)
+        assert set(scans) == {caller, *inherited}
+        helper_cpus = [cpu for pid, cpus in scans.items() if pid != caller for cpu in cpus]
+        assert all(len(scans[pid]) == 1 for pid in inherited)
+        assert sorted(helper_cpus + scans[caller]) == before
+
+
+_DEAD_HELPER_CPUS = _RECORD_STARTS + """
+import json
+import os
+import signal
+import sys
+
+from quatcube import QuatcubeError, Quaternion, RingParams, SearchConfig, min_cubes_search
+
+
+def _killing(proc):
+    _recorded(proc)
+    os.kill(proc.pid, signal.SIGKILL)
+
+
+multiprocessing.process.BaseProcess.start = _killing
+
+if __name__ == "__main__":
+    before = sorted(os.sched_getaffinity(0))
+    try:
+        # no witness in this box of 81 cells
+        min_cubes_search(
+            Quaternion(RingParams(2, 1), 3, 37, -3, 0), SearchConfig(3, 2, 4), workers=2
+        )
+    except QuatcubeError as exc:
+        print(json.dumps([str(exc), before, sorted(os.sched_getaffinity(0))]))
+        sys.exit(0)
+    sys.exit("the search returned although its helper was killed")
+"""
+
+
+@pytest.mark.skipif(CPUS < 2, reason="placement needs two CPUs")
+def test_search_with_a_dead_helper_gives_the_caller_its_cpus_back(tmp_path):
+    script = tmp_path / "dead_helper_cpus.py"
+    script.write_text(_DEAD_HELPER_CPUS)
+    proc = _run([str(script)], timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    message, before, after = json.loads(proc.stdout)
+    assert "exited with code -9" in message
+    assert after == before == sorted(os.sched_getaffinity(0))

@@ -1,3 +1,4 @@
+import errno
 import multiprocessing
 import os
 import random
@@ -843,6 +844,49 @@ class TestMinCubesSearch:
         monkeypatch.setattr(os, "cpu_count", lambda: 8)
         assert _clamp_workers(8, 100) == 1
 
+    @pytest.mark.skipif(CPUS < 2, reason="placement needs two CPUs")
+    @pytest.mark.parametrize("coeffs", [(-192, -16, -16, 0), (3, 37, -3, 0)])
+    def test_parallel_level_moves_the_caller_and_gives_its_cpus_back(self, monkeypatch, coeffs):
+        # the least witness of the first target sits in cell 22 of 25, the
+        # second has none in the box: either way the search's thread scans
+        # on the CPUs its helper did not take and ends on the ones it began on
+        target = Quaternion(RingParams(2, 1), *coeffs)
+        cfg = SearchConfig(3, 2, 2)
+        serial = min_cubes_search(target, cfg)
+        assert (serial is None) == (coeffs[0] == 3)
+        before = os.sched_getaffinity(0)
+        during = []
+        own_cells = search._own_cells
+
+        def recorded(*args):
+            during.append(os.sched_getaffinity(0))
+            return own_cells(*args)
+
+        monkeypatch.setattr(search, "_own_cells", recorded)
+        assert min_cubes_search(target, cfg, workers=2) == serial
+        assert during == [set(sorted(before)[1:])]
+        assert os.sched_getaffinity(0) == before
+
+    @pytest.mark.skipif(CPUS < 2, reason="placement needs two CPUs")
+    def test_refused_placement_changes_no_result(self, monkeypatch):
+        # an OS that refuses every move leaves each process where it was
+        target = Quaternion(RingParams(2, 1), -192, -16, -16, 0)
+        cfg = SearchConfig(3, 2, 2)
+        serial = min_cubes_search(target, cfg)
+        before = os.sched_getaffinity(0)
+        asked = []
+
+        def refuse(pid, cpus):
+            asked.append(set(cpus))
+            raise OSError(errno.EPERM, "not permitted")
+
+        monkeypatch.setattr(os, "sched_setaffinity", refuse)
+        assert min_cubes_search(target, cfg, workers=2) == serial
+        # this thread asked to move, and to move back, and stayed put
+        assert asked == [set(sorted(before)[1:]), before]
+        assert os.sched_getaffinity(0) == before
+        assert multiprocessing.active_children() == []
+
     def test_four_cube_search(self):
         params = RingParams(3, 3)
         # 4 needs four cubes there; a tiny box finds 1 + 1 + 1 + 1
@@ -1130,7 +1174,7 @@ class TestOuterRootSymmetry:
         # by number in the serial scan's order
         space, counted, scanned = _SearchSpace(LIPSCHITZ, 1), [], []
         monkeypatch.setattr(
-            search, "_clamp_workers", lambda n, chunks: counted.append(chunks) or 1
+            search, "_clamp_workers", lambda n, chunks, cpus=None: counted.append(chunks) or 1
         )
         monkeypatch.setattr(search, "_scan_cell", lambda *args: scanned.append(args[5:7]))
         assert search._scan(space, coeffs, 3, 2, workers=2) is None
