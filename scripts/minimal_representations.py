@@ -12,21 +12,22 @@ import time
 
 from quatcube import (
     Quaternion,
-    cube,
     RingParams,
     SearchConfig,
     min_cubes_search,
     three_cube_residues_mod9,
     two_cube_obstruction,
 )
+from quatcube.quat import cube_sum
 
 
 def sums_to(roots, target: Quaternion) -> bool:
-    """True iff the cubes of roots add up to target exactly."""
-    total = Quaternion.scalar(target.params, 0)
-    for r in roots:
-        total = total + cube(r)
-    return total == target
+    """True iff roots lie in target's ring and their cubes add up to
+    target exactly."""
+    params = target.params
+    return all(r.params == params for r in roots) and cube_sum(
+        params.a, params.b, [r.coefficients() for r in roots]
+    ) == target.coefficients()
 
 
 def report(label: str, target: Quaternion, roots, elapsed: float | None = None) -> bool:

@@ -19,7 +19,7 @@ import sys
 from .decompose import decompose, lemma_residue_check, member_cube_subgroup, verify
 from .errors import NotRepresentable, ParseError, QuatcubeError, VerificationFailed
 from .parser import parse_quaternion
-from .quat import Coeffs, Quaternion, RingParams, cube
+from .quat import Coeffs, Quaternion, RingParams, coeffs_text, cube, cube_sum
 from .residues import Case, classify_case
 from .search import (
     SearchConfig,
@@ -157,10 +157,11 @@ def search_payload(alpha: Quaternion, cfg: SearchConfig, workers: int = 1) -> di
     found = roots is not None
     verified = None
     if found:
-        total = Quaternion.scalar(alpha.params, 0)
-        for r in roots:
-            total = total + cube(r)
-        verified = total == alpha
+        # the exact check verify makes: roots of the target's ring, cubes summing to it
+        params = alpha.params
+        verified = all(r.params == params for r in roots) and cube_sum(
+            params.a, params.b, [r.coefficients() for r in roots]
+        ) == alpha.coefficients()
         if not verified:
             raise VerificationFailed("search returned roots that do not sum to the target")
     return {
@@ -202,6 +203,11 @@ def lower_bounds_payload(params: RingParams) -> dict:
     }
 
 
+def _print_roots(roots: list[list[str]]) -> None:
+    for idx, r in enumerate(roots, 1):
+        print(f"  root {idx}: {coeffs_text(tuple(map(int, r)))}")
+
+
 def _cmd_decompose(args) -> int:
     alpha = parse_quaternion(args.quaternion, args.ring)
     try:
@@ -221,8 +227,7 @@ def _cmd_decompose(args) -> int:
     else:
         print(f"ring: ({args.ring.a},{args.ring.b})   case: {payload['case']}")
         print(f"target: {_text(alpha)}")
-        for idx, r in enumerate(payload["roots"], 1):
-            print(f"  root {idx}: {Quaternion(args.ring, *(int(c) for c in r))}")
+        _print_roots(payload["roots"])
         print(f"count: {payload['count']}   verified: {str(payload['verified']).lower()}")
     return 0
 
@@ -279,8 +284,7 @@ def _cmd_search(args) -> int:
     else:
         if found:
             print(f"{_text(alpha)} is a sum of {payload['count']} cubes within the box:")
-            for idx, r in enumerate(payload["roots"], 1):
-                print(f"  root {idx}: {Quaternion(args.ring, *(int(c) for c in r))}")
+            _print_roots(payload["roots"])
             print(f"verified: {str(payload['verified']).lower()}")
         else:
             print(

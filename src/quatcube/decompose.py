@@ -28,7 +28,11 @@ classifies the ring once, runs the recipe, sums the roots' cubes in one
 :func:`verify` repeats that check on its own.  It keeps those tuples in its
 :class:`Decomposition`, which builds root ``Quaternion``s only when
 ``roots`` is read; :func:`verify` and the CLI's decompose payload read
-``root_coeffs`` and build none.  :func:`lemma_residue_check` certifies
+``root_coeffs`` and build none.  ``Decomposition`` is one frozen, slotted
+class: its constructor, :func:`decompose` and the lazy ``roots`` fill the
+slots through the slots' own setters, past the frozen ``__setattr__``,
+and ``__reduce__`` rebuilds it from target, roots and case, so it
+pickles and copies.  :func:`lemma_residue_check` certifies
 the same tuple helpers, ``_congruence_root``, ``_pair`` and ``_swap``,
 over whole residue classes mod 6.  The public object helpers
 ``identity_6z``, ``identity_6z3``, ``cube_root_congruence`` and
@@ -60,47 +64,22 @@ from .residues import (  # noqa: F401
 )
 
 
-class _DecompositionSlots:
-    __slots__ = ("target", "root_coeffs", "case", "_roots")
-
-
-class _Unfrozen(_DecompositionSlots):
-    """A Decomposition's slots without its frozen ``__setattr__``:
-    ``Decomposition._of_coeffs`` fills one with plain stores, then makes
-    it a Decomposition, whose layout is the same."""
-
-    __slots__ = ()
-
-
-class Decomposition(_DecompositionSlots):
+class Decomposition:
     """A target plus an ordered list of roots whose cubes sum to it.
 
     Immutable, and equal to another decomposition with the same target,
-    roots and case.  ``root_coeffs`` holds the roots' coefficient tuples.
-    :func:`decompose` stores only those and builds the root
-    ``Quaternion``s on the first read of ``roots``, so a caller that
-    reads only ``root_coeffs`` (the CLI's decompose payload) builds none.
+    roots and case; it survives ``pickle``, ``copy`` and ``deepcopy``.
+    ``root_coeffs`` holds the roots' coefficient tuples.  :func:`decompose`
+    stores only those and builds the root ``Quaternion``s on the first
+    read of ``roots``, so a caller that reads only ``root_coeffs`` (the
+    CLI's decompose payload) builds none.
     """
 
-    __slots__ = ()
+    __slots__ = ("target", "root_coeffs", "case", "_roots")
 
     def __init__(self, target: Quaternion, roots: Iterable[Quaternion], case: CaseTag) -> None:
         roots = tuple(roots)
-        put = object.__setattr__
-        put(self, "target", target)
-        put(self, "root_coeffs", tuple([r.coefficients() for r in roots]))
-        put(self, "case", case)
-        put(self, "_roots", roots)
-
-    @classmethod
-    def _of_coeffs(cls, target: Quaternion, coeffs: Iterable[Coeffs], case: CaseTag):
-        dec = object.__new__(_Unfrozen)
-        dec.target = target
-        dec.root_coeffs = tuple(coeffs)
-        dec.case = case
-        dec._roots = None
-        dec.__class__ = cls
-        return dec
+        _fill(self, target, tuple([r.coefficients() for r in roots]), case, roots)
 
     def __setattr__(self, name, value):
         raise FrozenInstanceError(f"cannot assign to field {name!r}")
@@ -108,12 +87,15 @@ class Decomposition(_DecompositionSlots):
     def __delattr__(self, name):
         raise FrozenInstanceError(f"cannot delete field {name!r}")
 
+    def __reduce__(self):
+        return (Decomposition, (self.target, self.roots, self.case))
+
     @property
     def roots(self) -> tuple[Quaternion, ...]:
         if self._roots is None:
             params = self.target.params
             roots = tuple([Quaternion(params, *r) for r in self.root_coeffs])
-            object.__setattr__(self, "_roots", roots)
+            Decomposition._roots.__set__(self, roots)
         return self._roots
 
     @property
@@ -133,6 +115,20 @@ class Decomposition(_DecompositionSlots):
 
     def __repr__(self) -> str:
         return f"Decomposition(target={self.target!r}, roots={self.roots!r}, case={self.case!r})"
+
+
+def _fill(
+    dec: Decomposition, target: Quaternion, root_coeffs: tuple, case: CaseTag, roots,
+    set_target=Decomposition.target.__set__, set_coeffs=Decomposition.root_coeffs.__set__,
+    set_case=Decomposition.case.__set__, set_roots=Decomposition._roots.__set__,
+) -> Decomposition:
+    # dec's slots, filled through their own setters, which the frozen
+    # __setattr__ does not intercept; roots None builds them on first read
+    set_target(dec, target)
+    set_coeffs(dec, root_coeffs)
+    set_case(dec, case)
+    set_roots(dec, roots)
+    return dec
 
 
 def _identity(z0: int, z1: int, z2: int, z3: int, plus3: bool) -> list[Coeffs]:
@@ -433,7 +429,7 @@ def decompose(alpha: Quaternion) -> Decomposition:
         roots = _roots(c, a, b, case)
     if not _verified(a, b, c, roots, case):
         raise VerificationFailed(f"the root cubes do not sum to {_shown(c)} in ({a},{b})")
-    return Decomposition._of_coeffs(alpha, roots, tag)
+    return _fill(object.__new__(Decomposition), alpha, tuple(roots), tag, None)
 
 
 def verify(dec: Decomposition) -> bool:

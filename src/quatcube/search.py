@@ -640,13 +640,11 @@ def _affinity() -> list[int] | None:
     return sorted(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else None
 
 
-def _clamp_workers(requested: int, chunks: int, cpus: list[int] | None = None) -> int:
+def _clamp_workers(requested: int, chunks: int, cpus: list[int] | None) -> int:
     """Processes worth starting for ``requested`` workers over ``chunks``
     chunks: never more than the chunks or the CPUs this process may run
-    on (``cpus``, its affinity set, read here when not given; the CPU
-    count where the platform has none), and at least one."""
-    if cpus is None:
-        cpus = _affinity()
+    on (``cpus``, its affinity set from :func:`_affinity`; the CPU count
+    where the platform has none), and at least one."""
     n = len(cpus) if cpus is not None else os.cpu_count()
     return max(1, min(requested, n or 1, chunks))
 
@@ -684,9 +682,9 @@ def _take_cells(space, t, k, outer, next_cell, least_hit, before_cell=lambda: No
             return n, res
 
 
-def _cell_worker(params, bound, t, k, outer, next_cell, least_hit, conn, cpu=None) -> None:
-    """A helper process of a parallel level: move to CPU ``cpu`` first,
-    when one is given, then send what :func:`_take_cells` returns."""
+def _cell_worker(params, bound, t, k, outer, next_cell, least_hit, conn, cpu) -> None:
+    """A helper process of a parallel level: move to CPU ``cpu`` first
+    (None: no affinity set), then send what :func:`_take_cells` returns."""
     if cpu is not None:
         _pin((cpu,))
     conn.send(_take_cells(_SearchSpace(params, bound), t, k, outer, next_cell, least_hit))
@@ -730,8 +728,9 @@ def _scan_cells(
         single_thread = False
     ctx = multiprocessing.get_context("fork" if single_thread else "spawn")
     next_cell, least_hit = ctx.RawValue("i", 0), ctx.RawValue("i", cells)
-    # clamped to the set, so each helper has a CPU and this thread keeps one
-    place = cpus is not None and hasattr(os, "sched_setaffinity")
+    # clamped to the set, so each helper has a CPU and this thread keeps one;
+    # CPython defines sched_getaffinity and sched_setaffinity together
+    place = cpus is not None
     procs = []
     try:
         for i in range(workers - 1):

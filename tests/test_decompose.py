@@ -1,3 +1,5 @@
+import copy
+import pickle
 import sys
 from dataclasses import FrozenInstanceError
 from itertools import product
@@ -395,6 +397,24 @@ class TestDecomposition:
             with pytest.raises(FrozenInstanceError):
                 delattr(dec, name)
         assert verify(dec)
+
+    @pytest.mark.parametrize(
+        "copier",
+        [lambda d: pickle.loads(pickle.dumps(d)), copy.copy, copy.deepcopy],
+        ids=["pickle", "copy", "deepcopy"],
+    )
+    def test_survives_pickle_copy_and_deepcopy(self, copier):
+        # a decompose result, and one a caller built with a root of another
+        # ring: the copy keeps that root's ring, so verify still refuses it
+        p = RingParams(3, 2)
+        stored = decompose(q(p, 7, 1, 2, 3))
+        roots = stored.roots[:-1] + (Quaternion(RingParams(2, 1), *stored.root_coeffs[-1]),)
+        mixed = Decomposition(stored.target, roots, stored.case)
+        for dec, verified in ((stored, True), (mixed, False)):
+            dup = copier(dec)
+            assert dup == dec and hash(dup) == hash(dec)
+            assert dup.root_coeffs == dec.root_coeffs
+            assert verify(dup) is verify(dec) is verified
 
 
 class TestLemmaResidueCheck:

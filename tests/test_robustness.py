@@ -73,6 +73,13 @@ run = lambda: cli.decompose_payload(Quaternion(RingParams(3, 2), 7, 1, 2, 3))
 cli.min_cubes_search = lambda alpha, cfg, workers=1: [Quaternion(alpha.params, 1, 0, 0, 0)]
 run = lambda: cli.search_payload(Quaternion(RingParams(1, 1), 3, 3, 0, 0), SearchConfig(3))
 """,
+    "flagship witness in another ring reaching the search payload": """
+witness = [(-5, -4, -4, -2), (5, 2, 6, 3), (6, 1, 0, 0)]
+cli.min_cubes_search = lambda alpha, cfg, workers=1: [
+    Quaternion(RingParams(2, 1), *c) for c in witness
+]
+run = lambda: cli.search_payload(Quaternion(RingParams(1, 1), 3, 3, 0, 0), SearchConfig(3))
+""",
 }
 
 _EXPECT_FAILURE = """
@@ -108,6 +115,27 @@ def test_reproduce_bounds_fails_on_an_unverified_decomposition_under_python_O():
     assert proc.returncode == 1, proc.stderr
     assert "(1,1): the decomposition of" in proc.stderr
     assert "all decompositions verified" not in proc.stdout
+
+
+_WRONG_WITNESS = """
+import runpy
+import sys
+
+import quatcube
+
+quatcube.min_cubes_search = lambda alpha, cfg, workers=1: [
+    quatcube.Quaternion(alpha.params, 1, 0, 0, 0)
+]
+runpy.run_path(sys.argv[1], run_name="__main__")
+"""
+
+
+def test_minimal_representations_fails_on_a_wrong_witness_under_python_O():
+    script = str(ROOT / "scripts" / "minimal_representations.py")
+    proc = _run(["-O", "-c", _WRONG_WITNESS, script])
+    assert proc.returncode == 1, proc.stderr
+    assert proc.stdout.count("FAILS the exact check") == 4
+    assert "error: a witness above fails the exact cube-sum check" in proc.stdout
 
 
 _UNGUARDED = """

@@ -662,7 +662,7 @@ class TestMinCubesSearch:
         started = _record_started(monkeypatch)
         assert min_cubes_search(target, cfg, workers=2) == serial
         # two workers are the search's own process and one spawned one
-        assert len(started) == _clamp_workers(2, 25) - 1
+        assert len(started) == _clamp_workers(2, 25, search._affinity()) - 1
 
     def test_concurrent_parallel_searches_from_threads(self):
         cfg = SearchConfig(max_cubes=3, coeff_bound=2, outer_bound=2)
@@ -737,7 +737,7 @@ class TestMinCubesSearch:
         for first in (22, 24):
             next_cell = multiprocessing.Value("i", first)
             least_hit = multiprocessing.RawValue("i", 23)
-            search._cell_worker(params, 2, t, 3, 2, next_cell, least_hit, conn)
+            search._cell_worker(params, 2, t, 3, 2, next_cell, least_hit, conn, None)
             least_hits.append(least_hit.value)
         assert sent[0][0] == 22 and [Quaternion(params, *c) for c in sent[0][1]] == serial
         assert sent[1:] == [None] and least_hits == [22, 23]
@@ -832,17 +832,18 @@ class TestMinCubesSearch:
             scanned.clear()
 
     def test_clamp_workers(self):
-        assert _clamp_workers(10**9, 10**9) == CPUS
-        assert _clamp_workers(10**9, 3) == min(CPUS, 3)
-        assert _clamp_workers(1, 169) == 1
-        assert _clamp_workers(2, 1) == 1
+        cpus = search._affinity()
+        assert _clamp_workers(10**9, 10**9, cpus) == CPUS
+        assert _clamp_workers(10**9, 3, cpus) == min(CPUS, 3)
+        assert _clamp_workers(1, 169, cpus) == 1
+        assert _clamp_workers(2, 1, cpus) == 1
 
     def test_clamp_workers_counts_only_the_cpus_this_process_may_use(self, monkeypatch):
         # under taskset or a cpuset the machine has more CPUs than the
         # process may run on
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
         monkeypatch.setattr(os, "cpu_count", lambda: 8)
-        assert _clamp_workers(8, 100) == 1
+        assert _clamp_workers(8, 100, search._affinity()) == 1
 
     @pytest.mark.skipif(CPUS < 2, reason="placement needs two CPUs")
     @pytest.mark.parametrize("coeffs", [(-192, -16, -16, 0), (3, 37, -3, 0)])
@@ -1174,7 +1175,7 @@ class TestOuterRootSymmetry:
         # by number in the serial scan's order
         space, counted, scanned = _SearchSpace(LIPSCHITZ, 1), [], []
         monkeypatch.setattr(
-            search, "_clamp_workers", lambda n, chunks, cpus=None: counted.append(chunks) or 1
+            search, "_clamp_workers", lambda n, chunks, cpus: counted.append(chunks) or 1
         )
         monkeypatch.setattr(search, "_scan_cell", lambda *args: scanned.append(args[5:7]))
         assert search._scan(space, coeffs, 3, 2, workers=2) is None
