@@ -27,8 +27,15 @@ class InvalidResidues(QuatcubeError):
 
 class ParseError(QuatcubeError):
     """Malformed quaternion text.  ``position`` is the 0-based index of the
-    offending character in the original input string."""
+    offending character in the original input string, and ``message``
+    says what is wrong there; ``str()`` gives both.  It pickles and copies."""
 
     def __init__(self, message: str, position: int) -> None:
         super().__init__(f"{message} (at position {position})")
+        self.message = message
         self.position = position
+
+    def __reduce__(self):
+        # Exception would pickle only args, the formatted text, which is
+        # not what __init__ takes
+        return type(self), (self.message, self.position), self.__dict__

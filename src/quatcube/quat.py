@@ -14,7 +14,9 @@ The closed form of a cube lives in two places only, both here:
 :func:`cube_coeffs` cubes one coefficient tuple, and :func:`cube_sum`
 sums the cubes of many.  The test suite pins the two equal, and both to
 the direct product.  (The search's packed build of its cube groups is
-the one other place that spells the form out.)
+the one other place that spells the form out, and the search inverts it
+in ``_SearchSpace.least_root``: the least box root of a cube, read from
+the cube's reduced norm.)
 """
 
 from __future__ import annotations

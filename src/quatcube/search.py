@@ -12,7 +12,10 @@ Each cube of the box is packed into one int, exactly, and the packed cubes
 are grouped by their mod-9 signature and, within it, by their parity
 pattern (coefficients mod 2); only one signature of each ± pair is stored,
 and a signature's groups are built the first time a search meets it (see
-:class:`_SearchSpace`).  S_k, the sums of k cube signatures, comes from
+:class:`_SearchSpace`).  The groups hold the cubes only: a cube a search
+hits gets its least root from the cube itself, by inverting the closed
+form of ``cube_coeffs`` through the reduced norm
+(:meth:`_SearchSpace.least_root`).  S_k, the sums of k cube signatures, comes from
 one routine, :func:`_sums`, on sets of signatures held as 6,561-bit ints
 (see :class:`_Mod9Tables`).  One recursion, :func:`_scan`, searches each
 number of cubes k, and level k starts only when its target's signature
@@ -43,6 +46,7 @@ import os
 from collections.abc import Iterator
 from dataclasses import dataclass
 from itertools import permutations, product
+from math import isqrt
 
 # Nothing here calls these: perfbench/workloads.py imports lemma_residue_check
 # from this module, and perfbench/tracing.py wraps the rest under these names
@@ -218,13 +222,13 @@ def _mod9_tables(params: RingParams) -> _Mod9Tables:
     return tabs
 
 
-# the packed cubes of one mod-9 signature by parity pattern, each cube
-# mapped to the box index of its least root
-_ParityGroups = dict[int, dict[int, int]]
+# the packed cubes of one mod-9 signature by parity pattern, each group a
+# dict with None values (a set of ~25 keys over-allocates)
+_ParityGroups = dict[int, dict[int, None]]
 
 # one side of a two-cube meet: a stored group and the sign (1 or -1) its
 # cubes take there
-_Side = tuple[dict[int, int], int]
+_Side = tuple[dict[int, None], int]
 
 # two signatures' stored groups with their signs, and whether the two
 # signatures are one
@@ -233,6 +237,16 @@ _SigPair = tuple[_ParityGroups, int, _ParityGroups, int, bool]
 # the pure parts (w1, w2, w3) of a scan's outer roots: each w1's rows
 # (w2, the w3 values), all in increasing order
 _OuterRows = dict[int, list[tuple[int, list[int]]]]
+
+
+def _icbrt(n: int) -> int:
+    """The integer cube root of n >= 0, rounded down: Newton's method from above."""
+    if n == 0:
+        return 0
+    x = 1 << -(-n.bit_length() // 3)
+    while (y := (2 * x + n // (x * x)) // 3) < x:
+        x = y
+    return x
 
 
 class _SearchSpace:
@@ -250,26 +264,18 @@ class _SearchSpace:
     coefficient, so ``pack(t) - pack(c) == pack(g)`` only when
     t - c == g: no lookup can hit by accident.
 
-    Roots are identified by their index in lexicographic order of the
-    box, so comparing indices compares roots.  The box is symmetric and
-    (-x)**3 == -(x**3), so the cubes of signature -s are the negated
-    cubes of signature s, with the same parity patterns, and the root
-    -x has index ``last - idx(x)``.  Only the canonical signature of each
-    ± pair, the lesser of s and -s, is stored (257 of the 513 signatures
-    in ring (1, 1); (0, 0, 0, 0) pairs with itself).  :meth:`groups`
-    maps each packed cube of a canonical signature, split by parity
-    pattern, to the index of its least root.  A cube's signature follows
-    from any of its roots' classes mod 9, so all its roots lie in the
-    root classes that ``_Mod9Tables.root_classes`` lists for that
-    signature, and the signature's groups alone decide its least root.
-
-    The least root of -c is the negated greatest root of c, which for a
-    cube with several roots is not the negated least root: in ring
-    (3, 1), (-80, 72, 0, 0) has the roots (-5, 1, 0, 0), (1, -3, 0, 0)
-    and (4, 2, 0, 0).  So ``_greatest`` maps each stored cube with
-    several roots to its greatest root's index, and :meth:`least`
-    reads a negated cube's least root from it in one lookup.  No memo
-    keeps each meet's group pairs: at bound 10 one took 4.5 of 15 MB.
+    The box is symmetric and (-x)**3 == -(x**3), so the cubes of
+    signature -s are the negated cubes of signature s, with the same
+    parity patterns.  Only the canonical signature of each ± pair, the
+    lesser of s and -s, is stored (257 of the 513 signatures in ring
+    (1, 1); (0, 0, 0, 0) pairs with itself).  :meth:`groups` holds the
+    packed cubes of a canonical signature, split by parity pattern, and
+    nothing else: no root.  The few cubes a search hits get their least
+    root from the cube itself (:meth:`least_root`), which also holds for
+    a negated cube, whose least root is not always the negated least
+    root: in ring (3, 1), (-80, 72, 0, 0) has the roots (-5, 1, 0, 0),
+    (1, -3, 0, 0) and (4, 2, 0, 0).  No memo keeps each meet's group
+    pairs: at bound 10 one took 4.5 of 15 MB.
     """
 
     def __init__(self, params: RingParams, bound: int) -> None:
@@ -279,14 +285,11 @@ class _SearchSpace:
         # |c0| <= B*(B^2 + 3p) and |ci| <= B*(3B^2 + p), with p <= (a+b+ab)B^2
         self.max_coeff = bound**3 * (1 + 3 * (a + b + a * b))
         self.radix = 4 * self.max_coeff + 1
-        # the greatest root's index; the root -x has index last - idx(x)
-        self.last = (2 * bound + 1) ** 4 - 1
         # the table keeps no (root, cube) list; perfbench/tracing.py reads this
         self._entries = None
         self._tabs = _mod9_tables(params)
         self._tails: tuple | None = None
         self._groups: dict[Coeffs, _ParityGroups] = {}
-        self._greatest: dict[int, int] = {}
         self._sig_pair_memo: dict[Coeffs, list[_SigPair]] = {}
         self._first_ok_memo: dict[tuple[Coeffs, int], bytes] = {}
         # the signed permutations of (c1, c2, c3) that keep the weights
@@ -310,19 +313,54 @@ class _SearchSpace:
         r = self.radix
         return ((t[0] * r + t[1]) * r + t[2]) * r + t[3]
 
-    def root(self, idx: int) -> Coeffs:
-        """The root at lexicographic index idx of the box."""
-        n, b = 2 * self.bound + 1, self.bound
-        idx, x3 = divmod(idx, n)
-        idx, x2 = divmod(idx, n)
-        x0, x1 = divmod(idx, n)
-        return (x0 - b, x1 - b, x2 - b, x3 - b)
+    def unpack(self, key: int) -> Coeffs:
+        """The coefficients that :meth:`pack` packed into key."""
+        m, r = 2 * self.max_coeff, self.radix
+        key, c3 = divmod(key + m, r)
+        key, c2 = divmod(key + m, r)
+        c0, c1 = divmod(key + m, r)
+        return (c0, c1 - m, c2 - m, c3 - m)
 
-    def least(self, group: dict[int, int], key: int, sign: int) -> int:
-        """Index of the least root of the cube ``sign * key``, for a key of
-        a stored group."""
-        idx = group[key]
-        return idx if sign > 0 else self.last - self._greatest.get(key, idx)
+    def least_root(self, c: Coeffs) -> Coeffs | None:
+        """The lexicographically least root in the box whose cube is c, or
+        None when there is none.
+
+        It inverts the closed form of ``cube_coeffs``.  The reduced norm
+        is multiplicative, so a root x of c has the norm n, the exact
+        integer cube root of ``n(c) = c0**2 + a*c1**2 + b*c2**2 +
+        ab*c3**2``.  For each x0 in the box, in increasing order, the pure
+        part v of x then has ``P(v) = n - x0**2``, and ``c0 == x0 *
+        (x0**2 - 3P)`` must hold.  With ``f = 3*x0**2 - P`` not 0, v is
+        ``(c1, c2, c3) / f``, which must divide exactly, lie in the box and
+        have P(v) == P.  With f == 0 the pure part of c is 0, and any v of
+        the box with P(v) == P is a root's; the lexicographically least
+        one is taken.  Whatever it returns cubes to c exactly.
+        """
+        a, b, bound = self.params.a, self.params.b, self.bound
+        c0, c1, c2, c3 = c
+        ab = a * b
+        n = _icbrt(c0 * c0 + a * c1 * c1 + b * c2 * c2 + ab * c3 * c3)
+        m = min(bound, isqrt(n))
+        for x0 in range(-m, m + 1):
+            p = n - x0 * x0
+            if x0 * (x0 * x0 - 3 * p) != c0:
+                continue
+            f = 3 * x0 * x0 - p
+            if f:
+                v1, v2, v3 = c1 // f, c2 // f, c3 // f
+                if (
+                    (v1 * f, v2 * f, v3 * f) == (c1, c2, c3)
+                    and max(abs(v1), abs(v2), abs(v3)) <= bound
+                    and a * v1 * v1 + b * v2 * v2 + ab * v3 * v3 == p
+                ):
+                    return (x0, v1, v2, v3)
+            elif not (c1 or c2 or c3):
+                # the tails are in box order, so the first with P == p is the least
+                tails, w = self._tail_table()[0], 2 * bound + 1
+                i = next((i for i, tail in enumerate(tails) if tail[0] == p), None)
+                if i is not None:
+                    return (x0, i // (w * w) - bound, i // w % w - bound, i % w - bound)
+        return None
 
     def _tail_table(self) -> tuple:
         """Per tail (x1, x2, x3) of the box, indexed in box order: the norm
@@ -343,40 +381,32 @@ class _SearchSpace:
         return self._tails
 
     def groups(self, sig: Coeffs) -> _ParityGroups:
-        """The packed cubes of signature sig, by parity pattern, each mapped
-        to the index of its least root; built on first use.  The build also
-        records in ``_greatest`` the greatest root of each cube that has
-        several.  A search asks only for canonical signatures (see
+        """The packed cubes of signature sig, by parity pattern; built on
+        first use.  A search asks only for canonical signatures (see
         :meth:`signed_groups`)."""
         got = self._groups.get(sig)
         if got is not None:
             return got
         tails, by_class, cube_par = self._tail_table()
-        # the signature's tails in box order, by x0 mod 9
+        # the signature's tails by x0 mod 9
         rows: dict[int, list[int]] = {}
         for n in self._tabs.root_classes.get(sig, ()):
             r0, c = divmod(n, 729)
             rows.setdefault(r0, []).extend(by_class[c])
-        for row in rows.values():
-            row.sort()
-        by_par: _ParityGroups = {p: {} for p in cube_par}
+        by_par: dict[int, list[int]] = {p: [] for p in cube_par}
         # the group of a root, indexed by x0's parity, then by the tail's
         slots = [[by_par[p] for p in cube_par[:8]], [by_par[p] for p in cube_par[8:]]]
-        r3, span = self.radix**3, len(tails)
-        for i, x0 in enumerate(range(-self.bound, self.bound + 1)):
+        r3 = self.radix**3
+        for x0 in range(-self.bound, self.bound + 1):
             row = rows.get(x0 % 9)
             if row is None:
                 continue
-            sq, hi, base, slot = x0 * x0, x0 * r3, i * span, slots[x0 & 1]
-            # the cube of x packs to (x0^2 - 3p)x0 R^3 + (3x0^2 - p) low; in
-            # box order the first root met is a cube's least, the last its
-            # greatest
+            sq, hi, slot = x0 * x0, x0 * r3, slots[x0 & 1]
+            # the cube of x packs to (x0^2 - 3p)x0 R^3 + (3x0^2 - p) low
             for n in row:
                 p, low, par = tails[n]
-                key, idx = (sq - 3 * p) * hi + (3 * sq - p) * low, base + n
-                if slot[par].setdefault(key, idx) != idx:
-                    self._greatest[key] = idx
-        got = self._groups[sig] = {p: group for p, group in by_par.items() if group}
+                slot[par].append((sq - 3 * p) * hi + (3 * sq - p) * low)
+        got = self._groups[sig] = {p: dict.fromkeys(keys) for p, keys in by_par.items() if keys}
         return got
 
     def signed_groups(self, sig: Coeffs) -> tuple[_ParityGroups, int]:
@@ -392,24 +422,20 @@ class _SearchSpace:
         out = {}
         for s in sorted(self._tabs.single):
             groups, sign = self.signed_groups(s)
-            if sign < 0:
-                groups = {
-                    p: {-key: self.least(group, key, -1) for key in group}
-                    for p, group in groups.items()
-                }
             if groups:
-                out[s] = groups
+                out[s] = {p: dict.fromkeys(sign * key for key in g) for p, g in groups.items()}
         return out
 
-    def table(self) -> dict[int, int]:
-        """Packed cube -> index of the lexicographically least root
-        producing it, over the whole box: a view put together from the
-        groups, which no search needs."""
-        least: dict[int, int] = {}
-        for groups in self.by_class().values():
-            for group in groups.values():
-                least.update(group)
-        return least
+    def table(self) -> dict[int, Coeffs]:
+        """Packed cube -> the lexicographically least root producing it,
+        over the whole box: a view put together from the groups and
+        :meth:`least_root`, which no search needs."""
+        return {
+            key: self.least_root(self.unpack(key))
+            for groups in self.by_class().values()
+            for group in groups.values()
+            for key in group
+        }
 
     def _sig_pairs(self, target_sig: Coeffs) -> list[_SigPair]:
         """Signatures that sum to target_sig mod 9, each unordered pair
@@ -504,11 +530,12 @@ def _scan_two(space: _SearchSpace, t: Coeffs) -> tuple[Coeffs, Coeffs] | None:
     keys times its sign, so with T the packed target the cubes
     ``u * h`` of big and ``v * g`` of small sum to T exactly when
     ``h == u*T - (u*v) * g``: one intersection in C per group pair, of
-    ``big`` with ``u*T - small`` or ``u*T + small``.  Each hit gives both
-    halves' least roots (:meth:`_SearchSpace.least`).  Every solution
-    shows up as such a hit, so x is the least root of either half of
-    any hit, and y the least root of the other half.  That is the pair a
-    full lexicographic scan would find.
+    ``big`` with ``u*T - small`` or ``u*T + small``.  Each hit is a cube
+    c of big, and t - c is the small half; both halves get their least
+    roots from the cubes themselves (:meth:`_SearchSpace.least_root`).
+    Every solution shows up as such a hit, so x is the least root of
+    either half of any hit, and y the least root of the other half.
+    That is the pair a full lexicographic scan would find.
     """
     sig = _sig(t)
     if not space._tabs.attains(sig, 2):
@@ -516,16 +543,18 @@ def _scan_two(space: _SearchSpace, t: Coeffs) -> tuple[Coeffs, Coeffs] | None:
     packed = space.pack(t)
     if packed is None:
         return None
-    least = space.least
     hits = []
     for (small, v), (big, u) in space.pair_sets(sig, _parity(t)):
         ut = u * packed
         for h in big.keys() & map(ut.__sub__ if u == v else ut.__add__, small):
-            hits.append((least(big, h, u), least(small, v * (packed - u * h), v)))
+            hits.append(u * h)
     if not hits:
         return None
-    x, y = min((i, j) if i < j else (j, i) for i, j in hits)
-    return space.root(x), space.root(y)
+    least_root = space.least_root
+    x, y = min(
+        sorted((least_root(c), least_root(_sub4(t, c)))) for c in map(space.unpack, hits)
+    )
+    return x, y
 
 
 def _sub4(t: Coeffs, c: Coeffs) -> Coeffs:
@@ -571,8 +600,7 @@ def _scan(
         if packed is None or not space._tabs.attains(sig, 1):
             return None
         groups, sign = space.signed_groups(sig)
-        group, key = groups.get(_parity(t), {}), sign * packed
-        return (space.root(space.least(group, key, sign)),) if key in group else None
+        return (space.least_root(t),) if sign * packed in groups.get(_parity(t), ()) else None
     if k == 2:
         return _scan_two(space, t)  # which tests S_2 itself
     first_ok = space.first_root_classes(sig, k)

@@ -1,5 +1,7 @@
+import copy
 import json
 import os
+import pickle
 import subprocess
 import sys
 from pathlib import Path
@@ -37,6 +39,15 @@ class TestParser:
         with pytest.raises(ParseError) as exc:
             parse_quaternion("3 + + i", LIPSCHITZ)
         assert exc.value.position == 4
+
+    def test_parse_error_pickles_and_copies(self):
+        with pytest.raises(ParseError) as exc:
+            parse_quaternion("3 + + i", LIPSCHITZ)
+        err = exc.value
+        for dup in (pickle.loads(pickle.dumps(err)), copy.copy(err), copy.deepcopy(err)):
+            assert type(dup) is ParseError
+            assert (str(dup), dup.position, dup.message) == (str(err), 4, err.message)
+            assert dup.args == err.args
 
     def test_malformed_cases(self):
         for text in ["", "  ", "3x", "ij", "2i3j", "3+", "-", "1 2i 3"]:

@@ -5,6 +5,7 @@ import random
 import sys
 import threading
 import time
+import tracemalloc
 import types
 from functools import lru_cache
 from itertools import permutations, product
@@ -46,6 +47,10 @@ LIPSCHITZ = RingParams(1, 1)
 
 def scalar(params, n):
     return Quaternion.scalar(params, n)
+
+
+def _neg(c):
+    return tuple(-v for v in c)
 
 
 def test_search_config_validation():
@@ -474,22 +479,24 @@ class TestMinCubesSearch:
                 assert min_cubes_search(t, cfg) == _brute_min_cubes(t, 3, 1, 1)
 
     @pytest.mark.parametrize("ring", [(1, 1), (2, 1), (4, 4), (3, 6)])
-    def test_groups_partition_the_table_by_signature_and_parity(self, ring):
+    def test_groups_partition_the_box_cubes_by_signature_and_parity(self, ring):
         params = RingParams(*ring)
         space = _SearchSpace(params, 2)
         grouped = space.by_class()
-        keys = set(space.table())
-        assert sum(len(g) for groups in grouped.values() for g in groups.values()) == len(keys)
-        assert set().union(*(g for groups in grouped.values() for g in groups.values())) == keys
+        # the groups, signs spelled out, are the box's cubes split by
+        # signature and parity, and they hold the packed cubes only
+        want = {}
+        for x in product(range(-2, 3), repeat=4):
+            c = cube_coeffs(params.a, params.b, x)
+            want.setdefault(_sig(c), {}).setdefault(_parity(c), set()).add(space.pack(c))
+        assert {s: {p: set(g) for p, g in groups.items()} for s, groups in grouped.items()} == want
+        assert all(v is None for groups in space._groups.values() for g in groups.values()
+                   for v in g.values())
+        assert set(space.table()) == set().union(*(g for ps in want.values() for g in ps.values()))
         # only the lesser signature of each +- pair is stored; 0 pairs with itself
         single = _mod9_tables(params).single
         assert all(s <= _neg9(s) for s in space._groups)
         assert len(space._groups) == (len(single) + 1) // 2
-        for x in product(range(-2, 3), repeat=4):
-            c = cube_coeffs(params.a, params.b, x)
-            assert space.pack(c) in grouped[_sig(c)][_parity(c)]
-            groups, sign = space.signed_groups(_sig(c))
-            assert sign * space.pack(c) in groups[_parity(c)]
         # negation closure: the cubes of -s are the negated cubes of s,
         # with the same parities
         for s, groups in grouped.items():
@@ -499,50 +506,71 @@ class TestMinCubesSearch:
             }
 
     @pytest.mark.parametrize("ring", [(1, 1), (2, 1), (3, 3), (6, 9), (3, 1)])
-    def test_groups_map_each_cube_to_its_least_root(self, ring):
+    def test_least_root_is_the_first_box_root_in_box_order(self, ring):
         # in ring (3, 1) at bound 5 the non-real cube (-80, 72, 0, 0) has the
         # three roots (-5, 1, 0, 0), (1, -3, 0, 0) and (4, 2, 0, 0)
         bound = 5 if ring == (3, 1) else 2
         params = RingParams(*ring)
         space = _SearchSpace(params, bound)
-        least, greatest, count = {}, {}, {}
-        for idx, x in enumerate(product(range(-bound, bound + 1), repeat=4)):
-            key = space.pack(cube_coeffs(params.a, params.b, x))
-            least.setdefault(key, idx)
-            greatest[key] = idx
-            count[key] = count.get(key, 0) + 1
-        seen, stored = {}, set()
-        for sig in _mod9_tables(params).single:
-            groups, sign = space.signed_groups(sig)
-            for par, group in groups.items():
-                for key in group:
-                    idx = space.least(group, key, sign)
-                    c = cube_coeffs(params.a, params.b, space.root(idx))
-                    assert (space.pack(c), _sig(c), _parity(c)) == (sign * key, sig, par)
-                    seen[sign * key] = idx
-                    if sign > 0:
-                        stored.add(key)
-        assert seen == least
-        # the loop built every canonical signature: each stored cube with
-        # several roots maps to its greatest root, and no other cube has one
-        assert space._greatest == {k: greatest[k] for k in stored if count[k] > 1}
-        if ring == (3, 1):
-            key = space.pack((-80, 72, 0, 0))
-            assert count[key] == 3 and {key, -key} & space._greatest.keys()
-        # the views of the negated signatures agree with building them directly
-        direct = _SearchSpace(params, bound)
-        single = _mod9_tables(params).single
-        assert space.by_class() == {s: g for s in sorted(single) if (g := direct.groups(s))}
+        least, count = {}, {}
+        for x in product(range(-bound, bound + 1), repeat=4):
+            c = cube_coeffs(params.a, params.b, x)
+            least.setdefault(c, x)
+            count[c] = count.get(c, 0) + 1
+        # every box cube, and with it its negation, since the box is symmetric
+        for c in least:
+            assert space.least_root(c) == least[c]
+            assert space.least_root(_neg(c)) == least[_neg(c)]
+        assert space.table() == {space.pack(c): x for c, x in least.items()}
+        # cubes of roots one step outside the box, and non-cubes near them,
+        # have a box root only when the box holds one
+        wider = range(-bound - 1, bound + 2)
+        for x in product(wider, repeat=4):
+            c = cube_coeffs(params.a, params.b, x)
+            for t in (c, (c[0] + 1, *c[1:])):
+                assert space.least_root(t) == least.get(t)
         # 3 x0^2 = p makes the pure part of the cube vanish, so such roots
         # share their cube with another root, e.g. (1, 1, 1, 1)^3 = (-2)^3
-        # in (1, 1); negating (-2)^3 gives 2^3, whose least root (-1, -1, -1, -1)
-        # is not -(-2)
+        # in (1, 1); negating a cube with several roots can then give a
+        # least root other than the negated least root
         several = sum(n > 1 for n in count.values())
-        flipped = sum(least[-k] != space.last - i for k, i in least.items())
+        flipped = sum(least[_neg(c)] != _neg(x) for c, x in least.items())
         if ring == (6, 9):
             assert several == flipped == 0
         else:
             assert several > 0 and flipped > 0
+
+    @pytest.mark.parametrize("ring, bound, cube, root", [
+        # three roots: (-5, 1, 0, 0), (1, -3, 0, 0) and (4, 2, 0, 0)
+        ((3, 1), 5, (-80, 72, 0, 0), (-5, 1, 0, 0)),
+        # the negation's least root is not minus (-5, 1, 0, 0)
+        ((3, 1), 5, (80, -72, 0, 0), (-4, -2, 0, 0)),
+        # f = 3*x0**2 - P = 0: 8 = (-1-i-j-k)^3 = 2^3, and x0 = -1 comes first
+        ((1, 1), 2, (8, 0, 0, 0), (-1, -1, -1, -1)),
+        ((1, 1), 2, (-8, 0, 0, 0), (-2, 0, 0, 0)),
+        ((1, 1), 2, (0, 0, 0, 0), (0, 0, 0, 0)),
+        # 64 = (-2-2i-2j-2k)^3 = 4^3 has no root in the box of 1
+        ((1, 1), 1, (64, 0, 0, 0), None),
+        ((1, 1), 2, (64, 0, 0, 0), (-2, -2, -2, -2)),
+    ])
+    def test_least_root_named_cubes(self, ring, bound, cube, root):
+        assert _SearchSpace(RingParams(*ring), bound).least_root(cube) == root
+
+    def test_whole_box_build_stores_at_most_100_bytes_per_cube(self):
+        # the groups hold the packed cubes only; with each cube's least root
+        # index beside it they took about 121 bytes per cube here
+        params = RingParams(1, 1)
+        space = _SearchSpace(params, 6)
+        space._tail_table()
+        canonical = [s for s in _mod9_tables(params).single if s <= _neg9(s)]
+        tracemalloc.start()
+        try:
+            stored = sum(len(g) for s in canonical for g in space.groups(s).values())
+            allocated = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert stored == 14857
+        assert allocated / stored <= 100
 
     def test_cubes_with_several_roots_and_both_signs(self):
         # ring (3, 1), B=5 has 20 non-real cubes with several roots, e.g.
