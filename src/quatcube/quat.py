@@ -14,9 +14,10 @@ The closed form of a cube lives in two places only, both here:
 :func:`cube_coeffs` cubes one coefficient tuple, and :func:`cube_sum`
 sums the cubes of many.  The test suite pins the two equal, and both to
 the direct product.  (The search's packed build of its cube groups is
-the one other place that spells the form out, and the search inverts it
-in ``_SearchSpace.least_root``: the least box root of a cube, read from
-the cube's reduced norm.)
+the one other place that spells the form out, for the cube's pure part
+alone, and the search inverts it twice: ``_SearchSpace.least_root``
+reads the least box root of a cube from the cube's reduced norm, and
+``_SearchSpace.pure_roots`` every box root of a pure part from its gcd.)
 """
 
 from __future__ import annotations

@@ -8,21 +8,25 @@ constructive decomposition pipeline, so the two can certify each other:
 * :func:`three_cube_residues_mod9` / :func:`two_cube_obstruction` --
   modular enumerators proving the two non-representability witnesses.
 
-Each cube of the box is packed into one int, exactly, and the packed cubes
-are grouped by their mod-9 signature and, within it, by their parity
-pattern (coefficients mod 2); only one signature of each ± pair is stored,
-and a signature's groups are built the first time a search meets it (see
-:class:`_SearchSpace`).  The groups hold the cubes only: a cube a search
-hits gets its least root from the cube itself, by inverting the closed
-form of ``cube_coeffs`` through the reduced norm
-(:meth:`_SearchSpace.least_root`).  S_k, the sums of k cube signatures, comes from
-one routine, :func:`_sums`, on sets of signatures held as 6,561-bit ints
-(see :class:`_Mod9Tables`).  One recursion, :func:`_scan`, searches each
+The pure part of each cube of the box is packed into one int, exactly,
+and the packed pure parts are grouped by the cube's mod-9 signature and,
+within it, by its parity pattern (coefficients mod 2).  The box's cubes
+are closed under negation and under the real flip (c0, c') -> (-c0, c'),
+so one stored set serves each class (±s0, ±s') of signatures, built the
+first time a search meets it (see :class:`_SearchSpace`).  A pure part a
+search hits gets its box roots back exactly, and a cube its least root,
+by inverting the closed form of ``cube_coeffs``
+(:meth:`_SearchSpace.pure_roots`, :meth:`_SearchSpace.least_root`).
+S_k, the sums of k cube signatures, comes from one routine,
+:func:`_sums`, on sets of signatures held as 6,561-bit ints (see
+:class:`_Mod9Tables`).  One recursion, :func:`_scan`, searches each
 number of cubes k, and level k starts only when its target's signature
-is in S_k.  One cube is a lookup; two cubes meet a target ``T`` by set
-intersection: for each pair of groups whose signatures sum to the
-target's signature and whose parities XOR to the target's parity,
-``big.keys() & {±T ∓ h for h in small}`` runs in C.  k >= 3 cubes scan
+is in S_k.  One cube is the target's least root; two cubes meet the
+packed pure part ``T`` of a target by set intersection: for each pair of
+groups whose signatures sum to the target's signature and whose
+parities XOR to the target's parity, ``big.keys() & {±T ∓ h for h in
+small}`` runs in C.  A target whose pure part is 0, which every pure
+part meets, is scanned in box order instead.  k >= 3 cubes scan
 the outer root in lexicographic order, keep the roots that leave a
 remainder in S_(k-1), and search it at level k - 1.  With N workers,
 the search's process and N - 1 helpers, each on its own CPU, take a
@@ -46,7 +50,7 @@ import os
 from collections.abc import Iterator
 from dataclasses import dataclass
 from itertools import permutations, product
-from math import isqrt
+from math import gcd, isqrt
 
 # Nothing here calls these: perfbench/workloads.py imports lemma_residue_check
 # from this module, and perfbench/tracing.py wraps the rest under these names
@@ -222,16 +226,16 @@ def _mod9_tables(params: RingParams) -> _Mod9Tables:
     return tabs
 
 
-# the packed cubes of one mod-9 signature by parity pattern, each group a
-# dict with None values (a set of ~25 keys over-allocates)
+# the packed pure parts of one stored class of mod-9 signatures (see
+# _SearchSpace) by parity pattern, each group a dict with None values (a
+# set of ~25 keys over-allocates)
 _ParityGroups = dict[int, dict[int, None]]
 
 # one side of a two-cube meet: a stored group and the sign (1 or -1) its
-# cubes take there
+# pure parts take there
 _Side = tuple[dict[int, None], int]
 
-# two signatures' stored groups with their signs, and whether the two
-# signatures are one
+# two stored groups with their signs, and whether the two sides are one
 _SigPair = tuple[_ParityGroups, int, _ParityGroups, int, bool]
 
 # the pure parts (w1, w2, w3) of a scan's outer roots: each w1's rows
@@ -249,33 +253,41 @@ def _icbrt(n: int) -> int:
     return x
 
 
+def _stored_class(sig: Coeffs) -> tuple[Coeffs, int]:
+    """The signature whose groups hold the pure parts of sig's cubes, the
+    least of (±s0, ±(s1, s2, s3)), and the sign (1 or -1) that turns its
+    pure parts into those of sig (see :class:`_SearchSpace`)."""
+    neg = _neg9(sig)
+    pure, sign = (sig[1:], 1) if sig[1:] <= neg[1:] else (neg[1:], -1)
+    return (min(sig[0], neg[0]), *pure), sign
+
+
 class _SearchSpace:
-    """Cube groups for one (ring, coeff_bound) box, built one ± pair of
-    mod-9 signatures at a time, the first time a search meets it.
+    """Cube groups for one (ring, coeff_bound) box, keyed by the cubes'
+    pure parts and built one class of mod-9 signatures at a time, the
+    first time a search meets it.
 
-    A cube (c0, c1, c2, c3) is stored as the int
-    ``((c0*R + c1)*R + c2)*R + c3`` in radix ``R = 4*M + 1``, where M
-    bounds every cube coefficient in the box.  Packing is linear, so
-    ``pack(t) - pack(c) == pack(t - c)`` and ``pack(-c) == -pack(c)``,
-    and two tuples whose coefficients differ by less than R pack equal
-    only when they are equal.  A target with a coefficient beyond 2*M is
-    no sum of two box cubes and is never packed.  For any other target t
-    and box cubes c and g, t - c and g differ by at most 4*M per
-    coefficient, so ``pack(t) - pack(c) == pack(g)`` only when
-    t - c == g: no lookup can hit by accident.
+    A pure part (c1, c2, c3) is stored as the int ``(c1*R + c2)*R + c3``
+    in radix ``R = 4*M + 1``, where M bounds every cube coefficient in
+    the box.  Packing is linear, so ``pack(t) - pack(c) == pack(t - c)``
+    and ``pack(-c) == -pack(c)``, and two tuples whose coefficients
+    differ by less than R pack equal only when they are equal.  A target
+    with a coefficient beyond 2*M, its real part included, is no sum of
+    two box cubes and is never packed.  For any other target t and box
+    cubes c and g, the pure parts of t - c and g differ by at most 4*M
+    per coefficient, so ``pack(t) - pack(c) == pack(g)`` only when they
+    are equal: a lookup hits only pure parts that sum to t's.
 
-    The box is symmetric and (-x)**3 == -(x**3), so the cubes of
-    signature -s are the negated cubes of signature s, with the same
-    parity patterns.  Only the canonical signature of each ± pair, the
-    lesser of s and -s, is stored (257 of the 513 signatures in ring
-    (1, 1); (0, 0, 0, 0) pairs with itself).  :meth:`groups` holds the
-    packed cubes of a canonical signature, split by parity pattern, and
-    nothing else: no root.  The few cubes a search hits get their least
-    root from the cube itself (:meth:`least_root`), which also holds for
-    a negated cube, whose least root is not always the negated least
-    root: in ring (3, 1), (-80, 72, 0, 0) has the roots (-5, 1, 0, 0),
-    (1, -3, 0, 0) and (4, 2, 0, 0).  No memo keeps each meet's group
-    pairs: at bound 10 one took 4.5 of 15 MB.
+    The cube of x0 + v, v pure, is ``(x0*(x0**2 - 3P), (3*x0**2 - P)*v)``
+    with P = P(v) (see ``cube_coeffs``), so the box's cubes are closed
+    under negation and under the real flip (c0, c') -> (-c0, c'), which
+    both keep the parity pattern.  Each class (±s0, ±s') of signatures
+    thus keeps one set of pure parts, under its least signature
+    (:func:`_stored_class`): 172 sets for the 513 signatures of ring
+    (1, 1), 56,959 pure parts for its 194,481 box roots at bound 10.  A
+    hit gets its roots back exactly (:meth:`pure_roots`,
+    :meth:`least_root`).  No memo keeps each meet's group pairs: at
+    bound 10 one took 4.5 of 15 MB.
     """
 
     def __init__(self, params: RingParams, bound: int) -> None:
@@ -289,6 +301,7 @@ class _SearchSpace:
         self._entries = None
         self._tabs = _mod9_tables(params)
         self._tails: tuple | None = None
+        self._norms: tuple | None = None
         self._groups: dict[Coeffs, _ParityGroups] = {}
         self._sig_pair_memo: dict[Coeffs, list[_SigPair]] = {}
         self._first_ok_memo: dict[tuple[Coeffs, int], bytes] = {}
@@ -306,20 +319,25 @@ class _SearchSpace:
         self._orbit_memo: dict[tuple, _OuterRows] = {}
 
     def pack(self, t: Coeffs) -> int | None:
-        """The packed form of t, or None when a coefficient exceeds 2*M."""
+        """The packed pure part of t, or None when a coefficient of t
+        exceeds 2*M."""
         m = 2 * self.max_coeff
         if not (-m <= t[0] <= m and -m <= t[1] <= m and -m <= t[2] <= m and -m <= t[3] <= m):
             return None
         r = self.radix
-        return ((t[0] * r + t[1]) * r + t[2]) * r + t[3]
+        return (t[1] * r + t[2]) * r + t[3]
 
-    def unpack(self, key: int) -> Coeffs:
-        """The coefficients that :meth:`pack` packed into key."""
+    def unpack(self, key: int) -> tuple[int, int, int]:
+        """The pure part that :meth:`pack` packed into key."""
         m, r = 2 * self.max_coeff, self.radix
         key, c3 = divmod(key + m, r)
-        key, c2 = divmod(key + m, r)
-        c0, c1 = divmod(key + m, r)
-        return (c0, c1 - m, c2 - m, c3 - m)
+        c1, c2 = divmod(key + m, r)
+        return (c1, c2 - m, c3 - m)
+
+    def _tail(self, n: int) -> tuple[int, int, int]:
+        """The pure part (x1, x2, x3) of tail n of the box, in box order."""
+        bound, w = self.bound, 2 * self.bound + 1
+        return (n // (w * w) - bound, n // w % w - bound, n % w - bound)
 
     def least_root(self, c: Coeffs) -> Coeffs | None:
         """The lexicographically least root in the box whose cube is c, or
@@ -356,11 +374,37 @@ class _SearchSpace:
                     return (x0, v1, v2, v3)
             elif not (c1 or c2 or c3):
                 # the tails are in box order, so the first with P == p is the least
-                tails, w = self._tail_table()[0], 2 * bound + 1
+                tails = self._tail_table()[0]
                 i = next((i for i, tail in enumerate(tails) if tail[0] == p), None)
                 if i is not None:
-                    return (x0, i // (w * w) - bound, i // w % w - bound, i % w - bound)
+                    return (x0, *self._tail(i))
         return None
+
+    def pure_roots(self, key: int) -> list[Coeffs]:
+        """Every box root whose cube has the packed pure part key, not 0,
+        in increasing order.
+
+        The pure part c' of the cube of x0 + v is ``(3*x0**2 - P(v)) * v``,
+        so v = m*w for w = c'/g, g = gcd(c'), and an int m with
+        ``(3*x0**2 - m**2*P(w)) * m == g``: m divides g and is at most
+        ``B / max|w|`` in size, and ``3*x0**2 == g/m + m**2*P(w)`` fixes
+        x0 up to sign.
+        """
+        a, b, bound = self.params.a, self.params.b, self.bound
+        c1, c2, c3 = self.unpack(key)
+        g = gcd(c1, c2, c3)
+        w1, w2, w3 = c1 // g, c2 // g, c3 // g
+        pw = a * w1 * w1 + b * w2 * w2 + a * b * w3 * w3
+        roots = []
+        for m in range(1, bound // max(abs(w1), abs(w2), abs(w3)) + 1):
+            if g % m:
+                continue
+            for s in (m, -m):
+                r = g // s + m * m * pw  # 3*x0**2
+                if r >= 0 and r % 3 == 0 and 3 * (x0 := isqrt(r // 3)) ** 2 == r <= 3 * bound**2:
+                    v = (s * w1, s * w2, s * w3)
+                    roots += {(-x0, *v), (x0, *v)}
+        return sorted(roots)
 
     def _tail_table(self) -> tuple:
         """Per tail (x1, x2, x3) of the box, indexed in box order: the norm
@@ -380,9 +424,21 @@ class _SearchSpace:
             self._tails = (tails, by_class, cube_par)
         return self._tails
 
+    def _tails_by_norm(self) -> tuple[dict[int, list[int]], set[int]]:
+        """The box's tails by norm part p, each list in box order, and the
+        cubes of the norms of the box's roots; built on first use."""
+        if self._norms is None:
+            by_p: dict[int, list[int]] = {}
+            for n, tail in enumerate(self._tail_table()[0]):
+                by_p.setdefault(tail[0], []).append(n)
+            cubes = {(y0 * y0 + p) ** 3 for y0 in range(self.bound + 1) for p in by_p}
+            self._norms = (by_p, cubes)
+        return self._norms
+
     def groups(self, sig: Coeffs) -> _ParityGroups:
-        """The packed cubes of signature sig, by parity pattern; built on
-        first use.  A search asks only for canonical signatures (see
+        """The packed pure parts of the cubes of signature sig, by parity
+        pattern; built on first use.  A search asks only for the
+        signatures that :func:`_stored_class` returns (see
         :meth:`signed_groups`)."""
         got = self._groups.get(sig)
         if got is not None:
@@ -396,29 +452,28 @@ class _SearchSpace:
         by_par: dict[int, list[int]] = {p: [] for p in cube_par}
         # the group of a root, indexed by x0's parity, then by the tail's
         slots = [[by_par[p] for p in cube_par[:8]], [by_par[p] for p in cube_par[8:]]]
-        r3 = self.radix**3
         for x0 in range(-self.bound, self.bound + 1):
             row = rows.get(x0 % 9)
             if row is None:
                 continue
-            sq, hi, slot = x0 * x0, x0 * r3, slots[x0 & 1]
-            # the cube of x packs to (x0^2 - 3p)x0 R^3 + (3x0^2 - p) low
+            f0, slot = 3 * x0 * x0, slots[x0 & 1]
+            # the pure part of the cube of x packs to (3x0^2 - p) low
             for n in row:
                 p, low, par = tails[n]
-                slot[par].append((sq - 3 * p) * hi + (3 * sq - p) * low)
+                slot[par].append((f0 - p) * low)
         got = self._groups[sig] = {p: dict.fromkeys(keys) for p, keys in by_par.items() if keys}
         return got
 
     def signed_groups(self, sig: Coeffs) -> tuple[_ParityGroups, int]:
-        """The stored groups of sig's ± pair, and the sign (1 or -1) that
-        turns their cubes into the cubes of sig."""
-        neg = _neg9(sig)
-        return (self.groups(sig), 1) if sig <= neg else (self.groups(neg), -1)
+        """The stored groups of sig's class, and the sign (1 or -1) that
+        turns their pure parts into those of sig's cubes."""
+        stored, sign = _stored_class(sig)
+        return self.groups(stored), sign
 
     def by_class(self) -> dict[Coeffs, _ParityGroups]:
         """Every signature's groups, laid out as :meth:`groups` lays out a
-        canonical one, the negated signatures spelled out: a whole-box view
-        that no search needs."""
+        stored one, the signs spelled out: a whole-box view that no
+        search needs."""
         out = {}
         for s in sorted(self._tabs.single):
             groups, sign = self.signed_groups(s)
@@ -426,29 +481,27 @@ class _SearchSpace:
                 out[s] = {p: dict.fromkeys(sign * key for key in g) for p, g in groups.items()}
         return out
 
-    def table(self) -> dict[int, Coeffs]:
-        """Packed cube -> the lexicographically least root producing it,
-        over the whole box: a view put together from the groups and
-        :meth:`least_root`, which no search needs."""
-        return {
-            key: self.least_root(self.unpack(key))
-            for groups in self.by_class().values()
-            for group in groups.values()
-            for key in group
-        }
+    def table(self) -> dict[Coeffs, Coeffs]:
+        """Cube -> the lexicographically least root producing it, over
+        the whole box, by brute force: a view that no search needs."""
+        a, b, out = self.params.a, self.params.b, {}
+        for x in product(range(-self.bound, self.bound + 1), repeat=4):
+            out.setdefault(cube_coeffs(a, b, x), x)
+        return out
 
     def _sig_pairs(self, target_sig: Coeffs) -> list[_SigPair]:
-        """Signatures that sum to target_sig mod 9, each unordered pair
-        once, as their stored groups with signs and whether the two
-        signatures are one; only the signatures paired are built.  Each
-        half of a mate's code (see ``_Mod9Tables.by_code``) is one lookup
-        in :func:`_digit_diff`, and codes order as signatures do."""
+        """The pairs of stored groups, with signs, of the signatures that
+        sum to target_sig mod 9, and whether the two sides are one.  Two
+        pairs of signatures that meet the same two sides are met once,
+        and only the classes paired are built.  Each half of a mate's code
+        (see ``_Mod9Tables.by_code``) is one lookup in :func:`_digit_diff`,
+        and codes order as signatures do."""
         got = self._sig_pair_memo.get(target_sig)
         if got is None:
             diff, by_code = _digit_diff(), self._tabs.by_code
             t0, t1, t2, t3 = target_sig
             hi, lo = (t0 * 9 + t1) * 81, (t2 * 9 + t3) * 81
-            got = []
+            sides = {}
             for h, row in by_code.items():
                 mh = diff[hi + h]
                 if h > mh or (mate_row := by_code.get(mh)) is None:
@@ -456,10 +509,13 @@ class _SearchSpace:
                 for l, s in row.items():
                     ml = diff[lo + l]
                     if ml in mate_row and (h < mh or l <= ml):
-                        groups, sign = self.signed_groups(s)
-                        mates, mate_sign = self.signed_groups(mate_row[ml])
-                        if groups and mates:
-                            got.append((groups, sign, mates, mate_sign, h == mh and l == ml))
+                        one, other = _stored_class(s), _stored_class(mate_row[ml])
+                        sides[min(one, other), max(one, other)] = None
+            got = []
+            for (s, sign), (m, mate_sign) in sides:
+                groups, mates = self.groups(s), self.groups(m)
+                if groups and mates:
+                    got.append((groups, sign, mates, mate_sign, (s, sign) == (m, mate_sign)))
             self._sig_pair_memo[target_sig] = got
         return got
 
@@ -511,12 +567,12 @@ class _SearchSpace:
     def pair_sets(self, target_sig: Coeffs, target_par: int) -> Iterator[tuple[_Side, _Side]]:
         """(smaller, larger) groups with their signs, whose signatures sum
         to target_sig mod 9 and whose parities XOR to target_par, each
-        unordered pair once; generated afresh for each meet."""
+        unordered pair of sides once; generated afresh for each meet."""
         for groups, sign, mates, mate_sign, same in self._sig_pairs(target_sig):
             for p, group in groups.items():
                 q = p ^ target_par
                 mate = mates.get(q)
-                # a signature paired with itself meets (p, q) and (q, p) alike: keep one
+                # a side paired with itself meets (p, q) and (q, p) alike: keep one
                 if mate is not None and (not same or p <= q):
                     one, other = (group, sign), (mate, mate_sign)
                     yield (one, other) if len(group) <= len(mate) else (other, one)
@@ -526,16 +582,18 @@ def _scan_two(space: _SearchSpace, t: Coeffs) -> tuple[Coeffs, Coeffs] | None:
     """Least (x, y) with x**3 + y**3 = t, both in the coeff box.
 
     Only groups that can sum to t are met: their signatures sum to t's
-    mod 9 and their parities XOR to t's.  A side's cubes are its stored
-    keys times its sign, so with T the packed target the cubes
-    ``u * h`` of big and ``v * g`` of small sum to T exactly when
-    ``h == u*T - (u*v) * g``: one intersection in C per group pair, of
-    ``big`` with ``u*T - small`` or ``u*T + small``.  Each hit is a cube
-    c of big, and t - c is the small half; both halves get their least
-    roots from the cubes themselves (:meth:`_SearchSpace.least_root`).
-    Every solution shows up as such a hit, so x is the least root of
-    either half of any hit, and y the least root of the other half.
-    That is the pair a full lexicographic scan would find.
+    mod 9 and their parities XOR to t's.  A side's pure parts are its
+    stored keys times its sign, so with T the packed pure part of t the
+    pure parts ``u * h`` of big and ``v * g`` of small sum to T exactly
+    when ``h == u*T - (u*v) * g``: one intersection in C per group pair,
+    of ``big`` with ``u*T - small`` or ``u*T + small``.  The keys hold no
+    real parts, so a hit is only a candidate: each root x of its half
+    (:meth:`_SearchSpace.pure_roots`) whose remainder t - x**3 has a
+    least root y in the box gives the pair (x, y), sorted.  Every
+    solution shows up so, and the least pair is the one a full
+    lexicographic scan would find.  A target whose pure part is 0 meets
+    every stored pure part, so :func:`_real_pair` scans the box in order
+    for it instead.
     """
     sig = _sig(t)
     if not space._tabs.attains(sig, 2):
@@ -543,18 +601,47 @@ def _scan_two(space: _SearchSpace, t: Coeffs) -> tuple[Coeffs, Coeffs] | None:
     packed = space.pack(t)
     if packed is None:
         return None
-    hits = []
+    if not packed:
+        return _real_pair(space, t)
+    hits = set()
     for (small, v), (big, u) in space.pair_sets(sig, _parity(t)):
         ut = u * packed
-        for h in big.keys() & map(ut.__sub__ if u == v else ut.__add__, small):
-            hits.append(u * h)
-    if not hits:
-        return None
-    least_root = space.least_root
-    x, y = min(
-        sorted((least_root(c), least_root(_sub4(t, c)))) for c in map(space.unpack, hits)
-    )
-    return x, y
+        hits.update(map(u.__mul__, big.keys() & map(ut.__sub__ if u == v else ut.__add__, small)))
+    a, b, least_root = space.params.a, space.params.b, space.least_root
+    pairs = []
+    for c in hits:
+        # the roots of a half whose pure part is not 0: t's is not
+        for x in space.pure_roots(c or packed):
+            y = least_root(_sub4(t, cube_coeffs(a, b, x)))
+            if y is not None:
+                pairs.append((x, y) if x <= y else (y, x))
+    return min(pairs, default=None)
+
+
+def _real_pair(space: _SearchSpace, t: Coeffs) -> tuple[Coeffs, Coeffs] | None:
+    """Least (x, y) with x**3 + y**3 = t, both in the coeff box, for a t
+    whose pure part is 0, which every stored pure part meets.
+
+    x runs over the box in box order, and the first x whose remainder
+    t - x**3 has a least root y in the box gives the pair: x is the least
+    root of any solution, and y >= x, or y would have come first.  With
+    x = x0 + v and p = P(v), the remainder is ``(t0 - x0*(x0**2 - 3p),
+    -(3*x0**2 - p)*v)``, so its norm ``(t0 - x0*(x0**2 - 3p))**2 +
+    (3*x0**2 - p)**2 * p`` depends on x0 and p only.  It is the cube of
+    y's norm ``y0**2 + P(w)``, so only the tails whose p gives the cube of
+    a box root's norm are tried.
+    """
+    a, b, bound = space.params.a, space.params.b, space.bound
+    t0, (by_p, cubes) = t[0], space._tails_by_norm()
+    for x0 in range(-bound, bound + 1):
+        sq = x0 * x0
+        ok = [p for p in by_p if (t0 - x0 * (sq - 3 * p)) ** 2 + (3 * sq - p) ** 2 * p in cubes]
+        for n in sorted(n for p in ok for n in by_p[p]):
+            x = (x0, *space._tail(n))
+            y = space.least_root(_sub4(t, cube_coeffs(a, b, x)))
+            if y is not None:
+                return x, y
+    return None
 
 
 def _sub4(t: Coeffs, c: Coeffs) -> Coeffs:
@@ -586,21 +673,19 @@ def _scan(
     """Least witness of t as a sum of exactly k cubes, or None.
 
     Level k runs only when t's signature is in S_k (see
-    :meth:`_Mod9Tables.sums`).  One cube is one lookup, and two are met in
-    the middle (:func:`_scan_two`).  For k >= 3 the first root runs over
-    the outer box's orbit-least roots (:meth:`_SearchSpace.outer_roots`)
-    whose class passes the mask ``first_root_classes(sig, k)``, so that
-    the remainder is in S_(k-1); the mask is empty exactly when the
-    signature is not in S_k.  The least (k-1)-cube witness of the
-    remainder completes it.  ``workers`` > 1 splits only level k itself.
+    :meth:`_Mod9Tables.sums`).  One cube is the target's least root, and
+    two are met in the middle (:func:`_scan_two`).  For k >= 3 the first
+    root runs over the outer box's orbit-least roots
+    (:meth:`_SearchSpace.outer_roots`) whose class passes the mask
+    ``first_root_classes(sig, k)``, so that the remainder is in S_(k-1);
+    the mask is empty exactly when the signature is not in S_k.  The
+    least (k-1)-cube witness of the remainder completes it.  ``workers`` > 1 splits only level k itself.
     """
     sig = _sig(t)
     if k == 1:
-        packed = space.pack(t)
-        if packed is None or not space._tabs.attains(sig, 1):
-            return None
-        groups, sign = space.signed_groups(sig)
-        return (space.least_root(t),) if sign * packed in groups.get(_parity(t), ()) else None
+        # exact at any bound, and builds no group
+        x = space.least_root(t) if space._tabs.attains(sig, 1) else None
+        return None if x is None else (x,)
     if k == 2:
         return _scan_two(space, t)  # which tests S_2 itself
     first_ok = space.first_root_classes(sig, k)
@@ -827,21 +912,15 @@ def min_cubes_search(
     no representation exists within the bounds, which proves nothing
     beyond the box.
 
-    Two cubes are met in the middle: the box's cubes, packed into ints
-    and grouped by signature mod 9 and parity, are intersected with the
-    target minus each cube of a matching group.  Only one signature of
-    each ± pair is stored, since the cubes of -s are the negated cubes
-    of s (257 of the 513 signatures in ring (1, 1)).  A signature's groups
-    are built when a search first meets it, so a two-cube search builds
-    only the signatures that can sum to its target (about 50 of the 513
-    in ring (1, 1)).  k >= 3 cubes scan an outer root (in the outer_bound
-    box) and search the remainder with k - 1 cubes.  One rule prunes
-    every level: level k runs only when its target's signature mod 9 is
-    in S_k, the sums of k cube signatures.  A scan takes one outer root per
-    orbit of the signed permutations of the pure coefficients that keep
-    the norm form's weights (a, b, ab) and fix the target (or remainder):
-    such a map sends witnesses to witnesses, so only the least root of an
-    orbit can start the least witness.
+    One cube is the target's least root, exact at any bound.  Two cubes
+    are met in the middle on the packed pure parts of the box's cubes,
+    one stored set per class (±s0, ±s') of signatures mod 9 (172 for the
+    513 of ring (1, 1)), each built when a search first meets it; a
+    target whose pure part is 0 builds none and scans the box in order.
+    k >= 3 cubes scan an outer root (in the outer_bound box) and search
+    the remainder with k - 1 cubes.  The module docstring gives the
+    pruning, by the sums S_k of cube signatures mod 9 and by the
+    target's symmetries, which keeps the least witness.
     ``workers`` > 1 cuts the scan of each stage k >= 3 that runs into
     ``(w0, w1)`` cells of the outer root's first two coefficients, which
     this process and ``workers - 1`` helper ones (no more than the CPUs

@@ -143,6 +143,16 @@ class TestCliSearch:
         assert payload["roots"] == [["-2", "0", "0", "0"]]
         assert payload["verified"] is True
 
+    @pytest.mark.parametrize("target, root", [("1", "1"), ("-27", "-3")])
+    def test_one_cube_search_at_a_huge_bound(self, capsys, target, root):
+        # one cube is the target's exact least root: no table of the box is built
+        code, out, err = run_cli(
+            capsys, "search", "--ring", "1,1", "--max-cubes", "1",
+            "--bound", "9" * 20, "--", target,
+        )
+        assert (code, err) == (0, "")
+        assert out.splitlines()[1:] == [f"  root 1: {root}", "verified: true"]
+
     def test_absent_exit_1(self, capsys):
         code, out, _ = run_cli(
             capsys, "search", "--ring", "3,3", "--json", "--max-cubes", "3",

@@ -53,6 +53,16 @@ def _neg(c):
     return tuple(-v for v in c)
 
 
+def _sub(t, c):
+    return tuple(u - v for u, v in zip(t, c))
+
+
+def _class(s):
+    """The signatures that the real flip and negation reach from s."""
+    m = _neg9(s)
+    return {s, (m[0], *s[1:]), (s[0], *m[1:]), m}
+
+
 def test_search_config_validation():
     with pytest.raises(ValueError):
         SearchConfig(max_cubes=0)
@@ -483,27 +493,75 @@ class TestMinCubesSearch:
         params = RingParams(*ring)
         space = _SearchSpace(params, 2)
         grouped = space.by_class()
-        # the groups, signs spelled out, are the box's cubes split by
-        # signature and parity, and they hold the packed cubes only
-        want = {}
+        # the groups, signs spelled out, are the pure parts of the box's
+        # cubes split by signature and parity, and they hold nothing else
+        want, cubes = {}, set()
         for x in product(range(-2, 3), repeat=4):
             c = cube_coeffs(params.a, params.b, x)
+            cubes.add(c)
             want.setdefault(_sig(c), {}).setdefault(_parity(c), set()).add(space.pack(c))
         assert {s: {p: set(g) for p, g in groups.items()} for s, groups in grouped.items()} == want
         assert all(v is None for groups in space._groups.values() for g in groups.values()
                    for v in g.values())
-        assert set(space.table()) == set().union(*(g for ps in want.values() for g in ps.values()))
-        # only the lesser signature of each +- pair is stored; 0 pairs with itself
+        assert set(space.table()) == cubes
+        # one group set per class (+-s0, +-s') is stored, under its least signature
         single = _mod9_tables(params).single
-        assert all(s <= _neg9(s) for s in space._groups)
-        assert len(space._groups) == (len(single) + 1) // 2
-        # negation closure: the cubes of -s are the negated cubes of s,
-        # with the same parities
+        assert set(space._groups) == {min(_class(s)) for s in single}
+        assert len(space._groups) < (len(single) + 1) // 2
+        # the real flip keeps the pure parts and the parities of a
+        # signature's cubes, and negation negates the pure parts
         for s, groups in grouped.items():
-            negated = grouped[_neg9(s)]
+            flipped, negated = grouped[(-s[0] % 9, *s[1:])], grouped[_neg9(s)]
+            assert {p: set(g) for p, g in flipped.items()} == {p: set(g) for p, g in groups.items()}
             assert {p: {-k for k in g} for p, g in groups.items()} == {
                 p: set(g) for p, g in negated.items()
             }
+
+    @pytest.mark.parametrize("ring, bound", [((1, 1), 3), ((3, 1), 3), ((2, 9), 2), ((6, 9), 2)])
+    def test_box_cubes_are_closed_under_the_real_flip_and_negation(self, ring, bound):
+        # by quaternion products: (-x0 + v)**3 = (-c0, c1, c2, c3) when
+        # (x0 + v)**3 = (c0, c1, c2, c3), and (-x)**3 = -(x**3)
+        roots, cubes = _box(RingParams(*ring), bound)
+        got = {c.coefficients() for c in cubes}
+        for x, c in zip(roots, cubes):
+            c0, c1, c2, c3 = c.coefficients()
+            flipped = Quaternion(x.params, -x.c0, *x.imaginary())
+            assert (flipped * flipped * flipped).coefficients() == (-c0, c1, c2, c3)
+        assert {(-c[0], *c[1:]) for c in got} == got == {_neg(c) for c in got}
+
+    @pytest.mark.parametrize("ring", [(1, 1), (3, 3), (6, 9), (3, 1)])
+    def test_two_cube_meet_matches_brute_force(self, ring):
+        # real targets (pure part 0), cubes with pure part 0 whose roots
+        # are not real (3*x0**2 == P(v)), and signatures whose class holds
+        # two signatures, not four, all meet here
+        params, bound = RingParams(*ring), 2
+        roots, cubes = _box(params, bound)
+        least = {}
+        for r, c in zip(roots, cubes):
+            least.setdefault(c.coefficients(), r.coefficients())
+        flat = [r for r, c in zip(roots, cubes) if not any(c.imaginary()) and any(r.imaginary())]
+        rng = random.Random(20261019)
+        targets = {(n, 0, 0, 0) for n in range(-70, 71)}
+        for _ in range(150):
+            c, g = rng.choice(cubes), rng.choice(cubes)
+            targets |= {(c + g).coefficients(), (c - g).coefficients(), (c + g + 1).coefficients()}
+        targets |= {(cube(r) + c).coefficients() for r in flat for c in cubes[::7]}
+        space = _SearchSpace(params, bound)
+        flat = {r.coefficients() for r in flat}
+        real_found, halves = 0, set()
+        for t in sorted(targets):
+            got = _scan_two(space, t)
+            want = next(((x.coefficients(), least[rest]) for x, c in zip(roots, cubes)
+                         if (rest := _sub(t, c.coefficients())) in least), None)
+            assert got == want, t
+            if got is not None:
+                real_found += not any(t[1:])
+                halves.update(got)
+        # witnesses of real targets, with a root in a flat cube's class where the ring has one
+        assert real_found > 10
+        assert ring == (6, 9) or halves & flat
+        sizes = {len(_class(_sig(cube_coeffs(params.a, params.b, x)))) for x in halves}
+        assert {2, 4} <= sizes
 
     @pytest.mark.parametrize("ring", [(1, 1), (2, 1), (3, 3), (6, 9), (3, 1)])
     def test_least_root_is_the_first_box_root_in_box_order(self, ring):
@@ -512,16 +570,21 @@ class TestMinCubesSearch:
         bound = 5 if ring == (3, 1) else 2
         params = RingParams(*ring)
         space = _SearchSpace(params, bound)
-        least, count = {}, {}
+        least, count, by_pure = {}, {}, {}
         for x in product(range(-bound, bound + 1), repeat=4):
             c = cube_coeffs(params.a, params.b, x)
             least.setdefault(c, x)
             count[c] = count.get(c, 0) + 1
+            by_pure.setdefault(c[1:], []).append(x)
+        # a pure part other than 0 gives back every box root whose cube has it
+        for pure, roots in by_pure.items():
+            if any(pure):
+                assert space.pure_roots(space.pack((0, *pure))) == roots
         # every box cube, and with it its negation, since the box is symmetric
         for c in least:
             assert space.least_root(c) == least[c]
             assert space.least_root(_neg(c)) == least[_neg(c)]
-        assert space.table() == {space.pack(c): x for c, x in least.items()}
+        assert space.table() == least
         # cubes of roots one step outside the box, and non-cubes near them,
         # have a box root only when the box holds one
         wider = range(-bound - 1, bound + 2)
@@ -556,20 +619,21 @@ class TestMinCubesSearch:
     def test_least_root_named_cubes(self, ring, bound, cube, root):
         assert _SearchSpace(RingParams(*ring), bound).least_root(cube) == root
 
-    def test_whole_box_build_stores_at_most_100_bytes_per_cube(self):
-        # the groups hold the packed cubes only; with each cube's least root
-        # index beside it they took about 121 bytes per cube here
+    def test_whole_box_build_stores_at_most_100_bytes_per_pure_part(self):
+        # the groups hold one pure part per class of signatures under the
+        # real flip and negation; with whole cubes, one signature of each
+        # +- pair, they held 14,857 keys in 1.32 MB here
         params = RingParams(1, 1)
         space = _SearchSpace(params, 6)
         space._tail_table()
-        canonical = [s for s in _mod9_tables(params).single if s <= _neg9(s)]
+        stored_sigs = {min(_class(s)) for s in _mod9_tables(params).single}
         tracemalloc.start()
         try:
-            stored = sum(len(g) for s in canonical for g in space.groups(s).values())
+            stored = sum(len(g) for s in stored_sigs for g in space.groups(s).values())
             allocated = tracemalloc.get_traced_memory()[0]
         finally:
             tracemalloc.stop()
-        assert stored == 14857
+        assert stored == 8457
         assert allocated / stored <= 100
 
     def test_cubes_with_several_roots_and_both_signs(self):
@@ -608,6 +672,23 @@ class TestMinCubesSearch:
         ]
         assert got == _brute_min_cubes(target, 3, 2, 3)
 
+    def test_zero_remainder_stops_at_the_first_completing_root(self, monkeypatch):
+        # (-11-11i-11j-11k)**3 = 10648 lies outside the box of 10, so the
+        # first outer root leaves a remainder of 0, which every box cube
+        # meets; the scan in box order stops at the first root, where
+        # resolving each hit took 202,352 least_root calls
+        calls = []
+        least_root = _SearchSpace.least_root
+        monkeypatch.setattr(
+            _SearchSpace, "least_root", lambda self, c: calls.append(c) or least_root(self, c)
+        )
+        target = cube(Quaternion(LIPSCHITZ, -11, -11, -11, -11))
+        got = min_cubes_search(target, SearchConfig(max_cubes=3, coeff_bound=10, outer_bound=11))
+        assert [r.coefficients() for r in got] == [
+            (-11, -11, -11, -11), (-10, -10, -10, -10), (10, -10, -10, -10)
+        ]
+        assert len(calls) <= 4
+
     def test_two_cube_scan_builds_few_signatures(self):
         params = RingParams(1, 1)
         x, y = (1, 2, 3, 4), (-5, 6, -7, 8)
@@ -626,49 +707,58 @@ class TestMinCubesSearch:
         space = _SearchSpace(params, 4)
         single = _mod9_tables(params).single
         got = {t: space._sig_pairs(t) for t in product(range(9), repeat=4)}
-        sig_of = {id(groups): s for s, groups in space._groups.items()}
+        stored_of = {id(groups): s for s, groups in space._groups.items()}
 
-        def signed(groups, sign):
-            s = sig_of[id(groups)]
-            return s if sign > 0 else _neg9(s)
+        def side(s):
+            # the stored signature of s's class, and the sign that takes its
+            # pure parts to s's: + where s has the least pure part of the two
+            stored = min(_class(s))
+            return stored, 1 if s[1:] == stored[1:] else -1
 
+        sides = {s: side(s) for s in single}
         expected = {t: set() for t in got}
         for s, m in product(single, repeat=2):
-            if s <= m:
-                expected[tuple((si + mi) % 9 for si, mi in zip(s, m))].add((s, m))
+            summed = tuple((si + mi) % 9 for si, mi in zip(s, m))
+            expected[summed].add(frozenset((sides[s], sides[m])))
         for t, pairs in got.items():
             found = []
             for groups, sign, mates, mate_sign, same in pairs:
-                s, m = signed(groups, sign), signed(mates, mate_sign)
-                assert same == (s == m)
-                found.append((s, m) if s <= m else (m, s))
+                one, other = (stored_of[id(groups)], sign), (stored_of[id(mates)], mate_sign)
+                assert same == (one == other)
+                found.append(frozenset((one, other)))
             assert len(found) == len(set(found)) and set(found) == expected[t]
 
     @pytest.mark.parametrize("ring", [(1, 1), (3, 3)])
     def test_pair_sets_give_each_group_pair_once_smaller_first(self, ring):
-        # a group pair is unordered: {(signature, parity), (signature, parity)}
+        # a group pair is unordered: {(stored signature, sign, parity), (..)}
         params = RingParams(*ring)
         space = _SearchSpace(params, 4)
-        parities = {s: set(space.signed_groups(s)[0]) for s in _mod9_tables(params).single}
+        single = _mod9_tables(params).single
+        parities = {s: set(space.signed_groups(s)[0]) for s in single}
         side_of = {
             id(group): (s, p) for s, groups in space._groups.items() for p, group in groups.items()
         }
 
-        def side(group, sign):
+        def side(s, p):
+            stored = min(_class(s))
+            return stored, 1 if s[1:] == stored[1:] else -1, p
+
+        def stored_side(group, sign):
             s, p = side_of[id(group)]
-            return (s if sign > 0 else _neg9(s)), p
+            return s, sign, p
 
         rng = random.Random(20261018)
         for t in [(0, 0, 0, 0)] + [tuple(rng.randrange(9) for _ in range(4)) for _ in range(40)]:
             for par in range(16):
                 got = list(space.pair_sets(t, par))
                 assert all(len(small[0]) <= len(big[0]) for small, big in got)
-                found = [frozenset((side(*small), side(*big))) for small, big in got]
+                found = [frozenset((stored_side(*small), stored_side(*big))) for small, big in got]
                 expected = set()
                 for s, ps in parities.items():
                     m = tuple((ti - si) % 9 for ti, si in zip(t, s))
                     expected.update(
-                        frozenset(((s, p), (m, p ^ par))) for p in ps if p ^ par in parities.get(m, ())
+                        frozenset((side(s, p), side(m, p ^ par)))
+                        for p in ps if p ^ par in parities.get(m, ())
                     )
                 assert len(found) == len(set(found)) and set(found) == expected
 
