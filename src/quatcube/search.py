@@ -13,10 +13,11 @@ and the packed pure parts are grouped by the cube's mod-9 signature and,
 within it, by its parity pattern (coefficients mod 2).  The box's cubes
 are closed under negation and under the real flip (c0, c') -> (-c0, c'),
 so one stored set serves each class (±s0, ±s') of signatures, built the
-first time a search meets it (see :class:`_SearchSpace`).  A pure part a
-search hits gets its box roots back exactly, and a cube its least root,
-by inverting the closed form of ``cube_coeffs``
-(:meth:`_SearchSpace.pure_roots`, :meth:`_SearchSpace.least_root`).
+first time a search meets it from tables of O(B) entries, never one the
+size of the box (see :class:`_SearchSpace`).  A pure part a search hits
+gets its box roots back exactly, and a cube its least root, by inverting
+the closed form of ``cube_coeffs`` (:meth:`_SearchSpace.pure_roots`,
+:meth:`_SearchSpace.least_root`).
 S_k, the sums of k cube signatures, comes from one routine,
 :func:`_sums`, on sets of signatures held as 6,561-bit ints (see
 :class:`_Mod9Tables`).  One recursion, :func:`_scan`, searches each
@@ -47,6 +48,7 @@ from __future__ import annotations
 import functools
 import operator
 import os
+from array import array
 from collections.abc import Iterator
 from dataclasses import dataclass
 from itertools import permutations, product
@@ -166,11 +168,12 @@ class _Mod9Tables:
     __slots__ = ("cube_sig", "root_classes", "single", "by_code", "_sets", "_class_codes")
 
     def __init__(self, a9: int, b9: int) -> None:
+        shared: dict[Coeffs, Coeffs] = {}  # one tuple per signature
         sigs = [_sig(cube_coeffs(a9, b9, r)) for r in product(range(9), repeat=4)]
-        self.cube_sig: list[Coeffs] = sigs
-        self.root_classes: dict[Coeffs, list[int]] = {}
+        self.cube_sig: list[Coeffs] = [shared.setdefault(s, s) for s in sigs]
+        self.root_classes: dict[Coeffs, array] = {s: array("H") for s in shared}
         for n, cs in enumerate(sigs):
-            self.root_classes.setdefault(cs, []).append(n)
+            self.root_classes[cs].append(n)
         self.single = frozenset(self.root_classes)
         self.by_code: dict[int, dict[int, Coeffs]] = {}
         code = {}
@@ -287,7 +290,10 @@ class _SearchSpace:
     (1, 1), 56,959 pure parts for its 194,481 box roots at bound 10.  A
     hit gets its roots back exactly (:meth:`pure_roots`,
     :meth:`least_root`).  No memo keeps each meet's group pairs: at
-    bound 10 one took 4.5 of 15 MB.
+    bound 10 one took 4.5 of 15 MB.  Nothing here is sized by the box
+    (see :meth:`groups`, :meth:`_form_roots`): tracemalloc counts about
+    77 bytes per stored pure part for a whole-box build in ring (1, 1) at
+    bound 10, and 71 for one class at bound 30, the build's tables included.
     """
 
     def __init__(self, params: RingParams, bound: int) -> None:
@@ -300,7 +306,6 @@ class _SearchSpace:
         # the table keeps no (root, cube) list; perfbench/tracing.py reads this
         self._entries = None
         self._tabs = _mod9_tables(params)
-        self._tails: tuple | None = None
         self._norms: tuple | None = None
         self._groups: dict[Coeffs, _ParityGroups] = {}
         self._sig_pair_memo: dict[Coeffs, list[_SigPair]] = {}
@@ -334,11 +339,6 @@ class _SearchSpace:
         c1, c2 = divmod(key + m, r)
         return (c1, c2 - m, c3 - m)
 
-    def _tail(self, n: int) -> tuple[int, int, int]:
-        """The pure part (x1, x2, x3) of tail n of the box, in box order."""
-        bound, w = self.bound, 2 * self.bound + 1
-        return (n // (w * w) - bound, n // w % w - bound, n % w - bound)
-
     def least_root(self, c: Coeffs) -> Coeffs | None:
         """The lexicographically least root in the box whose cube is c, or
         None when there is none.
@@ -350,9 +350,9 @@ class _SearchSpace:
         part v of x then has ``P(v) = n - x0**2``, and ``c0 == x0 *
         (x0**2 - 3P)`` must hold.  With ``f = 3*x0**2 - P`` not 0, v is
         ``(c1, c2, c3) / f``, which must divide exactly, lie in the box and
-        have P(v) == P.  With f == 0 the pure part of c is 0, and any v of
-        the box with P(v) == P is a root's; the lexicographically least
-        one is taken.  Whatever it returns cubes to c exactly.
+        have P(v) == P.  With f == 0 the pure part of c is 0, and the least
+        v of the box with P(v) == P is taken (:meth:`_form_roots`).
+        Whatever it returns cubes to c exactly.
         """
         a, b, bound = self.params.a, self.params.b, self.bound
         c0, c1, c2, c3 = c
@@ -372,13 +372,27 @@ class _SearchSpace:
                     and a * v1 * v1 + b * v2 * v2 + ab * v3 * v3 == p
                 ):
                     return (x0, v1, v2, v3)
-            elif not (c1 or c2 or c3):
-                # the tails are in box order, so the first with P == p is the least
-                tails = self._tail_table()[0]
-                i = next((i for i, tail in enumerate(tails) if tail[0] == p), None)
-                if i is not None:
-                    return (x0, *self._tail(i))
+            elif not (c1 or c2 or c3) and (v := next(self._form_roots((p,)), None)):
+                return (x0, *v)
         return None
+
+    def _form_roots(self, ps) -> Iterator[tuple[int, int, int]]:
+        """The pure parts v of the box with P(v) in ps, not empty, in box
+        order, each coefficient bounded by the form as well as the box."""
+        a, b, bound = self.params.a, self.params.b, self.bound
+        ab, top = a * b, max(ps)
+        m1 = min(bound, isqrt(top // a))
+        for v1 in range(-m1, m1 + 1):
+            s1 = a * v1 * v1
+            m2 = min(bound, isqrt((top - s1) // b))
+            for v2 in range(-m2, m2 + 1):
+                s2, v3s = s1 + b * v2 * v2, set()
+                for p in ps:
+                    q, r = divmod(p - s2, ab)
+                    if q >= 0 and not r and (w := isqrt(q)) * w == q and w <= bound:
+                        v3s |= {-w, w}
+                for v3 in sorted(v3s):
+                    yield v1, v2, v3
 
     def pure_roots(self, key: int) -> list[Coeffs]:
         """Every box root whose cube has the packed pure part key, not 0,
@@ -406,62 +420,50 @@ class _SearchSpace:
                     roots += {(-x0, *v), (x0, *v)}
         return sorted(roots)
 
-    def _tail_table(self) -> tuple:
-        """Per tail (x1, x2, x3) of the box, indexed in box order: the norm
-        part p, the packed (x1, x2, x3) and the tail's parity; then the
-        tails of each class mod 9, and the cube parity of each root parity
-        (see :func:`_parity`)."""
-        if self._tails is None:
-            a, b, r = self.params.a, self.params.b, self.radix
-            rng = range(-self.bound, self.bound + 1)
-            tails = []
-            by_class: list[list[int]] = [[] for _ in range(729)]
-            for n, (x1, x2, x3) in enumerate(product(rng, repeat=3)):
-                p = a * x1 * x1 + b * x2 * x2 + a * b * x3 * x3
-                tails.append((p, (x1 * r + x2) * r + x3, (x1 & 1) << 2 | (x2 & 1) << 1 | x3 & 1))
-                by_class[(x1 % 9 * 9 + x2 % 9) * 9 + x3 % 9].append(n)
-            cube_par = [_parity(cube_coeffs(a & 1, b & 1, x)) for x in product((0, 1), repeat=4)]
-            self._tails = (tails, by_class, cube_par)
-        return self._tails
-
-    def _tails_by_norm(self) -> tuple[dict[int, list[int]], set[int]]:
-        """The box's tails by norm part p, each list in box order, and the
-        cubes of the norms of the box's roots; built on first use."""
+    def _norm_parts(self) -> tuple[set[int], set[int]]:
+        """The norm parts P(v) of the box's pure parts v, and the cubes of
+        the norms of the box's roots; built on first use from squares."""
         if self._norms is None:
-            by_p: dict[int, list[int]] = {}
-            for n, tail in enumerate(self._tail_table()[0]):
-                by_p.setdefault(tail[0], []).append(n)
-            cubes = {(y0 * y0 + p) ** 3 for y0 in range(self.bound + 1) for p in by_p}
-            self._norms = (by_p, cubes)
+            a, b = self.params.a, self.params.b
+            squares = [x * x for x in range(self.bound + 1)]
+            two = {a * u + b * v for u in squares for v in squares}
+            norms = {s + a * b * w for s in two for w in squares}
+            self._norms = (norms, {(y + p) ** 3 for y in squares for p in norms})
         return self._norms
 
     def groups(self, sig: Coeffs) -> _ParityGroups:
         """The packed pure parts of the cubes of signature sig, by parity
         pattern; built on first use.  A search asks only for the
         signatures that :func:`_stored_class` returns (see
-        :meth:`signed_groups`)."""
+        :meth:`signed_groups`).  The tails of each class c of sig's root
+        classes (r0, c) mod 9 are made once, used for the x0 = r0 (mod 9)
+        rows of the box, and freed once their keys are stored."""
         got = self._groups.get(sig)
         if got is not None:
             return got
-        tails, by_class, cube_par = self._tail_table()
-        # the signature's tails by x0 mod 9
-        rows: dict[int, list[int]] = {}
-        for n in self._tabs.root_classes.get(sig, ()):
-            r0, c = divmod(n, 729)
-            rows.setdefault(r0, []).extend(by_class[c])
-        by_par: dict[int, list[int]] = {p: [] for p in cube_par}
+        a, b, r, bound = self.params.a, self.params.b, self.radix, self.bound
+        # x by residue mod 9, and per coefficient its norm term, packed term and parity bit
+        rows = [range((k + bound) % 9 - bound, bound + 1, 9) for k in range(9)]
+        t1, t2, t3 = ([[(w * x * x, x * scale, (x & 1) << shift) for x in row] for row in rows]
+                      for w, scale, shift in ((a, r * r, 2), (b, r, 1), (a * b, 1, 0)))
+        cube_par = [_parity(cube_coeffs(a & 1, b & 1, x)) for x in product((0, 1), repeat=4)]
+        by_par: dict[int, dict[int, None]] = {p: {} for p in cube_par}
         # the group of a root, indexed by x0's parity, then by the tail's
         slots = [[by_par[p] for p in cube_par[:8]], [by_par[p] for p in cube_par[8:]]]
-        for x0 in range(-self.bound, self.bound + 1):
-            row = rows.get(x0 % 9)
-            if row is None:
-                continue
-            f0, slot = 3 * x0 * x0, slots[x0 & 1]
-            # the pure part of the cube of x packs to (3x0^2 - p) low
-            for n in row:
-                p, low, par = tails[n]
-                slot[par].append((f0 - p) * low)
-        got = self._groups[sig] = {p: dict.fromkeys(keys) for p, keys in by_par.items() if keys}
+        # the signature's root classes (r0, c) by their tails' class c
+        x0_classes: dict[int, list[int]] = {}
+        for n in self._tabs.root_classes.get(sig, ()):
+            x0_classes.setdefault(n % 729, []).append(n // 729)
+        for c, r0s in x0_classes.items():
+            # the tails (x1, x2, x3) of class c: norm part p, packed tail, parity
+            tails = [(p1 + p2 + p3, k1 + k2 + k3, e1 | e2 | e3) for p1, k1, e1 in t1[c // 81]
+                     for p2, k2, e2 in t2[c // 9 % 9] for p3, k3, e3 in t3[c % 9]]
+            for x0 in (x0 for r0 in r0s for x0 in rows[r0]):
+                f0, slot = 3 * x0 * x0, slots[x0 & 1]
+                # the pure part of the cube of x packs to (3x0^2 - p) low
+                for p, low, par in tails:
+                    slot[par][(f0 - p) * low] = None
+        got = self._groups[sig] = {p: keys for p, keys in by_par.items() if keys}
         return got
 
     def signed_groups(self, sig: Coeffs) -> tuple[_ParityGroups, int]:
@@ -629,15 +631,15 @@ def _real_pair(space: _SearchSpace, t: Coeffs) -> tuple[Coeffs, Coeffs] | None:
     -(3*x0**2 - p)*v)``, so its norm ``(t0 - x0*(x0**2 - 3p))**2 +
     (3*x0**2 - p)**2 * p`` depends on x0 and p only.  It is the cube of
     y's norm ``y0**2 + P(w)``, so only the tails whose p gives the cube of
-    a box root's norm are tried.
+    a box root's norm are tried (:meth:`_SearchSpace._form_roots`).
     """
     a, b, bound = space.params.a, space.params.b, space.bound
-    t0, (by_p, cubes) = t[0], space._tails_by_norm()
+    t0, (norms, cubes) = t[0], space._norm_parts()
     for x0 in range(-bound, bound + 1):
         sq = x0 * x0
-        ok = [p for p in by_p if (t0 - x0 * (sq - 3 * p)) ** 2 + (3 * sq - p) ** 2 * p in cubes]
-        for n in sorted(n for p in ok for n in by_p[p]):
-            x = (x0, *space._tail(n))
+        ok = {p for p in norms if (t0 - x0 * (sq - 3 * p)) ** 2 + (3 * sq - p) ** 2 * p in cubes}
+        for v in space._form_roots(ok) if ok else ():
+            x = (x0, *v)
             y = space.least_root(_sub4(t, cube_coeffs(a, b, x)))
             if y is not None:
                 return x, y
@@ -927,14 +929,12 @@ def min_cubes_search(
     or the cells in all) take in turn; every cell before the least hit
     runs to its end, so the result is identical to a serial run.  The
     helpers start with that stage and end with it, so a witness of 1 or
-    2 cubes starts none.  They are forked when this process has no other
-    thread and spawned otherwise, and each process of the stage runs on
-    its own CPUs of the calling thread's affinity set, which the thread
-    gets back when the stage ends (see :func:`_scan_cells`).  A dying
-    helper is reported before this process takes its next cell; a script
-    that calls this with ``workers`` > 1 from a process with other
-    threads must guard its entry point with ``if __name__ == "__main__":``.
-    A ``workers`` that is not an int raises ``TypeError``, and one below 1
+    2 cubes starts none; :func:`_scan_cells` says how they start and on
+    which CPUs each process of the stage runs.  A dying helper is
+    reported before this process takes its next cell; a script that
+    calls this with ``workers`` > 1 from a process with other threads
+    must guard its entry point with ``if __name__ == "__main__":``.  A
+    ``workers`` that is not an int raises ``TypeError``, and one below 1
     ``ValueError``, before any level runs.
     """
     if isinstance(workers, bool) or not isinstance(workers, int):

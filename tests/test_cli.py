@@ -153,6 +153,15 @@ class TestCliSearch:
         assert (code, err) == (0, "")
         assert out.splitlines()[1:] == [f"  root 1: {root}", "verified: true"]
 
+    def test_one_cube_search_at_a_huge_bound_with_a_non_real_root(self, capsys):
+        # 8 = (-1-i-j-k)^3: the root's pure part is read from the norm form, not a list of the box
+        code, out, err = run_cli(
+            capsys, "search", "--ring", "1,1", "--max-cubes", "1",
+            "--bound", "9" * 20, "--json", "8",
+        )
+        assert (code, err) == (0, "")
+        assert json.loads(out)["roots"] == [["-1", "-1", "-1", "-1"]]
+
     def test_absent_exit_1(self, capsys):
         code, out, _ = run_cli(
             capsys, "search", "--ring", "3,3", "--json", "--max-cubes", "3",

@@ -615,9 +615,26 @@ class TestMinCubesSearch:
         # 64 = (-2-2i-2j-2k)^3 = 4^3 has no root in the box of 1
         ((1, 1), 1, (64, 0, 0, 0), None),
         ((1, 1), 2, (64, 0, 0, 0), (-2, -2, -2, -2)),
+        # the same root at a bound far beyond any list of the box
+        ((1, 1), 10**20 - 1, (64, 0, 0, 0), (-2, -2, -2, -2)),
     ])
     def test_least_root_named_cubes(self, ring, bound, cube, root):
         assert _SearchSpace(RingParams(*ring), bound).least_root(cube) == root
+
+    @pytest.mark.parametrize("ring, bound", [((1, 1), 3), ((1, 2), 3), ((1, 3), 4), ((3, 1), 3)])
+    def test_form_roots_are_the_box_solutions_in_box_order(self, ring, bound):
+        # in ring (1, 2) at bound 3, P(v) = 36 has the solution (-2, 0, -4)
+        # outside the box before the first one inside it, (0, -3, -3)
+        a, b = ring
+        space = _SearchSpace(RingParams(a, b), bound)
+        by_p = {}
+        for v in product(range(-bound, bound + 1), repeat=3):
+            by_p.setdefault(a * v[0] ** 2 + b * v[1] ** 2 + a * b * v[2] ** 2, []).append(v)
+        assert set(by_p) == space._norm_parts()[0]
+        for p, solutions in by_p.items():
+            assert list(space._form_roots((p,))) == solutions
+        ps = set(list(by_p)[::3])
+        assert list(space._form_roots(ps)) == sorted(v for p in ps for v in by_p[p])
 
     def test_whole_box_build_stores_at_most_100_bytes_per_pure_part(self):
         # the groups hold one pure part per class of signatures under the
@@ -625,7 +642,6 @@ class TestMinCubesSearch:
         # +- pair, they held 14,857 keys in 1.32 MB here
         params = RingParams(1, 1)
         space = _SearchSpace(params, 6)
-        space._tail_table()
         stored_sigs = {min(_class(s)) for s in _mod9_tables(params).single}
         tracemalloc.start()
         try:
@@ -635,6 +651,20 @@ class TestMinCubesSearch:
             tracemalloc.stop()
         assert stored == 8457
         assert allocated / stored <= 100
+
+    def test_one_class_build_allocates_at_most_100_bytes_per_pure_part(self):
+        # building one stored class makes only its tails, O(B) per
+        # coefficient, never a table of the box's (2B+1)**3 tails: that
+        # table peaked at about 2,069 bytes per stored pure part here
+        space = _SearchSpace(RingParams(1, 1), 30)
+        tracemalloc.start()
+        try:
+            stored = sum(len(g) for g in space.groups((2, 0, 3, 2)).values())
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert stored == 19573
+        assert peak / stored <= 100
 
     def test_cubes_with_several_roots_and_both_signs(self):
         # ring (3, 1), B=5 has 20 non-real cubes with several roots, e.g.
