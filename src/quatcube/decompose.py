@@ -29,12 +29,13 @@ classifies the ring once, runs the recipe, sums the roots' cubes in one
 :class:`Decomposition`, which builds root ``Quaternion``s only when
 ``roots`` is read; :func:`verify` and the CLI's decompose payload read
 ``root_coeffs`` and build none.  ``Decomposition`` is one frozen, slotted
-class: its constructor, :func:`decompose` and the lazy ``roots`` fill the
-slots through the slots' own setters, past the frozen ``__setattr__``,
-and ``__reduce__`` rebuilds it from target, roots and case, so it
-pickles and copies.  :func:`lemma_residue_check` certifies
-the same tuple helpers, ``_congruence_root``, ``_pair`` and ``_swap``,
-over whole residue classes mod 6.  The public object helpers
+class on the value types' base ``quat._Frozen``: its constructor,
+:func:`decompose` and the lazy ``roots`` fill the slots through the
+slots' own setters, past the frozen ``__setattr__``, and it compares,
+hashes, prints and pickles by target, roots and case, as the base does.
+:func:`lemma_residue_check` certifies the same tuple helpers,
+``_congruence_root``, ``_pair`` and ``_swap``, over whole residue
+classes mod 6.  The public object helpers
 ``identity_6z``, ``identity_6z3``, ``cube_root_congruence`` and
 ``select_pair`` wrap them for library callers, and build ``Quaternion``s.
 """
@@ -42,14 +43,13 @@ over whole residue classes mod 6.  The public object helpers
 from __future__ import annotations
 
 import functools
-from dataclasses import FrozenInstanceError, dataclass
+from collections.abc import Iterable
 from itertools import product
-from typing import Iterable
 
 from .errors import InvalidResidues, NotRepresentable, PreconditionViolated, VerificationFailed
 # cube, swap_iso, delta and lnr6 are not called here: perfbench/tracing.py
 # wraps them under these names
-from .quat import Coeffs, Quaternion, RingParams, coeffs_text, cube_coeffs, cube_sum
+from .quat import Coeffs, Quaternion, RingParams, _Frozen, _set, coeffs_text, cube_coeffs, cube_sum
 from .quat import cube, swap_iso  # noqa: F401
 from .residues import (  # noqa: F401
     Case,
@@ -64,7 +64,7 @@ from .residues import (  # noqa: F401
 )
 
 
-class Decomposition:
+class Decomposition(_Frozen):
     """A target plus an ordered list of roots whose cubes sum to it.
 
     Immutable, and equal to another decomposition with the same target,
@@ -76,19 +76,12 @@ class Decomposition:
     """
 
     __slots__ = ("target", "root_coeffs", "case", "_roots")
+    # what equality, hash, repr and pickling go by, as for the value types
+    __match_args__ = ("target", "roots", "case")
 
     def __init__(self, target: Quaternion, roots: Iterable[Quaternion], case: CaseTag) -> None:
         roots = tuple(roots)
         _fill(self, target, tuple([r.coefficients() for r in roots]), case, roots)
-
-    def __setattr__(self, name, value):
-        raise FrozenInstanceError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise FrozenInstanceError(f"cannot delete field {name!r}")
-
-    def __reduce__(self):
-        return (Decomposition, (self.target, self.roots, self.case))
 
     @property
     def roots(self) -> tuple[Quaternion, ...]:
@@ -101,20 +94,6 @@ class Decomposition:
     @property
     def count(self) -> int:
         return len(self.root_coeffs)
-
-    def _key(self) -> tuple:
-        return (self.target, self.roots, self.case)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._key() == other._key()
-
-    def __hash__(self) -> int:
-        return hash(self._key())
-
-    def __repr__(self) -> str:
-        return f"Decomposition(target={self.target!r}, roots={self.roots!r}, case={self.case!r})"
 
 
 def _fill(
@@ -291,8 +270,7 @@ def _swap(c: Coeffs) -> Coeffs:
     return (c[0], c[2], c[1], -c[3])
 
 
-@dataclass(frozen=True)
-class LemmaReport:
+class LemmaReport(_Frozen):
     """Result of certifying the recipes of one (a mod 6, b mod 6) pair.
 
     ``classes_checked`` counts the recipe classes whose congruence root
@@ -302,10 +280,19 @@ class LemmaReport:
     a failure.
     """
 
-    case: CaseTag
-    classes_checked: int
-    failures: tuple[ResidueClass, ...]
-    pair_targets_checked: int
+    __slots__ = __match_args__ = ("case", "classes_checked", "failures", "pair_targets_checked")
+
+    def __init__(
+        self,
+        case: CaseTag,
+        classes_checked: int,
+        failures: tuple[ResidueClass, ...],
+        pair_targets_checked: int,
+    ) -> None:
+        _set(self, "case", case)
+        _set(self, "classes_checked", classes_checked)
+        _set(self, "failures", failures)
+        _set(self, "pair_targets_checked", pair_targets_checked)
 
     @property
     def passed(self) -> bool:

@@ -10,6 +10,15 @@ Coefficients are plain Python ints, so all arithmetic is exact at every
 magnitude.  Values are immutable; every function here is pure and safe
 to call from any number of threads.
 
+The package's value types are plain frozen slotted classes on one small
+base, :class:`_Frozen`, here: it gives field-wise ``==``, ``hash`` and
+``repr`` (the text a frozen dataclass would print), raises
+``dataclasses.FrozenInstanceError`` on assignment and deletion, and
+pickles and copies through ``__reduce__``.  ``dataclasses`` is imported
+only where that error is raised, so importing the package loads neither
+it nor the ``inspect``, ``ast``, ``dis`` and ``tokenize`` modules it
+pulls in.
+
 The closed form of a cube lives in two places only, both here:
 :func:`cube_coeffs` cubes one coefficient tuple, and :func:`cube_sum`
 sums the cubes of many.  The test suite pins the two equal, and both to
@@ -22,37 +31,80 @@ reads the least box root of a cube from the cube's reduced norm, and
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable
+from collections.abc import Iterable
 
 from .errors import MixedRings
 
 Coeffs = tuple[int, int, int, int]
 
+# sets a field past a value type's frozen __setattr__
+_set = object.__setattr__
 
-@dataclass(frozen=True, slots=True)
-class RingParams:
+
+class _Frozen:
+    """Base of the package's immutable value types.
+
+    A subclass names its fields, its ``__init__`` arguments in order, as
+    ``__match_args__`` (and, for a value type, as ``__slots__`` too),
+    and its ``__init__`` sets its slots with ``_set``.  Equality,
+    ``hash`` and ``repr`` go field by field, and only an instance of the
+    same class compares equal.  ``__reduce__`` rebuilds an instance
+    through ``__init__`` from its fields, which ``pickle``, ``copy`` and
+    ``deepcopy`` use.
+    """
+
+    __slots__ = ()
+    __match_args__: tuple[str, ...] = ()
+
+    def __setattr__(self, name, value):
+        from dataclasses import FrozenInstanceError
+
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        from dataclasses import FrozenInstanceError
+
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, name) for name in self.__match_args__])
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__match_args__)
+        return f"{self.__class__.__qualname__}({fields})"
+
+    def __reduce__(self):
+        return (self.__class__, self._values())
+
+
+class RingParams(_Frozen):
     """The pair (a, b) of positive integers fixing the defining relations."""
 
-    a: int
-    b: int
+    __slots__ = __match_args__ = ("a", "b")
 
-    def __post_init__(self) -> None:
-        for v in (self.a, self.b):
+    def __init__(self, a: int, b: int) -> None:
+        for v in (a, b):
             if isinstance(v, bool) or not isinstance(v, int):
                 raise TypeError(f"ring parameters must be ints, got {v!r}")
-        if self.a < 1 or self.b < 1:
-            raise ValueError(
-                f"ring parameters must be positive integers, got ({self.a}, {self.b})"
-            )
+        if a < 1 or b < 1:
+            raise ValueError(f"ring parameters must be positive integers, got ({a}, {b})")
+        _set(self, "a", a)
+        _set(self, "b", b)
 
     def swapped(self) -> "RingParams":
         """Parameters of the mirror ring with the roles of a and b exchanged."""
         return RingParams(self.b, self.a)
 
 
-@dataclass(frozen=True, slots=True)
-class Quaternion:
+class Quaternion(_Frozen):
     """An element c0 + c1*i + c2*j + c3*k bound to its ring parameters.
 
     Mixing elements of different rings in one operation raises
@@ -61,11 +113,14 @@ class Quaternion:
     ints mix freely as scalars, which are central in every ring.
     """
 
-    params: RingParams
-    c0: int
-    c1: int
-    c2: int
-    c3: int
+    __slots__ = __match_args__ = ("params", "c0", "c1", "c2", "c3")
+
+    def __init__(self, params: RingParams, c0: int, c1: int, c2: int, c3: int) -> None:
+        _set(self, "params", params)
+        _set(self, "c0", c0)
+        _set(self, "c1", c1)
+        _set(self, "c2", c2)
+        _set(self, "c3", c3)
 
     @classmethod
     def scalar(cls, params: RingParams, n: int) -> "Quaternion":

@@ -27,10 +27,9 @@ require).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 
-from .quat import Quaternion, RingParams, p_value
+from .quat import Quaternion, RingParams, _Frozen, _set, p_value
 
 
 class Case(Enum):
@@ -41,32 +40,29 @@ class Case(Enum):
     CASE3 = "Case3"
 
 
-@dataclass(frozen=True, slots=True)
-class CaseTag:
+class CaseTag(_Frozen):
     """A case label plus whether the a-b normalization was applied."""
 
-    case: Case
-    swapped: bool = False
+    __slots__ = __match_args__ = ("case", "swapped")
+
+    def __init__(self, case: Case, swapped: bool = False) -> None:
+        _set(self, "case", case)
+        _set(self, "swapped", swapped)
 
     def __str__(self) -> str:
         return self.case.value
 
 
-@dataclass(frozen=True, slots=True)
-class ResidueClass:
+class ResidueClass(_Frozen):
     """Coefficients mod 6 plus the ring parameters mod 6."""
 
-    r0: int
-    r1: int
-    r2: int
-    r3: int
-    a6: int
-    b6: int
+    __slots__ = __match_args__ = ("r0", "r1", "r2", "r3", "a6", "b6")
 
-    def __post_init__(self) -> None:
-        for r in (self.r0, self.r1, self.r2, self.r3, self.a6, self.b6):
+    def __init__(self, r0: int, r1: int, r2: int, r3: int, a6: int, b6: int) -> None:
+        for name, r in zip(self.__match_args__, (r0, r1, r2, r3, a6, b6)):
             if not 0 <= r <= 5:
                 raise ValueError(f"residues must lie in 0..5, got {r}")
+            _set(self, name, r)
 
     @classmethod
     def of(cls, x: Quaternion) -> "ResidueClass":

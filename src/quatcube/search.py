@@ -50,8 +50,7 @@ import operator
 import os
 from array import array
 from collections.abc import Iterator
-from dataclasses import dataclass
-from itertools import permutations, product
+from itertools import permutations, product, repeat
 from math import gcd, isqrt
 
 # Nothing here calls these: perfbench/workloads.py imports lemma_residue_check
@@ -61,11 +60,10 @@ from .decompose import (  # noqa: F401
     lemma_residue_check, select_pair, swap_iso,
 )
 from .errors import MixedRings, QuatcubeError
-from .quat import Coeffs, Quaternion, RingParams, cube_coeffs
+from .quat import Coeffs, Quaternion, RingParams, _Frozen, _set, cube_coeffs
 
 
-@dataclass(frozen=True)
-class SearchConfig:
+class SearchConfig(_Frozen):
     """Box bounds for minimal-representation search.
 
     Each root coefficient ranges over [-coeff_bound, coeff_bound]; for
@@ -82,20 +80,23 @@ class SearchConfig:
     in ring (1, 1) at outer 6 that is 13 * 13 * 28 of the 13**4.
     """
 
-    max_cubes: int
-    coeff_bound: int = 10
-    outer_bound: int | None = None
+    __slots__ = __match_args__ = ("max_cubes", "coeff_bound", "outer_bound")
 
-    def __post_init__(self) -> None:
-        for v in (self.max_cubes, self.coeff_bound, self.outer):
+    def __init__(
+        self, max_cubes: int, coeff_bound: int = 10, outer_bound: int | None = None
+    ) -> None:
+        _set(self, "max_cubes", max_cubes)
+        _set(self, "coeff_bound", coeff_bound)
+        _set(self, "outer_bound", outer_bound)
+        for v in (max_cubes, coeff_bound, self.outer):
             if isinstance(v, bool) or not isinstance(v, int):
                 raise TypeError(f"search bounds must be ints, got {v!r}")
-        if not 1 <= self.max_cubes <= 4:
-            raise ValueError(f"max_cubes must be in 1..4, got {self.max_cubes}")
-        if self.coeff_bound < 0:
-            raise ValueError(f"coeff_bound must be non-negative, got {self.coeff_bound}")
-        if self.outer_bound is not None and self.outer_bound < 0:
-            raise ValueError(f"outer_bound must be non-negative, got {self.outer_bound}")
+        if not 1 <= max_cubes <= 4:
+            raise ValueError(f"max_cubes must be in 1..4, got {max_cubes}")
+        if coeff_bound < 0:
+            raise ValueError(f"coeff_bound must be non-negative, got {coeff_bound}")
+        if outer_bound is not None and outer_bound < 0:
+            raise ValueError(f"outer_bound must be non-negative, got {outer_bound}")
 
     @property
     def outer(self) -> int:
@@ -155,7 +156,9 @@ class _Mod9Tables:
     in product order, so class (r0, r1, r2, r3) is
     ``729*r0 + 81*r1 + 9*r2 + r3``.  ``cube_sig`` lists each class's cube
     signature, ``root_classes`` inverts it, ``single`` holds the cube
-    signatures, and ``by_code[9*s0 + s1][9*s2 + s3]`` is the signature s.
+    signatures, ``by_code[9*s0 + s1][9*s2 + s3]`` is the signature s, and
+    ``stored[s]`` is :func:`_stored_class` (s), read by every search of
+    the ring in place of calling it.
     A set of signatures is a 6,561-bit int with bit :func:`_code` (s) for
     s.  S_k, the set of sums of k cube signatures, is :func:`_sums` of
     S_(k-1) and the cube signatures (:meth:`sums`): S_1 is the singles
@@ -165,7 +168,7 @@ class _Mod9Tables:
     nothing per target, and the lazy sets are assigned only once complete.
     """
 
-    __slots__ = ("cube_sig", "root_classes", "single", "by_code", "_sets", "_class_codes")
+    __slots__ = ("cube_sig", "root_classes", "single", "by_code", "stored", "_sets", "_class_codes")
 
     def __init__(self, a9: int, b9: int) -> None:
         shared: dict[Coeffs, Coeffs] = {}  # one tuple per signature
@@ -176,6 +179,7 @@ class _Mod9Tables:
             self.root_classes[cs].append(n)
         self.single = frozenset(self.root_classes)
         self.by_code: dict[int, dict[int, Coeffs]] = {}
+        self.stored = {s: _stored_class(s) for s in self.single}
         code = {}
         for s in self.single:
             self.by_code.setdefault(s[0] * 9 + s[1], {})[s[2] * 9 + s[3]] = s
@@ -307,6 +311,7 @@ class _SearchSpace:
         self._entries = None
         self._tabs = _mod9_tables(params)
         self._norms: tuple | None = None
+        self._terms: tuple | None = None
         self._groups: dict[Coeffs, _ParityGroups] = {}
         self._sig_pair_memo: dict[Coeffs, list[_SigPair]] = {}
         self._first_ok_memo: dict[tuple[Coeffs, int], bytes] = {}
@@ -431,22 +436,33 @@ class _SearchSpace:
             self._norms = (norms, {(y + p) ** 3 for y in squares for p in norms})
         return self._norms
 
+    def _group_terms(self) -> tuple:
+        """What every :meth:`groups` build reads, made on the first: the
+        box's x by residue mod 9, each coefficient's table of (norm term,
+        packed term, parity bit) by residue, and the parity pattern of a
+        cube by its root's, all of O(B) size."""
+        if self._terms is None:
+            a, b, r, bound = self.params.a, self.params.b, self.radix, self.bound
+            rows = [range((k + bound) % 9 - bound, bound + 1, 9) for k in range(9)]
+            t1, t2, t3 = ([[(w * x * x, x * scale, (x & 1) << shift) for x in row] for row in rows]
+                          for w, scale, shift in ((a, r * r, 2), (b, r, 1), (a * b, 1, 0)))
+            cube_par = [_parity(cube_coeffs(a & 1, b & 1, x)) for x in product((0, 1), repeat=4)]
+            self._terms = (rows, t1, t2, t3, cube_par)
+        return self._terms
+
     def groups(self, sig: Coeffs) -> _ParityGroups:
         """The packed pure parts of the cubes of signature sig, by parity
         pattern; built on first use.  A search asks only for the
         signatures that :func:`_stored_class` returns (see
-        :meth:`signed_groups`).  The tails of each class c of sig's root
-        classes (r0, c) mod 9 are made once, used for the x0 = r0 (mod 9)
-        rows of the box, and freed once their keys are stored."""
+        :meth:`signed_groups`).  The residue rows and term tables of
+        :meth:`_group_terms` serve every build of the space.  The tails of
+        each class c of sig's root classes (r0, c) mod 9 are made once,
+        used for the x0 = r0 (mod 9) rows of the box, and freed once their
+        keys are stored."""
         got = self._groups.get(sig)
         if got is not None:
             return got
-        a, b, r, bound = self.params.a, self.params.b, self.radix, self.bound
-        # x by residue mod 9, and per coefficient its norm term, packed term and parity bit
-        rows = [range((k + bound) % 9 - bound, bound + 1, 9) for k in range(9)]
-        t1, t2, t3 = ([[(w * x * x, x * scale, (x & 1) << shift) for x in row] for row in rows]
-                      for w, scale, shift in ((a, r * r, 2), (b, r, 1), (a * b, 1, 0)))
-        cube_par = [_parity(cube_coeffs(a & 1, b & 1, x)) for x in product((0, 1), repeat=4)]
+        rows, t1, t2, t3, cube_par = self._group_terms()
         by_par: dict[int, dict[int, None]] = {p: {} for p in cube_par}
         # the group of a root, indexed by x0's parity, then by the tail's
         slots = [[by_par[p] for p in cube_par[:8]], [by_par[p] for p in cube_par[8:]]]
@@ -469,7 +485,7 @@ class _SearchSpace:
     def signed_groups(self, sig: Coeffs) -> tuple[_ParityGroups, int]:
         """The stored groups of sig's class, and the sign (1 or -1) that
         turns their pure parts into those of sig's cubes."""
-        stored, sign = _stored_class(sig)
+        stored, sign = self._tabs.stored[sig]
         return self.groups(stored), sign
 
     def by_class(self) -> dict[Coeffs, _ParityGroups]:
@@ -500,7 +516,7 @@ class _SearchSpace:
         and codes order as signatures do."""
         got = self._sig_pair_memo.get(target_sig)
         if got is None:
-            diff, by_code = _digit_diff(), self._tabs.by_code
+            diff, by_code, stored = _digit_diff(), self._tabs.by_code, self._tabs.stored
             t0, t1, t2, t3 = target_sig
             hi, lo = (t0 * 9 + t1) * 81, (t2 * 9 + t3) * 81
             sides = {}
@@ -511,7 +527,7 @@ class _SearchSpace:
                 for l, s in row.items():
                     ml = diff[lo + l]
                     if ml in mate_row and (h < mh or l <= ml):
-                        one, other = _stored_class(s), _stored_class(mate_row[ml])
+                        one, other = stored[s], stored[mate_row[ml]]
                         sides[min(one, other), max(one, other)] = None
             got = []
             for (s, sign), (m, mate_sign) in sides:
@@ -607,8 +623,9 @@ def _scan_two(space: _SearchSpace, t: Coeffs) -> tuple[Coeffs, Coeffs] | None:
         return _real_pair(space, t)
     hits = set()
     for (small, v), (big, u) in space.pair_sets(sig, _parity(t)):
-        ut = u * packed
-        hits.update(map(u.__mul__, big.keys() & map(ut.__sub__ if u == v else ut.__add__, small)))
+        met = big.keys() & map(operator.sub if u == v else operator.add, repeat(u * packed), small)
+        if met:
+            hits.update(map(u.__mul__, met))
     a, b, least_root = space.params.a, space.params.b, space.least_root
     pairs = []
     for c in hits:

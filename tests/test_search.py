@@ -36,6 +36,7 @@ from quatcube.search import (
     _parity,
     _scan_two,
     _sig,
+    _stored_class,
     _sums,
 )
 
@@ -246,6 +247,14 @@ class TestMod9Tables:
             assert _Mod9Tables(a9, b9).cube_sig == [
                 _sig(cube_coeffs(a9, b9, r)) for r in product(range(9), repeat=4)
             ]
+
+    @pytest.mark.parametrize("ring", [(1, 1), (2, 3), (3, 3), (2, 9), (6, 9)])
+    def test_stored_map_is_the_stored_class_of_each_cube_signature(self, ring):
+        # searches read the map the tables build once in place of _stored_class
+        tabs = _Mod9Tables(ring[0] % 9, ring[1] % 9)
+        assert set(tabs.stored) == tabs.single
+        for s in tabs.single:
+            assert tabs.stored[s] == _stored_class(s)
 
     @pytest.mark.parametrize("ring", [(3, 3), (6, 9)])
     def test_first_root_classes_match_brute_force_triple_sums(self, ring):
