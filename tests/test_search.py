@@ -24,21 +24,20 @@ from quatcube import (
     three_cube_residues_mod9,
     two_cube_obstruction,
 )
-from quatcube import search
-from quatcube.quat import cube_coeffs
-from quatcube.search import (
+from quatcube import box, mod9, search
+from quatcube.box import _SearchSpace
+from quatcube.mod9 import (
     _Mod9Tables,
-    _SearchSpace,
-    _clamp_workers,
     _code,
     _mod9_tables,
     _neg9,
     _parity,
-    _scan_two,
     _sig,
     _stored_class,
     _sums,
 )
+from quatcube.quat import cube_coeffs
+from quatcube.search import _clamp_workers, _scan_two
 
 # the CPUs this process may run on, as _clamp_workers counts them
 CPUS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
@@ -310,15 +309,15 @@ class TestMod9Tables:
     def test_searches_leave_no_mask_in_the_shared_tables(self, monkeypatch):
         # the process-wide cache holds only per-ring tables: the masks a
         # search reads stay in its own space and go with it
-        monkeypatch.setattr(search, "_MOD9_CACHE", {})
+        monkeypatch.setattr(mod9, "_MOD9_CACHE", {})
         flagship = min_cubes_search(
             Quaternion(LIPSCHITZ, 3, 3, 0, 0), SearchConfig(max_cubes=3, coeff_bound=10, outer_bound=6)
         )
         assert len(flagship) == 3
         four = min_cubes_search(scalar(RingParams(3, 3), 4), SearchConfig(4, 1, 1))
         assert len(four) == 4
-        assert len(search._MOD9_CACHE) == 2
-        for tabs in search._MOD9_CACHE.values():
+        assert len(mod9._MOD9_CACHE) == 2
+        for tabs in mod9._MOD9_CACHE.values():
             held = [getattr(tabs, name) for name in tabs.__slots__]
             held += [v for h in held if isinstance(h, dict) for v in h.values()]
             held += [v for h in held if isinstance(h, tuple) for v in h]
@@ -1209,13 +1208,13 @@ class TestOuterRootSymmetry:
         # the remainders of a 4-cube scan share a few stabilisers; each
         # (stabiliser, outer) gets its outer roots built once
         built = []
-        orbit_least = search._orbit_least
+        orbit_least = box._orbit_least
 
         def record(group, outer):
             built.append((group, outer))
             return orbit_least(group, outer)
 
-        monkeypatch.setattr(search, "_orbit_least", record)
+        monkeypatch.setattr(box, "_orbit_least", record)
         # no witness in the box, so every outer root and remainder is scanned
         target = scalar(RingParams(3, 3), -13)
         cfg = SearchConfig(max_cubes=4, coeff_bound=1, outer_bound=1)
@@ -1315,12 +1314,12 @@ class TestOuterRootSymmetry:
         # signature is in neither S_3 nor S_4: both stages end before any
         # outer root is enumerated
         calls = []
-        outer_roots, orbit_least = _SearchSpace.outer_roots, search._orbit_least
+        outer_roots, orbit_least = _SearchSpace.outer_roots, box._orbit_least
         monkeypatch.setattr(
             _SearchSpace, "outer_roots", lambda *args: calls.append(args) or outer_roots(*args)
         )
         monkeypatch.setattr(
-            search, "_orbit_least", lambda *args: calls.append(args) or orbit_least(*args)
+            box, "_orbit_least", lambda *args: calls.append(args) or orbit_least(*args)
         )
         target = Quaternion(RingParams(3, 9), 4, 3, 0, 0)
         assert min_cubes_search(target, SearchConfig(max_cubes=4, coeff_bound=2, outer_bound=2)) is None
