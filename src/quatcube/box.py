@@ -98,7 +98,6 @@ class _SearchSpace:
         self._terms: tuple | None = None
         self._groups: dict[Coeffs, _ParityGroups] = {}
         self._sig_pair_memo: dict[Coeffs, list[_SigPair]] = {}
-        self._first_ok_memo: dict[tuple[Coeffs, int], bytes] = {}
         # the signed permutations of (c1, c2, c3) that keep the weights
         # (a, b, ab) of P, each as (p0, p1, p2, s0, s1, s2): it sends the
         # pure part v to (s0*v[p0], s1*v[p1], s2*v[p2])
@@ -319,14 +318,6 @@ class _SearchSpace:
                 if groups and mates:
                     got.append((groups, sign, mates, mate_sign, (s, sign) == (m, mate_sign)))
             self._sig_pair_memo[target_sig] = got
-        return got
-
-    def first_root_classes(self, target_sig: Coeffs, k: int) -> bytes:
-        """``_Mod9Tables.first_root_classes``, memoised for this search."""
-        got = self._first_ok_memo.get((target_sig, k))
-        if got is None:
-            got = self._tabs.first_root_classes(target_sig, k)
-            self._first_ok_memo[target_sig, k] = got
         return got
 
     def outer_roots(self, t: Coeffs, outer: int) -> _OuterRows:

@@ -18,7 +18,6 @@ that :func:`_stored_class` names.
 from __future__ import annotations
 
 import functools
-import operator
 from array import array
 from itertools import product
 
@@ -77,8 +76,8 @@ class _Mod9Tables:
 
     Depends only on (a mod 9, b mod 9).  Root classes mod 9 are numbered
     in product order, so class (r0, r1, r2, r3) is
-    ``729*r0 + 81*r1 + 9*r2 + r3``.  ``cube_sig`` lists each class's cube
-    signature, ``root_classes`` inverts it, ``single`` holds the cube
+    ``729*r0 + 81*r1 + 9*r2 + r3``.  ``root_classes[s]`` lists the
+    classes whose cube has signature s, ``single`` holds the cube
     signatures, ``by_code[9*s0 + s1][9*s2 + s3]`` is the signature s, and
     ``stored[s]`` is :func:`_stored_class` (s), read by every search of
     the ring in place of calling it.
@@ -91,26 +90,20 @@ class _Mod9Tables:
     nothing per target, and the lazy sets are assigned only once complete.
     """
 
-    __slots__ = ("cube_sig", "root_classes", "single", "by_code", "stored", "_sets", "_class_codes")
+    __slots__ = ("root_classes", "single", "by_code", "stored", "_sets")
 
     def __init__(self, a9: int, b9: int) -> None:
-        shared: dict[Coeffs, Coeffs] = {}  # one tuple per signature
         sigs = [_sig(cube_coeffs(a9, b9, r)) for r in product(range(9), repeat=4)]
-        self.cube_sig: list[Coeffs] = [shared.setdefault(s, s) for s in sigs]
-        self.root_classes: dict[Coeffs, array] = {s: array("H") for s in shared}
-        for n, cs in enumerate(sigs):
-            self.root_classes[cs].append(n)
+        self.root_classes: dict[Coeffs, array] = {s: array("H") for s in dict.fromkeys(sigs)}
+        for n, s in enumerate(sigs):
+            self.root_classes[s].append(n)
         self.single = frozenset(self.root_classes)
         self.by_code: dict[int, dict[int, Coeffs]] = {}
         self.stored = {s: _stored_class(s) for s in self.single}
-        code = {}
         for s in self.single:
             self.by_code.setdefault(s[0] * 9 + s[1], {})[s[2] * 9 + s[3]] = s
-            code[s] = _code(s)
         # (S_1, ..., S_k) for the greatest k asked for so far
-        self._sets = (sum(1 << n for n in code.values()),)
-        # each class's cube's code, read from a text indexed by code
-        self._class_codes = operator.itemgetter(*map(code.__getitem__, sigs))
+        self._sets = (sum(1 << _code(s) for s in self.single),)
 
     def sums(self, k: int) -> int:
         """S_k as a signature set, built on first use from S_(k-1).
@@ -126,23 +119,6 @@ class _Mod9Tables:
     def attains(self, sig: Coeffs, k: int) -> bool:
         """Whether sig is in S_k: no sum of k cubes has another signature."""
         return self.sums(k) >> _code(sig) & 1 == 1
-
-    def first_root_classes(self, target_sig: Coeffs, k: int) -> bytes:
-        """A mask by root class number mod 9 for a scan of k >= 2 cubes:
-        byte n is 1 when class n's cube leaves a remainder in S_(k-1),
-        else 0.
-
-        Empty (falsy) exactly when no class passes, that is when
-        target_sig is not in S_k, which rules out every k-cube
-        representation of the target.  Otherwise it holds one byte per
-        class, 6,561 in all.  Each search memoises its own.
-        """
-        # S_(k-1) is closed under negation: t - S_(k-1) == t + S_(k-1)
-        ok = _sums(self.sums(k - 1), (target_sig,))
-        if not ok & self.sums(1):
-            return b""
-        text = format(ok, "06561b")[::-1].encode()  # b"0" or b"1" at each code
-        return bytes(self._class_codes(text.translate(bytes.maketrans(b"01", b"\0\1"))))
 
 
 _MOD9_CACHE: dict[tuple[int, int], _Mod9Tables] = {}

@@ -22,11 +22,12 @@ target by set intersection: for each pair of groups whose signatures sum
 to the target's signature and whose parities XOR to the target's parity,
 ``big.keys() & {±T ∓ h for h in small}`` runs in C.  A target whose pure
 part is 0, which every pure part meets, is scanned in box order instead.
-k >= 3 cubes scan the outer root in lexicographic order, keep the roots
-that leave a remainder in S_(k-1), and search it at level k - 1.  With N
-workers, the search's process and N - 1 helpers, each on its own CPU,
-take a 3- or 4-cube stage's ``(w0, w1)`` cells of the outer box in turn,
-and the least cell that hits gives the witness.  The scans visit only
+k >= 3 cubes scan the outer root in lexicographic order and search each
+remainder at level k - 1, which ends at once when the remainder's
+signature is not in S_(k-1).  With N workers, the search's process and
+N - 1 helpers, each on its own CPU, take a 3- or 4-cube stage's
+``(w0, w1)`` cells of the outer box in turn, and the least cell that
+hits gives the witness.  The scans visit only
 the outer roots least in their orbit under the target's symmetries
 (:meth:`_SearchSpace.outer_roots`).  That symmetry and the mod-9 and
 mod-2 patterns of cubes (and the sets S_k) prune only regions proven to
@@ -40,7 +41,7 @@ import operator
 import os
 from itertools import repeat
 
-from .box import _SearchSpace
+from .box import _OuterRows, _SearchSpace
 from .errors import QuatcubeError
 from .mod9 import _parity, _sig
 from .quat import Coeffs, Quaternion, _Frozen, _set, cube_coeffs
@@ -179,10 +180,10 @@ def _scan(
     :meth:`_Mod9Tables.sums`).  One cube is the target's least root, and
     two are met in the middle (:func:`_scan_two`).  For k >= 3 the first
     root runs over the outer box's orbit-least roots
-    (:meth:`_SearchSpace.outer_roots`) whose class passes the mask
-    ``first_root_classes(sig, k)``, so that the remainder is in S_(k-1);
-    the mask is empty exactly when the signature is not in S_k.  The
-    least (k-1)-cube witness of the remainder completes it.  ``workers`` > 1 splits only level k itself.
+    (:meth:`_SearchSpace.outer_roots`), and the least (k-1)-cube witness
+    of the remainder completes it; level k - 1 rules out a remainder
+    whose signature is not in S_(k-1) as it starts.  ``workers`` > 1
+    splits only level k itself.
     """
     sig = _sig(t)
     if k == 1:
@@ -191,12 +192,12 @@ def _scan(
         return None if x is None else (x,)
     if k == 2:
         return _scan_two(space, t)  # which tests S_2 itself
-    first_ok = space.first_root_classes(sig, k)
-    if not first_ok:
+    if not space._tabs.attains(sig, k):
         return None
     if workers > 1:
         return _scan_cells(space, t, k, outer, workers)
-    return _scan_three_range(space, k, t, outer, first_ok, range(-outer, outer + 1))
+    rows = space.outer_roots(t, outer)
+    return _scan_three_range(space, k, t, outer, rows, range(-outer, outer + 1))
 
 
 def _scan_cell(
@@ -204,25 +205,22 @@ def _scan_cell(
     k: int,
     t: Coeffs,
     outer: int,
-    first_ok: bytes,
+    rows: _OuterRows,
     w0: int,
     w1: int,
     stop=None,
 ) -> tuple[Coeffs, ...] | None:
-    """Least k-cube witness whose first root starts with (w0, w1).
+    """Least k-cube witness whose first root starts with (w0, w1), its
+    pure part taken from the level's orbit-least ``rows``.
 
     ``stop``, when given, is called before each w2 row; once it returns
     true the cell's result is no longer wanted and None comes back.
     """
     a, b = space.params.a, space.params.b
-    cell_class = w0 % 9 * 729 + w1 % 9 * 81
-    for w2, w3_values in space.outer_roots(t, outer)[w1]:
+    for w2, w3_values in rows[w1]:
         if stop is not None and stop():
             return None
-        row_class = cell_class + w2 % 9 * 9
         for w3 in w3_values:
-            if not first_ok[row_class + w3 % 9]:
-                continue
             w = (w0, w1, w2, w3)
             res = _scan(space, _sub4(t, cube_coeffs(a, b, w)), k - 1, outer)
             if res is not None:
@@ -231,20 +229,20 @@ def _scan_cell(
 
 
 # named for the 3-cube scan it began as: perfbench/tracing.py wraps it by
-# this name and forwards its six arguments
+# this name and forwards its six arguments, w0_values last
 def _scan_three_range(
     space: _SearchSpace,
     k: int,
     t: Coeffs,
     outer: int,
-    first_ok: bytes,
+    rows: _OuterRows,
     w0_values,
 ) -> tuple[Coeffs, ...] | None:
     """Least k-cube witness whose first root starts with one of w0_values,
-    taken in order."""
+    taken in order, its pure part from the orbit-least ``rows``."""
     for w0 in w0_values:
-        for w1 in space.outer_roots(t, outer):
-            res = _scan_cell(space, k, t, outer, first_ok, w0, w1)
+        for w1 in rows:
+            res = _scan_cell(space, k, t, outer, rows, w0, w1)
             if res is not None:
                 return res
     return None
@@ -282,8 +280,8 @@ def _take_cells(space, t, k, outer, next_cell, least_hit, before_cell=lambda: No
     guards the two ints: a race may hand a cell to two processes but
     skips none (the first write past n is n + 1 from a process that read
     n), and may leave ``least_hit`` above the least hit cell, never below it."""
-    first_ok = space.first_root_classes(_sig(t), k)
-    w1_values = list(space.outer_roots(t, outer))
+    rows = space.outer_roots(t, outer)
+    w1_values = list(rows)
     while True:
         before_cell()
         n = next_cell.value
@@ -292,7 +290,7 @@ def _take_cells(space, t, k, outer, next_cell, least_hit, before_cell=lambda: No
             return None
         i, j = divmod(n, len(w1_values))
         w0, w1 = i - outer, w1_values[j]
-        res = _scan_cell(space, k, t, outer, first_ok, w0, w1, lambda: least_hit.value < n)
+        res = _scan_cell(space, k, t, outer, rows, w0, w1, lambda: least_hit.value < n)
         if res is not None:
             least_hit.value = min(n, least_hit.value)
             return n, res

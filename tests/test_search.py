@@ -188,7 +188,7 @@ class TestSignatureSets:
         sets = _brute_signature_sets(ring)
         tabs = _Mod9Tables(ring[0] % 9, ring[1] % 9)
         assert tabs.single == sets[0]
-        # (-x)**3 == -(x**3): first_root_classes relies on t - S_k == t + S_k
+        # (-x)**3 == -(x**3), so every S_k is closed under negation
         assert {_neg9(s) for s in sets[0]} == sets[0]
         for k, expected in enumerate(sets, 1):
             assert _members(tabs.sums(k)) == expected
@@ -208,14 +208,14 @@ class TestSignatureSets:
 
     def test_shared_tables_agree_across_threads(self):
         # threads share _MOD9_CACHE entries: on one fresh instance, threads
-        # that build its sets S_1 to S_3 at once, and read masks from them,
-        # must agree with a lone one
+        # that build its sets S_1 to S_4 at once, and read them, must agree
+        # with a lone one
         ring = (1, 1)
         rng = random.Random(20261019)
         sigs = [(3, 3, 0, 0), (4, 0, 0, 0)] + [tuple(rng.randrange(9) for _ in range(4)) for _ in range(20)]
         def read(tabs, t):
-            # the k = 4 masks read S_3, which the first of them builds
-            return tabs.attains(t, 2), tabs.first_root_classes(t, 3), tabs.first_root_classes(t, 4)
+            # S_4 is built from S_3, which the first k = 4 read builds
+            return tabs.attains(t, 2), tabs.attains(t, 3), tabs.attains(t, 4)
 
         lone = _Mod9Tables(*ring)
         expected = [read(lone, t) for t in sigs]
@@ -242,10 +242,15 @@ class TestSignatureSets:
 
 class TestMod9Tables:
     def test_cube_signatures_match_the_cube_formula(self):
+        # root_classes lists, by cube signature, the root classes mod 9
+        # (numbered in product order) that cube to it, in increasing order
         for a9, b9 in product(range(9), repeat=2):
-            assert _Mod9Tables(a9, b9).cube_sig == [
-                _sig(cube_coeffs(a9, b9, r)) for r in product(range(9), repeat=4)
-            ]
+            expected = {}
+            for n, r in enumerate(product(range(9), repeat=4)):
+                expected.setdefault(_sig(cube_coeffs(a9, b9, r)), []).append(n)
+            tabs = _Mod9Tables(a9, b9)
+            assert {s: list(ns) for s, ns in tabs.root_classes.items()} == expected
+            assert tabs.single == set(expected)
 
     @pytest.mark.parametrize("ring", [(1, 1), (2, 3), (3, 3), (2, 9), (6, 9)])
     def test_stored_map_is_the_stored_class_of_each_cube_signature(self, ring):
@@ -256,9 +261,9 @@ class TestMod9Tables:
             assert tabs.stored[s] == _stored_class(s)
 
     @pytest.mark.parametrize("ring", [(3, 3), (6, 9)])
-    def test_first_root_classes_match_brute_force_triple_sums(self, ring):
-        # a signature is a sum of k cube signatures exactly when some root
-        # class leaves a sum of k - 1; both rings miss real part 4 mod 9 with
+    def test_sums_match_brute_force_triple_and_quad_sums(self, ring):
+        # a level k >= 3 runs exactly when its target's signature is a sum
+        # of k cube signatures; both rings miss real part 4 mod 9 with
         # three cubes and reach it with four
         tabs = _Mod9Tables(ring[0] % 9, ring[1] % 9)
 
@@ -270,45 +275,31 @@ class TestMod9Tables:
         quads = {add(p, u) for p in triples for u in tabs.single}
         assert (4, 0, 0, 0) not in triples and (3, 0, 0, 0) in triples
         assert (4, 0, 0, 0) in quads and (0, 1, 0, 0) not in quads
-        for t in product(range(9), repeat=4):
-            assert bool(tabs.first_root_classes(t, 3)) == (t in triples)
-            assert bool(tabs.first_root_classes(t, 4)) == (t in quads)
+        for t in ALL_SIGS:
+            assert tabs.attains(t, 3) == (t in triples)
+            assert tabs.attains(t, 4) == (t in quads)
 
     @pytest.mark.parametrize("ring", [(1, 1), (3, 3)])
-    def test_first_root_classes_is_a_byte_mask_by_class(self, ring):
-        # byte n of the mask for k cubes says whether class n's cube leaves
-        # a sum of k - 1 cube signatures; a signature no class passes gets
-        # the empty mask, so each entry of a search's memo holds at most
-        # one byte per class
-        space = _SearchSpace(RingParams(*ring), 1)
-        tabs = space._tabs
-
-        def add(s, u):
-            return tuple((x + y) % 9 for x, y in zip(s, u))
-
-        _, pairs, triples, _ = _brute_signature_sets(ring)
+    def test_sums_of_box_cubes_pass_each_level_test(self, ring):
+        # the one S_k test per level prunes no witness: a sum of k actual
+        # cubes is in S_k, and each remainder a level hands down, once its
+        # first cube is taken off, is in S_(k-1)
+        params = RingParams(*ring)
+        tabs = _mod9_tables(params)
         rng = random.Random(20261020)
-        sigs = {(4, 0, 0, 0), (3, 0, 0, 0), (0, 1, 0, 0)}
-        sigs.update(tuple(rng.randrange(9) for _ in range(4)) for _ in range(30))
-        for k, below in ((3, pairs), (4, triples)):
-            for t in sigs:
-                mask = space.first_root_classes(t, k)
-                expected = [int(add(t, _neg9(cs)) in below) for cs in tabs.cube_sig]
-                assert type(mask) is bytes
-                assert list(mask) == (expected if any(expected) else [])
-                assert bool(mask) == any(expected)
-                assert space.first_root_classes(t, k) is mask
-                assert tabs.first_root_classes(t, k) == mask
-        assert len(space._first_ok_memo) == 2 * len(sigs)
-        assert all(sys.getsizeof(m) < 6561 + 100 for m in space._first_ok_memo.values())
-        if ring == (3, 3):
-            assert not space.first_root_classes((4, 0, 0, 0), 3)
-            assert space.first_root_classes((4, 0, 0, 0), 4)
-            assert not space.first_root_classes((0, 1, 0, 0), 4)
+        for _ in range(200):
+            k = rng.randrange(1, 5)
+            cubes = [
+                cube_coeffs(*ring, tuple(rng.randrange(-4, 5) for _ in range(4))) for _ in range(k)
+            ]
+            t = tuple(map(sum, zip(*cubes)))
+            assert tabs.attains(_sig(t), k)
+            if k > 1:
+                assert tabs.attains(_sig(_sub(t, cubes[0])), k - 1)
 
     def test_searches_leave_no_mask_in_the_shared_tables(self, monkeypatch):
-        # the process-wide cache holds only per-ring tables: the masks a
-        # search reads stay in its own space and go with it
+        # the process-wide cache holds only per-ring tables, nothing per
+        # target: what a search builds for its targets goes with its space
         monkeypatch.setattr(mod9, "_MOD9_CACHE", {})
         flagship = min_cubes_search(
             Quaternion(LIPSCHITZ, 3, 3, 0, 0), SearchConfig(max_cubes=3, coeff_bound=10, outer_bound=6)
@@ -946,9 +937,9 @@ class TestMinCubesSearch:
         scanned = []
         scan_cell = search._scan_cell
 
-        def recorded(space, k, t, outer, first_ok, w0, w1, stop=None):
+        def recorded(space, k, t, outer, rows, w0, w1, stop=None):
             scanned.append((w0, w1))
-            return scan_cell(space, k, t, outer, first_ok, w0, w1, stop)
+            return scan_cell(space, k, t, outer, rows, w0, w1, stop)
 
         class YieldingInt:
             def __init__(self, value):
@@ -1268,46 +1259,40 @@ class TestOuterRootSymmetry:
     @pytest.mark.parametrize("coeffs", [(7, 0, 5, 0), (7, 3, 5, 2), (2, 0, 0, 0)])
     def test_three_cube_scan_skips_positive_outer_coefficients(self, monkeypatch, coeffs):
         params, outer = RingParams(1, 1), 2
+        # level 3 cubes every orbit-least root and leaves each remainder's
+        # S_2 test to _scan_two
         tabs, space = _mod9_tables(params), _SearchSpace(params, 1)
-        first_ok = tabs.first_root_classes(_sig(coeffs), 3)
-        assert first_ok
+        assert tabs.attains(_sig(coeffs), 3)
         scanned = self._record_outer_roots(monkeypatch, "_scan_two")
         assert search._scan(space, coeffs, 3, outer) is None
         rng = range(-outer, outer + 1)
         zero = [i for i in (1, 2, 3) if coeffs[i] == 0]
         least = set(_orbit_least((1, 1), coeffs[1:], outer))
-        expected = [
-            w for w in product(rng, repeat=4)
-            if first_ok[((w[0] % 9 * 9 + w[1] % 9) * 9 + w[2] % 9) * 9 + w[3] % 9]
-            and w[1:] in least
-        ]
+        expected = [w for w in product(rng, repeat=4) if w[1:] in least]
         assert scanned == expected
         if not zero:
-            # no zero pure coefficient: the whole outer box, bar the sieve
+            # no zero pure coefficient: positive w1 is scanned too
             assert any(w[1] > 0 for w in scanned)
 
     @pytest.mark.parametrize("coeffs", [
         (7, 0, 5, 0), (4, 0, 0, 0), (7, 3, 5, 2), (7, 0, 3, 0), (7, 3, 6, 3),
     ])
     def test_four_cube_scan_skips_positive_outer_coefficients(self, monkeypatch, coeffs):
-        # level 4 cubes exactly the orbit-least roots that pass its mask;
-        # (7, 0, 5, 0) and (7, 3, 5, 2) lie outside ring (3, 3)'s cube
-        # subgroup, so their signatures are not in S_4 and nothing is cubed
+        # level 4 cubes every orbit-least root when t's signature is in
+        # S_4, and none otherwise; (7, 0, 5, 0) and (7, 3, 5, 2) lie outside
+        # ring (3, 3)'s cube subgroup, so their signatures are not in S_4
         params, outer = RingParams(3, 3), 1
         tabs, space = _mod9_tables(params), _SearchSpace(params, 1)
-        first_ok = tabs.first_root_classes(_sig(coeffs), 4)
-        assert bool(first_ok) == all(c % 3 == 0 for c in coeffs[1:])
+        attained = tabs.attains(_sig(coeffs), 4)
+        assert attained == all(c % 3 == 0 for c in coeffs[1:])
         scan = search._scan
         scanned = self._record_outer_roots(monkeypatch, "_scan")
         assert scan(space, coeffs, 4, outer) is None
         rng = range(-outer, outer + 1)
         least = _orbit_least((3, 3), coeffs[1:], outer)
-        expected = [
-            (w0, *v) for w0 in rng for v in least
-            if first_ok and first_ok[((w0 % 9 * 9 + v[0] % 9) * 9 + v[1] % 9) * 9 + v[2] % 9]
-        ]
+        expected = [(w0, *v) for w0 in rng for v in least] if attained else []
         assert scanned == expected
-        assert bool(scanned) == bool(first_ok)
+        assert bool(scanned) == attained
 
     def test_ruled_out_four_cube_stage_scans_no_outer_root(self, monkeypatch):
         # 4+3i in ring (3, 9) lies outside the cube subgroup, so its
@@ -1342,12 +1327,31 @@ class TestOuterRootSymmetry:
         assert scanned == serial == sorted(serial)
         assert all(w1 <= 0 for _, w1 in scanned) == (coeffs[1] == 0)
 
-    def test_flagship_scans_327_outer_roots(self, monkeypatch):
-        calls = []
-        scan_two = search._scan_two
-        monkeypatch.setattr(search, "_scan_two", lambda *args: calls.append(1) or scan_two(*args))
+    @staticmethod
+    def _count_meets(monkeypatch):
+        # a meet is one pair_sets call: _scan_two makes one for each target
+        # whose signature is in S_2 and whose pure part is packed and not 0
+        meets, entries = [], []
+        pair_sets, scan_two = _SearchSpace.pair_sets, search._scan_two
+        monkeypatch.setattr(_SearchSpace, "pair_sets", lambda *args: meets.append(1) or pair_sets(*args))
+        monkeypatch.setattr(search, "_scan_two", lambda *args: entries.append(1) or scan_two(*args))
+        return meets, entries
+
+    def test_flagship_makes_326_meets(self, monkeypatch):
+        meets, entries = self._count_meets(monkeypatch)
         target = Quaternion(LIPSCHITZ, 3, 3, 0, 0)
         roots = min_cubes_search(target, SearchConfig(max_cubes=3, coeff_bound=10, outer_bound=6))
         assert [r.coefficients() for r in roots] == [(-5, -4, -4, -2), (5, 2, 6, 3), (6, 1, 0, 0)]
-        # one call for the 2-cube stage, the rest for outer roots
-        assert len(calls) == 327
+        # one entry for the 2-cube stage, the rest for the 436 orbit-least
+        # outer roots up to the witness's; 110 of their remainders are not
+        # in S_2, so only 326 of the 437 entries meet
+        assert len(entries) == 437
+        assert len(meets) == 326
+
+    def test_no_witness_four_cube_search_makes_1130_meets(self, monkeypatch):
+        # levels 3 and 4 both run in ring (3, 3), and every remainder of
+        # level 4 is tested against S_3 once, when level 3 starts
+        meets, _ = self._count_meets(monkeypatch)
+        target = Quaternion(RingParams(3, 3), 1000, 300, 600, -900)
+        assert min_cubes_search(target, SearchConfig(max_cubes=4, coeff_bound=2, outer_bound=2)) is None
+        assert len(meets) == 1130
