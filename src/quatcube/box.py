@@ -6,9 +6,12 @@ within it, by its parity pattern (coefficients mod 2).  The box's cubes
 are closed under negation and under the real flip (c0, c') -> (-c0, c'),
 so one stored set serves each class (±s0, ±s') of signatures, built the
 first time a search meets it from tables of O(B) entries, never one the
-size of the box (see :class:`_SearchSpace`).  A pure part a search hits
-gets its box roots back exactly, and a cube its least root, by inverting
-the closed form of ``cube_coeffs`` (:meth:`_SearchSpace.pure_roots`,
+size of the box (see :class:`_SearchSpace`).  Two cubes meet a target
+here, one set intersection per pair of groups that can sum to it, so
+only this module applies the stored classes' signs
+(:meth:`_SearchSpace.meet`).  A pure part a search hits gets its box
+roots back exactly, and a cube its least root, by inverting the closed
+form of ``cube_coeffs`` (:meth:`_SearchSpace.pure_roots`,
 :meth:`_SearchSpace.least_root`).  A signed permutation of the pure
 coefficients that keeps the weights (a, b, ab) of the norm form commutes
 with cubing, so one that also fixes the target maps witnesses to
@@ -19,8 +22,9 @@ the scans visit only those (:meth:`_SearchSpace.outer_roots`).
 from __future__ import annotations
 
 from collections.abc import Iterator
-from itertools import permutations, product
+from itertools import permutations, product, repeat
 from math import gcd, isqrt
+from operator import add, sub
 
 from .mod9 import _digit_diff, _mod9_tables, _parity
 from .quat import Coeffs, RingParams, cube_coeffs
@@ -30,10 +34,6 @@ from .quat import Coeffs, RingParams, cube_coeffs
 # _SearchSpace) by parity pattern, each group a dict with None values (a
 # set of ~25 keys over-allocates)
 _ParityGroups = dict[int, dict[int, None]]
-
-# one side of a two-cube meet: a stored group and the sign (1 or -1) its
-# pure parts take there
-_Side = tuple[dict[int, None], int]
 
 # two stored groups with their signs, and whether the two sides are one
 _SigPair = tuple[_ParityGroups, int, _ParityGroups, int, bool]
@@ -108,7 +108,6 @@ class _SearchSpace:
             if all(weights[i] == weights[p[i]] for i in range(3))
             for signs in product((1, -1), repeat=3)
         ]
-        self._outer_memo: dict[tuple, _OuterRows] = {}
         self._orbit_memo: dict[tuple, _OuterRows] = {}
 
     def pack(self, t: Coeffs) -> int | None:
@@ -237,7 +236,7 @@ class _SearchSpace:
         """The packed pure parts of the cubes of signature sig, by parity
         pattern; built on first use.  A search asks only for the
         signatures that :func:`_stored_class` returns (see
-        :meth:`signed_groups`).  The residue rows and term tables of
+        :meth:`meet`).  The residue rows and term tables of
         :meth:`_group_terms` serve every build of the space.  The tails of
         each class c of sig's root classes (r0, c) mod 9 are made once,
         used for the x0 = r0 (mod 9) rows of the box, and freed once their
@@ -265,19 +264,14 @@ class _SearchSpace:
         got = self._groups[sig] = {p: keys for p, keys in by_par.items() if keys}
         return got
 
-    def signed_groups(self, sig: Coeffs) -> tuple[_ParityGroups, int]:
-        """The stored groups of sig's class, and the sign (1 or -1) that
-        turns their pure parts into those of sig's cubes."""
-        stored, sign = self._tabs.stored[sig]
-        return self.groups(stored), sign
-
     def by_class(self) -> dict[Coeffs, _ParityGroups]:
         """Every signature's groups, laid out as :meth:`groups` lays out a
         stored one, the signs spelled out: a whole-box view that no
         search needs."""
         out = {}
         for s in sorted(self._tabs.single):
-            groups, sign = self.signed_groups(s)
+            stored, sign = self._tabs.stored[s]
+            groups = self.groups(stored)
             if groups:
                 out[s] = {p: dict.fromkeys(sign * key for key in g) for p, g in groups.items()}
         return out
@@ -341,34 +335,41 @@ class _SearchSpace:
         the swaps of two coefficients with equal weights that fix t up to
         sign, such as the j, k swap for 3+3i in ring (1, 1).
         """
-        _, u1, u2, u3 = t
-        # which coefficients are 0 and which pairs equal or opposite decide G_t
-        key = (outer, u1 == 0, u2 == 0, u3 == 0)
-        key += (u1 == u2, u1 == -u2, u1 == u3, u1 == -u3, u2 == u3, u2 == -u3)
-        got = self._outer_memo.get(key)
+        u = t[1:]
+        group = tuple(
+            m for m in self._moves if (m[3] * u[m[0]], m[4] * u[m[1]], m[5] * u[m[2]]) == u
+        )
+        got = self._orbit_memo.get((group, outer))
         if got is None:
-            u = t[1:]
-            group = tuple(
-                m for m in self._moves if (m[3] * u[m[0]], m[4] * u[m[1]], m[5] * u[m[2]]) == u
-            )
-            got = self._orbit_memo.get((group, outer))
-            if got is None:
-                got = self._orbit_memo[group, outer] = _orbit_least(group, outer)
-            self._outer_memo[key] = got
+            got = self._orbit_memo[group, outer] = _orbit_least(group, outer)
         return got
 
-    def pair_sets(self, target_sig: Coeffs, target_par: int) -> Iterator[tuple[_Side, _Side]]:
-        """(smaller, larger) groups with their signs, whose signatures sum
-        to target_sig mod 9 and whose parities XOR to target_par, each
-        unordered pair of sides once; generated afresh for each meet."""
+    def meet(self, target_sig: Coeffs, target_par: int, packed: int) -> set[int]:
+        """Of each pair of box cubes whose pure parts sum to T = packed,
+        whose signatures sum to target_sig mod 9 and whose parities XOR to
+        target_par, the pure part of one cube; nothing else.  A side's
+        pure parts are its stored keys times its sign, so the pure parts
+        ``u * h`` of one group and ``v * g`` of its mate sum to T exactly
+        when ``h == u*T - (u*v) * g``: one intersection in C per unordered
+        pair of groups, of the larger with ``u*T - smaller`` or ``u*T +
+        smaller``, whose hits come back signed."""
+        hits = set()
         for groups, sign, mates, mate_sign, same in self._sig_pairs(target_sig):
+            op = sub if sign == mate_sign else add
             for p, group in groups.items():
                 q = p ^ target_par
                 mate = mates.get(q)
                 # a side paired with itself meets (p, q) and (q, p) alike: keep one
-                if mate is not None and (not same or p <= q):
-                    one, other = (group, sign), (mate, mate_sign)
-                    yield (one, other) if len(group) <= len(mate) else (other, one)
+                if mate is None or same and p > q:
+                    continue
+                if len(group) <= len(mate):
+                    small, big, u = group, mate, mate_sign
+                else:
+                    small, big, u = mate, group, sign
+                met = big.keys() & map(op, repeat(u * packed), small)
+                if met:
+                    hits.update(map(u.__mul__, met))
+        return hits
 
 
 def _orbit_least(group: tuple, outer: int) -> _OuterRows:

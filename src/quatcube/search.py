@@ -12,16 +12,17 @@ The work is split by job.  :mod:`quatcube.mod9`, the residue engine,
 holds the cube signatures mod 9, the sets S_k of sums of k of them and
 the two enumerators.  :mod:`quatcube.box` holds the box: the packed pure
 parts of its cubes, grouped by signature class and parity pattern, the
-exact inversions that give a hit its roots back, and the outer roots a
-scan visits.  This module holds the scans and the workers.
+two-cube meet on them, the exact inversions that give a hit its roots
+back, and the outer roots a scan visits.  This module holds the scans
+and the workers.
 
 One recursion, :func:`_scan`, searches each number of cubes k, and level
 k starts only when its target's signature is in S_k.  One cube is the
-target's least root; two cubes meet the packed pure part ``T`` of a
-target by set intersection: for each pair of groups whose signatures sum
-to the target's signature and whose parities XOR to the target's parity,
-``big.keys() & {±T ∓ h for h in small}`` runs in C.  A target whose pure
-part is 0, which every pure part meets, is scanned in box order instead.
+target's least root; two cubes meet the packed pure part of a target
+by set intersection, in :meth:`_SearchSpace.meet`, over the pairs of
+groups whose signatures sum to the target's signature and whose parities
+XOR to the target's parity.  A target whose pure part is 0, which every
+pure part meets, is scanned in box order instead.
 k >= 3 cubes scan the outer root in lexicographic order and search each
 remainder at level k - 1, which ends at once when the remainder's
 signature is not in S_(k-1).  With N workers, the search's process and
@@ -37,9 +38,7 @@ and parallel runs return exactly what a serial run returns.
 
 from __future__ import annotations
 
-import operator
 import os
-from itertools import repeat
 
 from .box import _OuterRows, _SearchSpace
 from .errors import QuatcubeError
@@ -103,13 +102,10 @@ class SearchConfig(_Frozen):
 def _scan_two(space: _SearchSpace, t: Coeffs) -> tuple[Coeffs, Coeffs] | None:
     """Least (x, y) with x**3 + y**3 = t, both in the coeff box.
 
-    Only groups that can sum to t are met: their signatures sum to t's
-    mod 9 and their parities XOR to t's.  A side's pure parts are its
-    stored keys times its sign, so with T the packed pure part of t the
-    pure parts ``u * h`` of big and ``v * g`` of small sum to T exactly
-    when ``h == u*T - (u*v) * g``: one intersection in C per group pair,
-    of ``big`` with ``u*T - small`` or ``u*T + small``.  The keys hold no
-    real parts, so a hit is only a candidate: each root x of its half
+    :meth:`_SearchSpace.meet` meets the box's groups of cubes on the
+    packed pure part of t, and gives back one half's pure part of each
+    pair of cubes that can sum to t.  The keys hold no real parts, so a
+    hit is only a candidate: each root x of its half
     (:meth:`_SearchSpace.pure_roots`) whose remainder t - x**3 has a
     least root y in the box gives the pair (x, y), sorted.  Every
     solution shows up so, and the least pair is the one a full
@@ -125,14 +121,9 @@ def _scan_two(space: _SearchSpace, t: Coeffs) -> tuple[Coeffs, Coeffs] | None:
         return None
     if not packed:
         return _real_pair(space, t)
-    hits = set()
-    for (small, v), (big, u) in space.pair_sets(sig, _parity(t)):
-        met = big.keys() & map(operator.sub if u == v else operator.add, repeat(u * packed), small)
-        if met:
-            hits.update(map(u.__mul__, met))
     a, b, least_root = space.params.a, space.params.b, space.least_root
     pairs = []
-    for c in hits:
+    for c in space.meet(sig, _parity(t), packed):
         # the roots of a half whose pure part is not 0: t's is not
         for x in space.pure_roots(c or packed):
             y = least_root(_sub4(t, cube_coeffs(a, b, x)))

@@ -757,39 +757,34 @@ class TestMinCubesSearch:
                 found.append(frozenset((one, other)))
             assert len(found) == len(set(found)) and set(found) == expected[t]
 
-    @pytest.mark.parametrize("ring", [(1, 1), (3, 3)])
-    def test_pair_sets_give_each_group_pair_once_smaller_first(self, ring):
-        # a group pair is unordered: {(stored signature, sign, parity), (..)}
-        params = RingParams(*ring)
-        space = _SearchSpace(params, 4)
-        single = _mod9_tables(params).single
-        parities = {s: set(space.signed_groups(s)[0]) for s in single}
-        side_of = {
-            id(group): (s, p) for s, groups in space._groups.items() for p, group in groups.items()
-        }
-
-        def side(s, p):
-            stored = min(_class(s))
-            return stored, 1 if s[1:] == stored[1:] else -1, p
-
-        def stored_side(group, sign):
-            s, p = side_of[id(group)]
-            return s, sign, p
-
-        rng = random.Random(20261018)
-        for t in [(0, 0, 0, 0)] + [tuple(rng.randrange(9) for _ in range(4)) for _ in range(40)]:
-            for par in range(16):
-                got = list(space.pair_sets(t, par))
-                assert all(len(small[0]) <= len(big[0]) for small, big in got)
-                found = [frozenset((stored_side(*small), stored_side(*big))) for small, big in got]
-                expected = set()
-                for s, ps in parities.items():
-                    m = tuple((ti - si) % 9 for ti, si in zip(t, s))
-                    expected.update(
-                        frozenset((side(s, p), side(m, p ^ par)))
-                        for p in ps if p ^ par in parities.get(m, ())
-                    )
-                assert len(found) == len(set(found)) and set(found) == expected
+    @pytest.mark.parametrize("ring", [(1, 1), (2, 3), (3, 3)])
+    def test_meet_matches_brute_force_pairs(self, ring):
+        # every hit h is one half of a pair of box cubes whose pure parts sum
+        # to T, whose signatures sum to the target's and whose parities XOR
+        # to the target's, and every such pair puts h or T - h in the result
+        params, bound = RingParams(*ring), 2
+        space = _SearchSpace(params, bound)
+        halves = {}  # packed pure part -> the (signature, parity) of its box cubes
+        for x in product(range(-bound, bound + 1), repeat=4):
+            c = cube_coeffs(*ring, x)
+            halves.setdefault(space.pack(c), set()).add((_sig(c), _parity(c)))
+        keys = sorted(halves)
+        rng = random.Random(20261020)
+        for _ in range(12):
+            packed = rng.choice(keys) + rng.choice(keys)
+            if not packed:
+                continue
+            pairs = {}  # (signature, parity) of a target -> the pairs {h, T - h} that meet it
+            for h, sides in halves.items():
+                for (s, p), (m, q) in product(sides, halves.get(packed - h, ())):
+                    summed = tuple((si + mi) % 9 for si, mi in zip(s, m))
+                    pairs.setdefault((summed, p ^ q), set()).add(frozenset((h, packed - h)))
+            sigs = {sig for sig, _ in pairs} | {tuple(rng.randrange(9) for _ in range(4))}
+            for sig, par in product(sigs, range(16)):
+                want = pairs.get((sig, par), set())
+                got = space.meet(sig, par, packed)
+                assert all(frozenset((h, packed - h)) in want for h in got)
+                assert all(pair & got for pair in want)
 
     def test_parallel_equals_serial(self):
         params = RingParams(2, 1)
@@ -1329,11 +1324,11 @@ class TestOuterRootSymmetry:
 
     @staticmethod
     def _count_meets(monkeypatch):
-        # a meet is one pair_sets call: _scan_two makes one for each target
-        # whose signature is in S_2 and whose pure part is packed and not 0
+        # one _SearchSpace.meet call per meet: _scan_two makes one for each
+        # target whose signature is in S_2 and whose pure part is packed and not 0
         meets, entries = [], []
-        pair_sets, scan_two = _SearchSpace.pair_sets, search._scan_two
-        monkeypatch.setattr(_SearchSpace, "pair_sets", lambda *args: meets.append(1) or pair_sets(*args))
+        meet, scan_two = _SearchSpace.meet, search._scan_two
+        monkeypatch.setattr(_SearchSpace, "meet", lambda *args: meets.append(1) or meet(*args))
         monkeypatch.setattr(search, "_scan_two", lambda *args: entries.append(1) or scan_two(*args))
         return meets, entries
 
@@ -1348,10 +1343,36 @@ class TestOuterRootSymmetry:
         assert len(entries) == 437
         assert len(meets) == 326
 
-    def test_no_witness_four_cube_search_makes_1130_meets(self, monkeypatch):
+    @pytest.mark.parametrize("ring, coeffs, cfg, roots, meets, pairs, lookups", [
+        ((1, 1), (3, 3, 0, 0), (3, 10, 6),
+         [(-5, -4, -4, -2), (5, 2, 6, 3), (6, 1, 0, 0)], 326, 20_749, 316_192),
         # levels 3 and 4 both run in ring (3, 3), and every remainder of
         # level 4 is tested against S_3 once, when level 3 starts
-        meets, _ = self._count_meets(monkeypatch)
-        target = Quaternion(RingParams(3, 3), 1000, 300, 600, -900)
-        assert min_cubes_search(target, SearchConfig(max_cubes=4, coeff_bound=2, outer_bound=2)) is None
-        assert len(meets) == 1130
+        ((3, 3), (1000, 300, 600, -900), (4, 2, 2), None, 1130, 35_584, 46_402),
+        ((1, 1), (4001, 2999, -1234, 777), (3, 10, 4), None, 6562, 727_507, 9_208_519),
+    ], ids=["flagship", "four-cube-no-witness", "three-cube-no-witness"])
+    def test_meets_pin_their_group_pairs_and_lookups(
+        self, monkeypatch, ring, coeffs, cfg, roots, meets, pairs, lookups
+    ):
+        # each unordered pair of groups is met once, the smaller side
+        # iterated: a pair is one keys() call on its larger group, and its
+        # lookups are the length of the group iterated
+        params, work = RingParams(*ring), {"pairs": 0, "lookups": 0}
+
+        class Counted(dict):
+            def keys(self):
+                work["pairs"] += 1
+                return dict.keys(self)
+
+            def __iter__(self):
+                work["lookups"] += len(self)
+                return dict.__iter__(self)
+
+        space = _SearchSpace(params, cfg[1])
+        for s in {stored for stored, _ in space._tabs.stored.values()}:
+            space._groups[s] = {p: Counted(g) for p, g in space.groups(s).items()}
+        monkeypatch.setattr(search, "_SearchSpace", lambda *args: space)
+        met, _ = self._count_meets(monkeypatch)
+        got = min_cubes_search(Quaternion(params, *coeffs), SearchConfig(*cfg))
+        assert (got and [r.coefficients() for r in got]) == roots
+        assert (len(met), work["pairs"], work["lookups"]) == (meets, pairs, lookups)
