@@ -5,39 +5,32 @@ In rings where 3 divides at most one parameter, 3+3i needs 3 cubes (the
 2-cube system is obstructed mod 9/3); where 3 divides both, 4 needs 4
 cubes (cube triples miss 4 mod 9).  The bounded searches then look for
 witnesses at the minimum counts.  Every witness printed is checked
-exactly against its target; the script exits 1 if one fails.
+exactly against its target by ``verify``; the script exits 1 if one fails.
 """
 
 import time
 
 from quatcube import (
+    Decomposition,
     Quaternion,
     RingParams,
     SearchConfig,
+    classify_case,
     min_cubes_search,
     three_cube_residues_mod9,
     two_cube_obstruction,
+    verify,
 )
-from quatcube.quat import cube_sum
-
-
-def sums_to(roots, target: Quaternion) -> bool:
-    """True iff roots lie in target's ring and their cubes add up to
-    target exactly."""
-    params = target.params
-    return all(r.params == params for r in roots) and cube_sum(
-        params.a, params.b, [r.coefficients() for r in roots]
-    ) == target.coefficients()
 
 
 def report(label: str, target: Quaternion, roots, elapsed: float | None = None) -> bool:
     """Print a search's witness for target, or that it found none; False
-    iff a witness was printed that does not sum to target."""
+    iff a witness was printed that ``verify`` refuses."""
     took = "" if elapsed is None else f"  ({elapsed:.1f}s)"
     if roots is None:
         print(f"  {label}: inconclusive within the box{took}")
         return True
-    ok = sums_to(roots, target)
+    ok = verify(Decomposition(target, roots, classify_case(target.params)))
     print(f"  {label}: {target} = {' + '.join(f'({r})^3' for r in roots)}{took}"
           + ("" if ok else "  FAILS the exact check"))
     return ok

@@ -16,10 +16,10 @@ import os
 import re
 import sys
 
-from .decompose import decompose, lemma_residue_check, member_cube_subgroup, verify
+from .decompose import Decomposition, decompose, lemma_residue_check, member_cube_subgroup, verify
 from .errors import NotRepresentable, ParseError, QuatcubeError, VerificationFailed
 from .parser import parse_quaternion
-from .quat import Coeffs, Quaternion, RingParams, coeffs_text, cube, cube_sum
+from .quat import Coeffs, Quaternion, RingParams, coeffs_text, cube
 from .residues import Case, classify_case
 from .search import (
     SearchConfig,
@@ -152,16 +152,13 @@ def decompose_payload(alpha: Quaternion) -> dict:
 
 def search_payload(alpha: Quaternion, cfg: SearchConfig, workers: int = 1) -> dict:
     """The search JSON payload; deliberately independent of ``workers`` so
-    serial and parallel runs emit identical bytes."""
+    serial and parallel runs emit identical bytes.  A witness is checked
+    with :func:`verify`, never assumed."""
     roots = min_cubes_search(alpha, cfg, workers=workers)
     found = roots is not None
     verified = None
     if found:
-        # the exact check verify makes: roots of the target's ring, cubes summing to it
-        params = alpha.params
-        verified = all(r.params == params for r in roots) and cube_sum(
-            params.a, params.b, [r.coefficients() for r in roots]
-        ) == alpha.coefficients()
+        verified = verify(Decomposition(alpha, roots, classify_case(alpha.params)))
         if not verified:
             raise VerificationFailed("search returned roots that do not sum to the target")
     return {

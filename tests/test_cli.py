@@ -1,4 +1,6 @@
+import contextlib
 import copy
+import io
 import json
 import os
 import pickle
@@ -7,7 +9,7 @@ import sys
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
 from quatcube import ParseError, Quaternion, RingParams, parse_quaternion
@@ -343,6 +345,93 @@ class TestCliDigitLimit:
         code, out, err = run_cli(capsys, "decompose", "--ring", "3,3", "1+i")
         assert (code, out) == (1, "")
         assert err == "error: 1+i is not in the cube subgroup of (3,3)\n"
+
+
+# the CLI's argument grammar: every subcommand and an unknown one, each
+# option with valid values and with malformed, out-of-range or 5,000-digit ones
+_GOOD_VALUES = {
+    "--ring": st.sampled_from(["1,1", "2,3", "3,3", "3,9"]),
+    "--json": st.none(),
+    "--max-cubes": st.integers(1, 4),
+    "--bound": st.integers(0, 2),
+    "--outer-bound": st.none() | st.integers(0, 2),
+    "--workers": st.none() | st.just(1),
+    "--residues": st.none() | st.just("0,0"),
+}
+_BAD_VALUES = {
+    "--ring": st.sampled_from(["0,1", "-3,2", "1", "1,2,3", "a,b", "1," + "9" * 5000]),
+    "--json": st.none(),
+    "--max-cubes": st.sampled_from([-1, 0, 5]),
+    "--bound": st.just(-1),
+    "--outer-bound": st.just(-1),
+    "--workers": st.sampled_from([-1, 0]),
+    "--residues": st.sampled_from(["6,0", "x"]),
+}
+_GOOD_TARGETS = st.sampled_from(["3+3i", "4", "1+i+j+k", "-5+3i", "-k"])
+_BAD_TARGETS = st.sampled_from(["", "+", "3+", "1e5", "i j", "9" * 5000])
+_COMMAND_OPTIONS = {
+    "decompose": ("--ring", "--json"),
+    "cube": ("--ring", "--json"),
+    "member": ("--ring", "--json"),
+    "search": ("--ring", "--json", "--max-cubes", "--bound", "--outer-bound", "--workers"),
+    "check-lemmas": ("--json", "--residues"),
+    "check-lower-bounds": ("--ring", "--json"),
+    "nope": (),
+}
+_TAKES_TARGET = {"decompose", "cube", "member", "search"}
+
+
+@st.composite
+def _cli_argv(draw):
+    command = draw(st.sampled_from(sorted(_COMMAND_OPTIONS)))
+    takes = _COMMAND_OPTIONS[command]
+    # at most two parts are broken, so most commands also run with valid input
+    broken = draw(st.sets(st.sampled_from(sorted(_GOOD_VALUES) + ["target"]), max_size=2))
+    values = {}
+    for name in sorted(_GOOD_VALUES):
+        if name not in takes and name not in broken:
+            continue  # an option of another subcommand only where broken
+        value = draw((_BAD_VALUES if name in broken else _GOOD_VALUES)[name])
+        if name == "--ring" and name in broken and draw(st.booleans()):
+            continue  # a missing --ring
+        if value is not None or (name == "--json" and draw(st.booleans())):
+            values[name] = value
+    # the default bound of 10 is no small box, and a 4-cube search scans
+    # pairs of outer roots, so its outer box stays at 1
+    if command == "search":
+        values.setdefault("--bound", draw(_GOOD_VALUES["--bound"]))
+        if values.get("--max-cubes", 3) >= 4:
+            values["--outer-bound"] = min(values.get("--outer-bound", values["--bound"]), 1)
+    options = [[n] if v is None else [n, str(v)] for n, v in values.items()]
+    argv = [command] + [t for o in draw(st.permutations(options)) for t in o]
+    if "target" in broken:
+        target = draw(st.none() | _BAD_TARGETS | _GOOD_TARGETS)
+    else:
+        target = draw(_GOOD_TARGETS) if command in _TAKES_TARGET else None
+    if target is None:
+        return argv
+    place = draw(st.sampled_from(["first", "last", "after --"]))
+    if place == "first":
+        return argv[:1] + [target] + argv[1:]
+    return argv + ([target] if place == "last" else ["--", target])
+
+
+class TestCliGrammar:
+    @given(_cli_argv())
+    @seed(20190601)
+    @settings(deadline=None, derandomize=True, max_examples=200)
+    def test_every_argv_exits_0_1_or_2_with_at_most_one_stderr_line(self, argv):
+        # --workers is at most 1, so no search starts a process; no box exceeds 5**4 roots
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = exc.code
+        assert code in (0, 1, 2)
+        assert len(err.getvalue().splitlines()) <= 1 and "Traceback" not in err.getvalue()
+        if code == 2:
+            assert out.getvalue() == ""
 
 
 def _src_env():

@@ -59,6 +59,12 @@ from quatcube.quat import cube_sum
 sys.modules["quatcube.decompose"].cube_sum = lambda a, b, roots: cube_sum(a, b, roots[:-1])
 run = lambda: cli.decompose_payload(Quaternion(RingParams(2, 1), 7, 1, 2, 3))
 """,
+    "cube-sum kernel that skips the last root, reaching the search payload": """
+from quatcube.quat import cube_sum
+
+sys.modules["quatcube.decompose"].cube_sum = lambda a, b, roots: cube_sum(a, b, roots[:-1])
+run = lambda: cli.search_payload(Quaternion(RingParams(1, 1), 3, 3, 0, 0), SearchConfig(3, 10, 6))
+""",
     "perturbed root reaching the decompose payload": """
 decompose = cli.decompose
 
