@@ -38,9 +38,9 @@ _ParityGroups = dict[int, dict[int, None]]
 # two stored groups with their signs, and whether the two sides are one
 _SigPair = tuple[_ParityGroups, int, _ParityGroups, int, bool]
 
-# the pure parts (w1, w2, w3) of a scan's outer roots: each w1's rows
-# (w2, the w3 values), all in increasing order
-_OuterRows = dict[int, list[tuple[int, list[int]]]]
+# the pure parts (w1, w2, w3) of a scan's outer roots: each w1's (w2, w3)
+# pairs, all in increasing order
+_OuterRows = dict[int, list[tuple[int, int]]]
 
 
 def _icbrt(n: int) -> int:
@@ -374,18 +374,18 @@ class _SearchSpace:
 
 def _orbit_least(group: tuple, outer: int) -> _OuterRows:
     """The pure parts in [-outer, outer]**3 that are least in their orbit
-    under group (see :meth:`_SearchSpace.outer_roots`), as rows."""
+    under group (see :meth:`_SearchSpace.outer_roots`), by w1."""
     identity = (0, 1, 2)
     # the sign flips in group are those of some set of coefficients, and
     # v is least under them exactly when it is not positive in that set
     flips = {i for m in group if m[:3] == identity for i in range(3) if m[3 + i] < 0}
     spans = [range(-outer, 1 if i in flips else outer + 1) for i in range(3)]
     swaps = [m for m in group if m[:3] != identity]
-    table: dict[int, dict[int, list[int]]] = {}
+    rows: _OuterRows = {}
     for v in product(*spans):
         for p0, p1, p2, s0, s1, s2 in swaps:
             if (s0 * v[p0], s1 * v[p1], s2 * v[p2]) < v:
                 break
         else:
-            table.setdefault(v[0], {}).setdefault(v[1], []).append(v[2])
-    return {w1: list(rows.items()) for w1, rows in table.items()}
+            rows.setdefault(v[0], []).append(v[1:])
+    return rows

@@ -111,11 +111,9 @@ def _scan_two(space: _SearchSpace, t: Coeffs) -> tuple[Coeffs, Coeffs] | None:
     solution shows up so, and the least pair is the one a full
     lexicographic scan would find.  A target whose pure part is 0 meets
     every stored pure part, so :func:`_real_pair` scans the box in order
-    for it instead.
+    for it instead.  :func:`_scan` calls it only for a t whose signature
+    is in S_2.
     """
-    sig = _sig(t)
-    if not space._tabs.attains(sig, 2):
-        return None
     packed = space.pack(t)
     if packed is None:
         return None
@@ -123,7 +121,7 @@ def _scan_two(space: _SearchSpace, t: Coeffs) -> tuple[Coeffs, Coeffs] | None:
         return _real_pair(space, t)
     a, b, least_root = space.params.a, space.params.b, space.least_root
     pairs = []
-    for c in space.meet(sig, _parity(t), packed):
+    for c in space.meet(_sig(t), _parity(t), packed):
         # the roots of a half whose pure part is not 0: t's is not
         for x in space.pure_roots(c or packed):
             y = least_root(_sub4(t, cube_coeffs(a, b, x)))
@@ -168,7 +166,8 @@ def _scan(
     """Least witness of t as a sum of exactly k cubes, or None.
 
     Level k runs only when t's signature is in S_k (see
-    :meth:`_Mod9Tables.sums`).  One cube is the target's least root, and
+    :meth:`_Mod9Tables.sums`), a test made here for every k and nowhere
+    else in the search.  One cube is the target's least root, and
     two are met in the middle (:func:`_scan_two`).  For k >= 3 the first
     root runs over the outer box's orbit-least roots
     (:meth:`_SearchSpace.outer_roots`), and the least (k-1)-cube witness
@@ -176,15 +175,14 @@ def _scan(
     whose signature is not in S_(k-1) as it starts.  ``workers`` > 1
     splits only level k itself.
     """
-    sig = _sig(t)
+    if not space._tabs.attains(_sig(t), k):
+        return None
     if k == 1:
         # exact at any bound, and builds no group
-        x = space.least_root(t) if space._tabs.attains(sig, 1) else None
+        x = space.least_root(t)
         return None if x is None else (x,)
     if k == 2:
-        return _scan_two(space, t)  # which tests S_2 itself
-    if not space._tabs.attains(sig, k):
-        return None
+        return _scan_two(space, t)
     if workers > 1:
         return _scan_cells(space, t, k, outer, workers)
     rows = space.outer_roots(t, outer)
@@ -204,18 +202,17 @@ def _scan_cell(
     """Least k-cube witness whose first root starts with (w0, w1), its
     pure part taken from the level's orbit-least ``rows``.
 
-    ``stop``, when given, is called before each w2 row; once it returns
+    ``stop``, when given, is called before each root; once it returns
     true the cell's result is no longer wanted and None comes back.
     """
     a, b = space.params.a, space.params.b
-    for w2, w3_values in rows[w1]:
+    for w2, w3 in rows[w1]:
         if stop is not None and stop():
             return None
-        for w3 in w3_values:
-            w = (w0, w1, w2, w3)
-            res = _scan(space, _sub4(t, cube_coeffs(a, b, w)), k - 1, outer)
-            if res is not None:
-                return (w, *res)
+        w = (w0, w1, w2, w3)
+        res = _scan(space, _sub4(t, cube_coeffs(a, b, w)), k - 1, outer)
+        if res is not None:
+            return (w, *res)
     return None
 
 
@@ -255,8 +252,10 @@ def _clamp_workers(requested: int, chunks: int, cpus: list[int] | None) -> int:
 
 
 def _pin(cpus) -> None:
-    """Keep the calling thread on ``cpus``; where the OS refuses, it
-    stays where it was."""
+    """Keep the calling thread on ``cpus``; None (no affinity set) moves
+    nothing, and where the OS refuses, it stays where it was."""
+    if not cpus:
+        return
     try:
         os.sched_setaffinity(0, cpus)
     except OSError:
@@ -287,11 +286,10 @@ def _take_cells(space, t, k, outer, next_cell, least_hit, before_cell=lambda: No
             return n, res
 
 
-def _cell_worker(params, bound, t, k, outer, next_cell, least_hit, conn, cpu) -> None:
-    """A helper process of a parallel level: move to CPU ``cpu`` first
-    (None: no affinity set), then send what :func:`_take_cells` returns."""
-    if cpu is not None:
-        _pin((cpu,))
+def _cell_worker(params, bound, t, k, outer, next_cell, least_hit, conn, cpus) -> None:
+    """A helper process of a parallel level: move to ``cpus`` first (see
+    :func:`_pin`), then send what :func:`_take_cells` returns."""
+    _pin(cpus)
     conn.send(_take_cells(_SearchSpace(params, bound), t, k, outer, next_cell, least_hit))
 
 
@@ -335,7 +333,6 @@ def _scan_cells(
     next_cell, least_hit = ctx.RawValue("i", 0), ctx.RawValue("i", cells)
     # clamped to the set, so each helper has a CPU and this thread keeps one;
     # CPython defines sched_getaffinity and sched_setaffinity together
-    place = cpus is not None
     procs = []
     try:
         for i in range(workers - 1):
@@ -345,17 +342,15 @@ def _scan_cells(
                 proc = ctx.Process(
                     target=_cell_worker,
                     args=(space.params, space.bound, t, k, outer, next_cell, least_hit, writer,
-                          cpus[i] if place else None),
+                          cpus and cpus[i:i + 1]),
                     daemon=True,
                 )
                 proc.start()
             procs.append((proc, reader))
-        if place:
-            _pin(cpus[workers - 1:])
+        _pin(cpus and cpus[workers - 1:])
         return _own_cells(space, t, k, outer, next_cell, least_hit, procs)
     finally:
-        if place:
-            _pin(cpus)
+        _pin(cpus)
         for proc, _ in procs:
             proc.terminate()
         for proc, reader in procs:

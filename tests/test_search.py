@@ -1157,7 +1157,7 @@ class TestOuterRootSymmetry:
             for u in product(range(-2, 3), repeat=3):
                 t = (0, *u)
                 rows = space.outer_roots(t, outer)
-                got = [(w1, w2, w3) for w1, ws in rows.items() for w2, w3s in ws for w3 in w3s]
+                got = [(w1, w2, w3) for w1, ws in rows.items() for w2, w3 in ws]
                 assert got == _orbit_least(ring, u, outer)
 
     @pytest.mark.parametrize("ring", SYMMETRY_RINGS)
@@ -1255,7 +1255,7 @@ class TestOuterRootSymmetry:
     def test_three_cube_scan_skips_positive_outer_coefficients(self, monkeypatch, coeffs):
         params, outer = RingParams(1, 1), 2
         # level 3 cubes every orbit-least root and leaves each remainder's
-        # S_2 test to _scan_two
+        # S_2 test to level 2, which makes it before it calls _scan_two
         tabs, space = _mod9_tables(params), _SearchSpace(params, 1)
         assert tabs.attains(_sig(coeffs), 3)
         scanned = self._record_outer_roots(monkeypatch, "_scan_two")
@@ -1324,35 +1324,31 @@ class TestOuterRootSymmetry:
 
     @staticmethod
     def _count_meets(monkeypatch):
-        # one _SearchSpace.meet call per meet: _scan_two makes one for each
-        # target whose signature is in S_2 and whose pure part is packed and not 0
+        # one _SearchSpace.meet call per meet: _scan enters _scan_two only
+        # for a target whose signature is in S_2, and _scan_two meets each
+        # one whose pure part is packed and not 0; entries records each
+        # target _scan_two gets
         meets, entries = [], []
         meet, scan_two = _SearchSpace.meet, search._scan_two
         monkeypatch.setattr(_SearchSpace, "meet", lambda *args: meets.append(1) or meet(*args))
-        monkeypatch.setattr(search, "_scan_two", lambda *args: entries.append(1) or scan_two(*args))
+        monkeypatch.setattr(
+            search, "_scan_two", lambda space, t: entries.append(t) or scan_two(space, t)
+        )
         return meets, entries
 
-    def test_flagship_makes_326_meets(self, monkeypatch):
-        meets, entries = self._count_meets(monkeypatch)
-        target = Quaternion(LIPSCHITZ, 3, 3, 0, 0)
-        roots = min_cubes_search(target, SearchConfig(max_cubes=3, coeff_bound=10, outer_bound=6))
-        assert [r.coefficients() for r in roots] == [(-5, -4, -4, -2), (5, 2, 6, 3), (6, 1, 0, 0)]
-        # one entry for the 2-cube stage, the rest for the 436 orbit-least
-        # outer roots up to the witness's; 110 of their remainders are not
-        # in S_2, so only 326 of the 437 entries meet
-        assert len(entries) == 437
-        assert len(meets) == 326
-
-    @pytest.mark.parametrize("ring, coeffs, cfg, roots, meets, pairs, lookups", [
+    @pytest.mark.parametrize("ring, coeffs, cfg, roots, entries, meets, pairs, lookups", [
+        # the 2-cube stage and the 436 orbit-least outer roots up to the
+        # witness's leave 326 targets in S_2, and each one is packed and meets
         ((1, 1), (3, 3, 0, 0), (3, 10, 6),
-         [(-5, -4, -4, -2), (5, 2, 6, 3), (6, 1, 0, 0)], 326, 20_749, 316_192),
+         [(-5, -4, -4, -2), (5, 2, 6, 3), (6, 1, 0, 0)], 326, 326, 20_749, 316_192),
         # levels 3 and 4 both run in ring (3, 3), and every remainder of
-        # level 4 is tested against S_3 once, when level 3 starts
-        ((3, 3), (1000, 300, 600, -900), (4, 2, 2), None, 1130, 35_584, 46_402),
-        ((1, 1), (4001, 2999, -1234, 777), (3, 10, 4), None, 6562, 727_507, 9_208_519),
+        # level 4 is tested against S_3 once, when level 3 starts; most
+        # targets in S_2 there have a coefficient too large to pack
+        ((3, 3), (1000, 300, 600, -900), (4, 2, 2), None, 328_751, 1130, 35_584, 46_402),
+        ((1, 1), (4001, 2999, -1234, 777), (3, 10, 4), None, 6562, 6562, 727_507, 9_208_519),
     ], ids=["flagship", "four-cube-no-witness", "three-cube-no-witness"])
     def test_meets_pin_their_group_pairs_and_lookups(
-        self, monkeypatch, ring, coeffs, cfg, roots, meets, pairs, lookups
+        self, monkeypatch, ring, coeffs, cfg, roots, entries, meets, pairs, lookups
     ):
         # each unordered pair of groups is met once, the smaller side
         # iterated: a pair is one keys() call on its larger group, and its
@@ -1372,7 +1368,22 @@ class TestOuterRootSymmetry:
         for s in {stored for stored, _ in space._tabs.stored.values()}:
             space._groups[s] = {p: Counted(g) for p, g in space.groups(s).items()}
         monkeypatch.setattr(search, "_SearchSpace", lambda *args: space)
-        met, _ = self._count_meets(monkeypatch)
+        met, entered = self._count_meets(monkeypatch)
         got = min_cubes_search(Quaternion(params, *coeffs), SearchConfig(*cfg))
         assert (got and [r.coefficients() for r in got]) == roots
-        assert (len(met), work["pairs"], work["lookups"]) == (meets, pairs, lookups)
+        assert (len(entered), len(met), work["pairs"], work["lookups"]) == (
+            entries, meets, pairs, lookups
+        )
+
+    @pytest.mark.parametrize("ring, coeffs, cfg", [
+        ((1, 1), (3, 3, 0, 0), (3, 10, 6)),
+        ((3, 3), (1000, 300, 600, -900), (4, 2, 2)),
+    ], ids=["flagship", "four-cube-no-witness"])
+    def test_two_cube_scan_gets_only_targets_in_s2(self, monkeypatch, ring, coeffs, cfg):
+        # the S_k test is made once, as _scan starts a level, so no target
+        # outside S_2 reaches _scan_two
+        params = RingParams(*ring)
+        _, entered = self._count_meets(monkeypatch)
+        min_cubes_search(Quaternion(params, *coeffs), SearchConfig(*cfg))
+        tabs = _mod9_tables(params)
+        assert entered and all(tabs.attains(_sig(t), 2) for t in entered)
