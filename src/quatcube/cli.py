@@ -6,6 +6,12 @@ unrepresentable target, 2 on usage or parse errors, 141 when the reader
 of stdout goes away before the output is written.  ``--json`` switches
 to a machine-readable form in which all coefficients are decimal strings
 (the integers here routinely exceed what JSON consumers parse exactly).
+
+Each subcommand computes one result: the ``--json`` payload, the text
+lines built from that payload's strings, and the exit code.  ``main``
+alone writes stdout, once, as JSON or as text, so the exit code does not
+depend on ``--json``.  A usage error inside a command writes its one
+stderr line and nothing to stdout.
 """
 
 from __future__ import annotations
@@ -15,6 +21,7 @@ import json
 import os
 import re
 import sys
+from itertools import product
 
 from .decompose import Decomposition, decompose, lemma_residue_check, member_cube_subgroup, verify
 from .errors import NotRepresentable, ParseError, QuatcubeError, VerificationFailed
@@ -113,19 +120,8 @@ def _coeffs(q: Quaternion) -> list[str]:
     return _strs(q.coefficients())
 
 
-def _text(q: Quaternion) -> str:
-    try:
-        return str(q)
-    except ValueError:  # beyond sys.get_int_max_str_digits()
-        raise _too_many_digits() from None
-
-
 def _ring_json(params: RingParams) -> list[str]:
     return [str(params.a), str(params.b)]
-
-
-def _emit(payload: dict) -> None:
-    print(json.dumps(payload, separators=(",", ":")))
 
 
 def decompose_payload(alpha: Quaternion) -> dict:
@@ -200,61 +196,52 @@ def lower_bounds_payload(params: RingParams) -> dict:
     }
 
 
-def _print_roots(roots: list[list[str]]) -> None:
-    for idx, r in enumerate(roots, 1):
-        print(f"  root {idx}: {coeffs_text(tuple(map(int, r)))}")
+# a subcommand's result: the --json payload (None after a usage error,
+# which prints nothing to stdout), the text lines and the exit code
+_Result = tuple[dict | None, list[str], int]
 
 
-def _cmd_decompose(args) -> int:
+def _quat_text(c: list[str]) -> str:
+    # a payload's decimal strings, already within the digit limit, as text
+    return coeffs_text(tuple(map(int, c)))
+
+
+def _root_lines(roots: list[list[str]]) -> list[str]:
+    return [f"  root {idx}: {_quat_text(r)}" for idx, r in enumerate(roots, 1)]
+
+
+def _ring_line(payload: dict) -> str:
+    return f"ring: ({','.join(payload['ring'])})   case: {payload['case']}"
+
+
+def _cmd_decompose(args) -> _Result:
     alpha = parse_quaternion(args.quaternion, args.ring)
     try:
         payload = decompose_payload(alpha)
-    except NotRepresentable as exc:
-        if args.json:
-            _emit({
-                "ring": _ring_json(args.ring),
-                "target": _coeffs(alpha),
-                "error": "NotRepresentable",
-            })
-        else:
-            print(f"error: {exc}", file=sys.stderr)
-        return 1
-    if args.json:
-        _emit(payload)
-    else:
-        print(f"ring: ({args.ring.a},{args.ring.b})   case: {payload['case']}")
-        print(f"target: {_text(alpha)}")
-        _print_roots(payload["roots"])
-        print(f"count: {payload['count']}   verified: {str(payload['verified']).lower()}")
-    return 0
+    except NotRepresentable:
+        if not args.json:
+            raise  # main prints its "error: ..." line
+        return {"ring": _ring_json(args.ring), "target": _coeffs(alpha),
+                "error": "NotRepresentable"}, [], 1
+    return payload, [
+        _ring_line(payload),
+        f"target: {_quat_text(payload['target'])}",
+        *_root_lines(payload["roots"]),
+        f"count: {payload['count']}   verified: {str(payload['verified']).lower()}",
+    ], 0
 
 
-def _cmd_cube(args) -> int:
+def _cmd_cube(args) -> _Result:
     x = parse_quaternion(args.quaternion, args.ring)
-    c = cube(x)
-    if args.json:
-        _emit({
-            "ring": _ring_json(args.ring),
-            "input": _coeffs(x),
-            "cube": _coeffs(c),
-        })
-    else:
-        print(f"({_text(x)})^3 = {_text(c)}")
-    return 0
+    payload = {"ring": _ring_json(args.ring), "input": _coeffs(x), "cube": _coeffs(cube(x))}
+    return payload, [f"({_quat_text(payload['input'])})^3 = {_quat_text(payload['cube'])}"], 0
 
 
-def _cmd_member(args) -> int:
+def _cmd_member(args) -> _Result:
     alpha = parse_quaternion(args.quaternion, args.ring)
     ok = member_cube_subgroup(alpha)
-    if args.json:
-        _emit({
-            "ring": _ring_json(args.ring),
-            "target": _coeffs(alpha),
-            "member": ok,
-        })
-    else:
-        print(str(ok).lower())
-    return 0 if ok else 1
+    payload = {"ring": _ring_json(args.ring), "target": _coeffs(alpha), "member": ok}
+    return payload, [str(ok).lower()], 0 if ok else 1
 
 
 def _usage_error(message: str) -> int:
@@ -262,9 +249,9 @@ def _usage_error(message: str) -> int:
     return 2
 
 
-def _cmd_search(args) -> int:
+def _cmd_search(args) -> _Result:
     if args.workers < 1:
-        return _usage_error(f"--workers must be at least 1, got {args.workers}")
+        return None, [], _usage_error(f"--workers must be at least 1, got {args.workers}")
     try:
         cfg = SearchConfig(
             max_cubes=args.max_cubes,
@@ -272,76 +259,55 @@ def _cmd_search(args) -> int:
             outer_bound=args.outer_bound,
         )
     except ValueError as exc:
-        return _usage_error(str(exc))
+        return None, [], _usage_error(str(exc))
     alpha = parse_quaternion(args.quaternion, args.ring)
     payload = search_payload(alpha, cfg, workers=args.workers)
-    found = payload["found"]
-    if args.json:
-        _emit(payload)
-    else:
-        if found:
-            print(f"{_text(alpha)} is a sum of {payload['count']} cubes within the box:")
-            _print_roots(payload["roots"])
-            print(f"verified: {str(payload['verified']).lower()}")
-        else:
-            print(
-                f"no representation with at most {cfg.max_cubes} cubes in the box "
-                f"(bound {cfg.coeff_bound}, outer {cfg.outer}); "
-                "absence within a box is not a proof of non-representability"
-            )
-    return 0 if found else 1
+    if not payload["found"]:
+        return payload, [
+            f"no representation with at most {payload['max_cubes']} cubes in the box "
+            f"(bound {payload['coeff_bound']}, outer {payload['outer_bound']}); "
+            "absence within a box is not a proof of non-representability"
+        ], 1
+    return payload, [
+        f"{_quat_text(payload['target'])} is a sum of {payload['count']} cubes within the box:",
+        *_root_lines(payload["roots"]),
+        f"verified: {str(payload['verified']).lower()}",
+    ], 0
 
 
-def _cmd_check_lemmas(args) -> int:
-    if args.residues is not None:
-        pairs = [args.residues]
-    else:
-        pairs = [(a6, b6) for a6 in range(6) for b6 in range(6)]
-    results = []
-    all_passed = True
-    for a6, b6 in pairs:
-        report = lemma_residue_check(a6, b6)
-        all_passed = all_passed and report.passed
-        results.append((a6, b6, report))
-    if args.json:
-        _emit({
-            "results": [
-                {
-                    "a6": a6,
-                    "b6": b6,
-                    "case": str(rep.case),
-                    "swapped": rep.case.swapped,
-                    "classes_checked": rep.classes_checked,
-                    "pair_targets_checked": rep.pair_targets_checked,
-                    "failures": [list(f.residues()) for f in rep.failures],
-                }
-                for a6, b6, rep in results
-            ],
-            "passed": all_passed,
-        })
-    else:
-        for a6, b6, rep in results:
-            status = "ok" if rep.passed else f"FAILED ({len(rep.failures)} classes)"
-            print(
-                f"(a,b) = ({a6},{b6}) mod 6  [{rep.case}"
-                f"{', swapped' if rep.case.swapped else ''}]: "
-                f"{rep.classes_checked} recipe classes, "
-                f"{rep.pair_targets_checked} pair targets: {status}"
-            )
-        print("all residue checks passed" if all_passed else "residue checks FAILED")
-    return 0 if all_passed else 1
+def _cmd_check_lemmas(args) -> _Result:
+    pairs = [args.residues] if args.residues is not None else product(range(6), repeat=2)
+    results = [
+        {
+            "a6": a6,
+            "b6": b6,
+            "case": str(rep.case),
+            "swapped": rep.case.swapped,
+            "classes_checked": rep.classes_checked,
+            "pair_targets_checked": rep.pair_targets_checked,
+            "failures": [list(f.residues()) for f in rep.failures],
+        }
+        for a6, b6 in pairs
+        for rep in [lemma_residue_check(a6, b6)]
+    ]
+    passed = not any(r["failures"] for r in results)
+    lines = [
+        f"(a,b) = ({r['a6']},{r['b6']}) mod 6  [{r['case']}"
+        f"{', swapped' if r['swapped'] else ''}]: "
+        f"{r['classes_checked']} recipe classes, {r['pair_targets_checked']} pair targets: "
+        + (f"FAILED ({len(r['failures'])} classes)" if r["failures"] else "ok")
+        for r in results
+    ]
+    lines.append("all residue checks passed" if passed else "residue checks FAILED")
+    return {"results": results, "passed": passed}, lines, 0 if passed else 1
 
 
-def _cmd_check_lower_bounds(args) -> int:
+def _cmd_check_lower_bounds(args) -> _Result:
     payload = lower_bounds_payload(args.ring)
-    if args.json:
-        _emit(payload)
-    else:
-        print(f"ring: ({args.ring.a},{args.ring.b})   case: {payload['case']}")
-        for check in payload["checks"]:
-            status = "holds" if check["holds"] else "FAILED"
-            print(f"  {check['statement']}: {status} ({check['detail']})")
-    return 0 if payload["passed"] else 1
+    return payload, [_ring_line(payload)] + [
+        f"  {check['statement']}: {'holds' if check['holds'] else 'FAILED'} ({check['detail']})"
+        for check in payload["checks"]
+    ], 0 if payload["passed"] else 1
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -412,7 +378,9 @@ EXIT_BROKEN_PIPE = 141
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        code = args.func(args)
+        payload, lines, code = args.func(args)
+        if payload is not None:
+            print(json.dumps(payload, separators=(",", ":")) if args.json else "\n".join(lines))
         sys.stdout.flush()
         return code
     except ParseError as exc:

@@ -34,10 +34,11 @@ class on the value types' base ``quat._Frozen``: its constructor,
 slots' own setters, past the frozen ``__setattr__``, and it compares,
 hashes, prints and pickles by target, roots and case, as the base does.
 :func:`lemma_residue_check` certifies the same tuple helpers,
-``_congruence_root``, ``_pair`` and ``_swap``, over whole residue
-classes mod 6.  The public object helpers
-``identity_6z``, ``identity_6z3``, ``cube_root_congruence`` and
-``select_pair`` wrap them for library callers, and build ``Quaternion``s.
+``_congruence_root``, ``_pair`` and ``_swap`` (the mirror map that
+``quat.swap_iso`` applies), over whole residue classes mod 6.  The
+public object helpers ``identity_6z``, ``identity_6z3``,
+``cube_root_congruence`` and ``select_pair`` wrap them for library
+callers, and build ``Quaternion``s.
 """
 
 from __future__ import annotations
@@ -47,9 +48,11 @@ from collections.abc import Iterable
 from itertools import product
 
 from .errors import InvalidResidues, NotRepresentable, PreconditionViolated, VerificationFailed
+from .quat import (
+    Coeffs, Quaternion, RingParams, _Frozen, _set, _swap, coeffs_text, cube_coeffs, cube_sum,
+)
 # cube, swap_iso, delta and lnr6 are not called here: perfbench/tracing.py
 # wraps them under these names
-from .quat import Coeffs, Quaternion, RingParams, _Frozen, _set, coeffs_text, cube_coeffs, cube_sum
 from .quat import cube, swap_iso  # noqa: F401
 from .residues import (  # noqa: F401
     Case,
@@ -263,11 +266,6 @@ def _roots(c: Coeffs, a: int, b: int, case: Case) -> list[Coeffs]:
             d0, d1, d2, d3 = cube_coeffs(a, b, x)
             c0, c1, c2, c3 = c0 - d0, c1 - d1, c2 - d2, c3 - d3
     return xs + _identity(c0 // 6, c1 // 6, c2 // 6, c3 // 6, c0 % 6 != 0)
-
-
-def _swap(c: Coeffs) -> Coeffs:
-    # swap_iso on coefficients; it is its own inverse
-    return (c[0], c[2], c[1], -c[3])
 
 
 class LemmaReport(_Frozen):

@@ -27,6 +27,11 @@ the one other place that spells the form out, for the cube's pure part
 alone, and the search inverts it twice: ``_SearchSpace.least_root``
 reads the least box root of a cube from the cube's reduced norm, and
 ``_SearchSpace.pure_roots`` every box root of a pure part from its gcd.)
+
+The mirror map onto the ring with a and b exchanged is spelled once, by
+:func:`_swap` on coefficients: :func:`swap_iso` applies it to a
+``Quaternion``, and the decomposer and its lemma check call it directly,
+so the tests of ``swap_iso`` certify the map they use.
 """
 
 from __future__ import annotations
@@ -272,11 +277,16 @@ def cube(x: Quaternion) -> Quaternion:
     return Quaternion(x.params, *cube_coeffs(x.params.a, x.params.b, x.coefficients()))
 
 
+def _swap(c: Coeffs) -> Coeffs:
+    # swap_iso on coefficients; it is its own inverse
+    return (c[0], c[2], c[1], -c[3])
+
+
 def swap_iso(x: Quaternion) -> Quaternion:
     """The ring isomorphism onto the mirror ring with (a, b) exchanged.
 
     Sends i to j', j to i' and k to -k', i.e. on coefficients
-    (c0, c1, c2, c3) -> (c0, c2, c1, -c3).  It is multiplicative, and
-    applying it twice returns the original element.
+    (c0, c1, c2, c3) -> (c0, c2, c1, -c3), the map :func:`_swap`.  It is
+    multiplicative, and applying it twice returns the original element.
     """
-    return Quaternion(x.params.swapped(), x.c0, x.c2, x.c1, -x.c3)
+    return Quaternion(x.params.swapped(), *_swap(x.coefficients()))

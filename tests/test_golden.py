@@ -1,5 +1,6 @@
 """Golden outputs: decompose, search, check-lemmas and check-lower-bounds
-bytes, parser error messages.
+bytes, every subcommand's text and ``--json`` forms with their exit
+codes, parser error messages.
 
 The expected values were recorded from the object-based decomposer and
 the character-by-character parser that preceded the tuple core and the
@@ -244,3 +245,50 @@ def test_check_lower_bounds_bytes_match_recorded_hash(capsys, flags, digest):
             assert main(["check-lower-bounds", "--ring", f"{a},{b}", *flags]) == 0
             out.append(capsys.readouterr().out)
     assert hashlib.sha256("".join(out).encode()).hexdigest() == digest
+
+
+# every subcommand's other outputs: (argv, exit code, then the sha256 of
+# stdout and the stderr text, first in text form and then with --json);
+# the exit code does not depend on --json
+_EMPTY = hashlib.sha256(b"").hexdigest()
+CLI_OUTPUTS = [
+    (["decompose", "--ring", "1,1", "6"], 0,
+     ("332396feeb069f689f4b91274f62e5b9d3865699e2fa8fa08b79ed5f127fa43d", ""),
+     ("41098f296d407334183200eec782fab72b5b26a03614bb86ed9695313555f2ea", "")),
+    (["decompose", "--ring", "3,6", "5+3i-9j+300k"], 0,
+     ("21c4a8acf38cfce83f803aab30ba8cd5b537be8144eecf731fecd578e0f1119c", ""),
+     ("ac64bde112c58229a682e8088111578d64471c0a72e3580531b7ccbfdbcdebb8", "")),
+    (["decompose", "--ring", "3,3", "1+i"], 1,
+     (_EMPTY, "error: 1+i is not in the cube subgroup of (3,3)\n"),
+     ("b5d5ea4dde585679d0f9735074715d397b3c09961002052f9133a052d4760b1e", "")),
+    (["cube", "--ring", "2,3", "1+i+j+k"], 0,
+     ("d93cdf75f88f11b3a8d3f78284dd9033414420c754eb15452899b6d7ac65bf04", ""),
+     ("d8e2e1eb7fe31afd78fdec7c7cf8fb7b44e2bc12326ebcb0fc6a5e0e0616a669", "")),
+    (["member", "--ring", "2,1", "1+i"], 0,
+     ("a17fcf0a2f50e2d495e4f90ce263410edc183add6c62699a2facbccf60410f74", ""),
+     ("d461ea6050146f96407e05f904ca0a94d761a1df9cdecbeda9e2427acb07c2c1", "")),
+    (["member", "--ring", "3,3", "1+i"], 1,
+     ("2ed27c1421e6928dbe13dbfdb5c59e1045b30341fe7ebe05700006bc5ac572c0", ""),
+     ("6ba606535769982148d1b10b65503adb64640a0a1b6f6e69df5a9a59aca7fbd2", "")),
+    (["search", "--ring", "1,1", "--max-cubes", "3", "--bound", "10", "--outer-bound", "6",
+      "3+3i"], 0,
+     ("68d43be2a98396066be2ff0e78703142f6774ff901e0228ab190f953aa05acae", ""),
+     ("e3e0db55b6a03db956c7ede809ce74fc8a65d69cfb961e92606f0246cbe5f538", "")),
+    (["search", "--ring", "1,1", "--max-cubes", "2", "--bound", "3", "3+3i"], 1,
+     ("033a65f435afb0a1bf9155a6ed292fc072d6d2fdfaedb415d63598aca14f6544", ""),
+     ("67fd2a7b26a284396c414296488f2adb93e9fe20a44ecc9302112039ac4f9cae", "")),
+    (["search", "--ring", "1,1", "--workers", "0", "3+3i"], 2,
+     (_EMPTY, "usage error: --workers must be at least 1, got 0\n"),
+     (_EMPTY, "usage error: --workers must be at least 1, got 0\n")),
+    (["search", "--ring", "1,1", "--max-cubes", "9", "3+3i"], 2,
+     (_EMPTY, "usage error: max_cubes must be in 1..4, got 9\n"),
+     (_EMPTY, "usage error: max_cubes must be in 1..4, got 9\n")),
+]
+
+
+@pytest.mark.parametrize("argv, code, text, as_json", CLI_OUTPUTS)
+def test_cli_outputs_match_recorded_hashes(capsys, argv, code, text, as_json):
+    for flags, (digest, err) in (((), text), (("--json",), as_json)):
+        assert main([*argv, *flags]) == code
+        got = capsys.readouterr()
+        assert (hashlib.sha256(got.out.encode()).hexdigest(), got.err) == (digest, err)
