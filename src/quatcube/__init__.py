@@ -11,8 +11,6 @@ from .decompose import (
     LemmaReport,
     cube_root_congruence,
     decompose,
-    identity_6z,
-    identity_6z3,
     lemma_residue_check,
     member_cube_subgroup,
     select_pair,
@@ -28,7 +26,7 @@ from .errors import (
     VerificationFailed,
 )
 from .parser import parse_quaternion
-from .quat import Quaternion, RingParams, cube, cube_coeffs, p_value, swap_iso
+from .quat import Quaternion, RingParams, cube, cube_coeffs, swap_iso
 from .residues import (
     Case,
     CaseTag,
@@ -69,8 +67,6 @@ __all__ = [
     "cube_root_congruence",
     "decompose",
     "delta",
-    "identity_6z",
-    "identity_6z3",
     "in_S",
     "in_T2",
     "in_T3",
@@ -78,7 +74,6 @@ __all__ = [
     "lnr6",
     "member_cube_subgroup",
     "min_cubes_search",
-    "p_value",
     "parse_quaternion",
     "select_pair",
     "swap_iso",

@@ -133,9 +133,10 @@ class _SearchSpace:
         It inverts the closed form of ``cube_coeffs``.  The reduced norm
         is multiplicative, so a root x of c has the norm n, the exact
         integer cube root of ``n(c) = c0**2 + a*c1**2 + b*c2**2 +
-        ab*c3**2``.  For each x0 in the box, in increasing order, the pure
-        part v of x then has ``P(v) = n - x0**2``, and ``c0 == x0 *
-        (x0**2 - 3P)`` must hold.  With ``f = 3*x0**2 - P`` not 0, v is
+        ab*c3**2``, and c has no root at any bound when n(c) is no cube.
+        For each x0 in the box, in increasing order, the pure part v of x
+        then has ``P(v) = n - x0**2``, and ``c0 == x0 * (x0**2 - 3P)``
+        must hold.  With ``f = 3*x0**2 - P`` not 0, v is
         ``(c1, c2, c3) / f``, which must divide exactly, lie in the box and
         have P(v) == P.  With f == 0 the pure part of c is 0, and the least
         v of the box with P(v) == P is taken (:meth:`_form_roots`).
@@ -144,7 +145,9 @@ class _SearchSpace:
         a, b, bound = self.params.a, self.params.b, self.bound
         c0, c1, c2, c3 = c
         ab = a * b
-        n = _icbrt(c0 * c0 + a * c1 * c1 + b * c2 * c2 + ab * c3 * c3)
+        n = _icbrt(norm := c0 * c0 + a * c1 * c1 + b * c2 * c2 + ab * c3 * c3)
+        if n * n * n != norm:
+            return None
         m = min(bound, isqrt(n))
         for x0 in range(-m, m + 1):
             p = n - x0 * x0

@@ -34,11 +34,10 @@ class on the value types' base ``quat._Frozen``: its constructor,
 slots' own setters, past the frozen ``__setattr__``, and it compares,
 hashes, prints and pickles by target, roots and case, as the base does.
 :func:`lemma_residue_check` certifies the same tuple helpers,
-``_congruence_root``, ``_pair`` and ``_swap`` (the mirror map that
-``quat.swap_iso`` applies), over whole residue classes mod 6.  The
-public object helpers ``identity_6z``, ``identity_6z3``,
-``cube_root_congruence`` and ``select_pair`` wrap them for library
-callers, and build ``Quaternion``s.
+``_congruence_root`` (and its ``residues._delta``), ``_pair`` and ``_swap``
+(the mirror map of ``quat.swap_iso``), over whole residue classes mod 6;
+``cube_root_congruence`` and ``select_pair`` wrap the first two for
+library callers, and build ``Quaternion``s.
 """
 
 from __future__ import annotations
@@ -58,6 +57,7 @@ from .residues import (  # noqa: F401
     Case,
     CaseTag,
     ResidueClass,
+    _delta,
     classify_case,
     delta,
     in_S,
@@ -126,16 +126,6 @@ def _identity(z0: int, z1: int, z2: int, z3: int, plus3: bool) -> list[Coeffs]:
     return [(z0 + 1, z1, z2, z3), (z0 - 1, z1, z2, z3), neg, neg]
 
 
-def identity_6z(z: Quaternion) -> list[Quaternion]:
-    """Four roots whose cubes sum to 6z."""
-    return [Quaternion(z.params, *r) for r in _identity(*z.coefficients(), False)]
-
-
-def identity_6z3(z: Quaternion) -> list[Quaternion]:
-    """Four roots whose cubes sum to 6z + 3."""
-    return [Quaternion(z.params, *r) for r in _identity(*z.coefficients(), True)]
-
-
 def member_cube_subgroup(alpha: Quaternion) -> bool:
     """Whether alpha lies in the additive group generated by all cubes.
 
@@ -152,13 +142,9 @@ def _in_cube_subgroup(case: Case, c: Coeffs) -> bool:
 
 
 def _congruence_root(r: Coeffs, a: int, b: int, case: Case) -> Coeffs:
-    # the recipe root of the class with residues r (each in 0..5); delta
-    # is 1 when p_value is odd (cases 1/2), or when p_value and the real
-    # coefficient have the same parity (case 3)
+    # the recipe root of the class with residues r (each in 0..5)
     r0, r1, r2, r3 = r
-    d = (a * r1 + b * r2 + a * b * r3) % 2
-    if case is Case.CASE3:
-        d = 1 if d == r0 % 2 else 0
+    d = _delta(r, a, b, case)
     if case is Case.CASE2C:
         return (r0 - 3 * d, 6 - r1, 6 - r2, 6 - r3)
     return (r0 - 3 * d, r1, r2, r3)
@@ -184,20 +170,21 @@ def cube_root_congruence(alpha: Quaternion, case: CaseTag) -> Quaternion:
         raise PreconditionViolated(
             "ring orientation must be normalized; apply swap_iso first"
         )
-    cls = ResidueClass.of(alpha)
+    a, b = alpha.params.a, alpha.params.b
+    r = tuple([v % 6 for v in alpha.coefficients()])
+    cls = ResidueClass(*r, a % 6, b % 6)
     if case.case is Case.CASE3:
-        if not _in_cube_subgroup(Case.CASE3, alpha.coefficients()):
+        if not _in_cube_subgroup(Case.CASE3, r):
             raise PreconditionViolated(
                 "imaginary coefficients must be divisible by 3 in case 3"
             )
     elif case.case is Case.CASE1:
         if not in_S(cls):
-            raise PreconditionViolated(f"residue class {cls.residues()} not in S")
+            raise PreconditionViolated(f"residue class {r} not in S")
     else:
         if not (in_T2(cls) or in_T3(cls)):
-            raise PreconditionViolated(f"residue class {cls.residues()} not in T2 or T3")
-    root = _congruence_root(cls.residues(), alpha.params.a, alpha.params.b, case.case)
-    return Quaternion(alpha.params, *root)
+            raise PreconditionViolated(f"residue class {r} not in T2 or T3")
+    return Quaternion(alpha.params, *_congruence_root(r, a, b, case.case))
 
 
 # residue alphabets mod 6: odd, not divisible by 3, divisible by 3
@@ -248,7 +235,7 @@ def select_pair(alpha: Quaternion, case: CaseTag) -> tuple[ResidueClass, Residue
     if case.case is Case.CASE3:
         raise PreconditionViolated("pair selection applies to cases 1 and 2 only")
     a6, b6 = alpha.params.a % 6, alpha.params.b % 6
-    first, second = _pair(ResidueClass.of(alpha).residues(), case.case)
+    first, second = _pair(tuple([v % 6 for v in alpha.coefficients()]), case.case)
     return ResidueClass(*first, a6, b6), ResidueClass(*second, a6, b6)
 
 
@@ -334,7 +321,7 @@ def lemma_residue_check(a6: int, b6: int) -> LemmaReport:
     S, T2, T3 = _class_sets()
     classes = list(product(range(6), repeat=4))
     if case is Case.CASE3:
-        recipe = {r for r in classes if not (r[1] % 3 or r[2] % 3 or r[3] % 3)}
+        recipe = {r for r in classes if _in_cube_subgroup(case, r)}
     else:
         recipe = S if case is Case.CASE1 else T2 | T3
     checked = 0

@@ -104,10 +104,6 @@ class RingParams(_Frozen):
         _set(self, "a", a)
         _set(self, "b", b)
 
-    def swapped(self) -> "RingParams":
-        """Parameters of the mirror ring with the roles of a and b exchanged."""
-        return RingParams(self.b, self.a)
-
 
 class Quaternion(_Frozen):
     """An element c0 + c1*i + c2*j + c3*k bound to its ring parameters.
@@ -137,9 +133,6 @@ class Quaternion(_Frozen):
     def imaginary(self) -> tuple[int, int, int]:
         """Coefficients of i, j, k (the pure part)."""
         return (self.c1, self.c2, self.c3)
-
-    def is_scalar(self) -> bool:
-        return self.c1 == 0 and self.c2 == 0 and self.c3 == 0
 
     def _coerce(self, other: object) -> "Quaternion | None":
         if isinstance(other, Quaternion):
@@ -225,21 +218,11 @@ def coeffs_text(c: Coeffs) -> str:
     return out
 
 
-def p_value(x: Quaternion) -> int:
-    """The quadratic form a*c1**2 + b*c2**2 + a*b*c3**2 of the pure part.
-
-    Non-negative for every element, and zero exactly when the pure part
-    vanishes (a and b are positive).  For a pure quaternion v one has
-    v*v == -p_value(v) as a scalar.
-    """
-    a, b = x.params.a, x.params.b
-    return a * x.c1 * x.c1 + b * x.c2 * x.c2 + a * b * x.c3 * x.c3
-
-
 def cube_coeffs(a: int, b: int, c: Coeffs) -> Coeffs:
     """The cube of c0 + c1*i + c2*j + c3*k in the ring (a, b), on coefficients.
 
-    With P = a*c1**2 + b*c2**2 + a*b*c3**2 (see :func:`p_value`),
+    With P = a*c1**2 + b*c2**2 + a*b*c3**2, the norm form of the pure part
+    v = c1*i + c2*j + c3*k (so v*v == -P),
 
         x**3 == (c0**2 - 3P)*c0  +  (3*c0**2 - P) * (c1*i + c2*j + c3*k)
 
@@ -289,4 +272,4 @@ def swap_iso(x: Quaternion) -> Quaternion:
     (c0, c1, c2, c3) -> (c0, c2, c1, -c3), the map :func:`_swap`.  It is
     multiplicative, and applying it twice returns the original element.
     """
-    return Quaternion(x.params.swapped(), *_swap(x.coefficients()))
+    return Quaternion(RingParams(x.params.b, x.params.a), *_swap(x.coefficients()))

@@ -29,7 +29,7 @@ from __future__ import annotations
 
 from enum import Enum
 
-from .quat import Quaternion, RingParams, _Frozen, _set, p_value
+from .quat import Coeffs, Quaternion, RingParams, _Frozen, _set
 
 
 class Case(Enum):
@@ -63,13 +63,6 @@ class ResidueClass(_Frozen):
             if not 0 <= r <= 5:
                 raise ValueError(f"residues must lie in 0..5, got {r}")
             _set(self, name, r)
-
-    @classmethod
-    def of(cls, x: Quaternion) -> "ResidueClass":
-        return cls(
-            x.c0 % 6, x.c1 % 6, x.c2 % 6, x.c3 % 6,
-            x.params.a % 6, x.params.b % 6,
-        )
 
     def residues(self) -> tuple[int, int, int, int]:
         return (self.r0, self.r1, self.r2, self.r3)
@@ -115,14 +108,19 @@ def in_T3(c: ResidueClass) -> bool:
     return c.r0 % 2 == 1 and c.r1 % 3 != 0 and c.r2 % 3 != 0 and c.r3 % 3 == 0
 
 
+def _delta(c: Coeffs, a: int, b: int, case: Case) -> int:
+    # delta on coefficients c in ring (a, b): P has the parity of a*c1 + b*c2 + ab*c3
+    d = (a * c[1] + b * c[2] + a * b * c[3]) % 2
+    if case is Case.CASE3:
+        return 1 if d == c[0] % 2 else 0
+    return d
+
+
 def delta(x: Quaternion, case: CaseTag) -> int:
     """The 0/1 shift selector for the real part of the recipe root.
 
-    Cases 1 and 2: 1 when p_value(x) is odd.  Case 3: 1 when p_value(x)
-    and the real coefficient have the same parity.
+    With P = a*c1**2 + b*c2**2 + a*b*c3**2 of x's pure part: in cases 1
+    and 2, 1 when P is odd; in case 3, 1 when P and c0 have the same
+    parity.  The recipe root reads it too, as ``_delta``.
     """
-    p_odd = p_value(x) % 2
-    if case.case is Case.CASE3:
-        return 1 if p_odd == x.c0 % 2 else 0
-    return p_odd
-
+    return _delta(x.coefficients(), x.params.a, x.params.b, case.case)

@@ -399,7 +399,9 @@ def min_cubes_search(
     no representation exists within the bounds, which proves nothing
     beyond the box.
 
-    One cube is the target's least root, exact at any bound.  Two cubes
+    One cube is the target's least root, exact at any bound: a target
+    whose norm is no cube is refused at once, and a cube's root is found
+    by a scan of its real part that grows with the root's size.  Two cubes
     are met in the middle on the packed pure parts of the box's cubes,
     one stored set per class (±s0, ±s') of signatures mod 9 (172 for the
     513 of ring (1, 1)), each built when a search first meets it; a

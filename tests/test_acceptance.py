@@ -16,8 +16,6 @@ from quatcube import (
     classify_case,
     cube,
     decompose,
-    identity_6z,
-    identity_6z3,
     lemma_residue_check,
     member_cube_subgroup,
     min_cubes_search,
@@ -26,6 +24,7 @@ from quatcube import (
     verify,
 )
 from quatcube.cli import decompose_payload, lower_bounds_payload, search_payload
+from quatcube.decompose import _identity
 
 SHOWCASE_RINGS = [
     (1, 1), (2, 1), (1, 2), (4, 4), (2, 3), (3, 2), (1, 3), (3, 1),
@@ -93,14 +92,12 @@ def test_criterion_3_identity_suites():
         params = RingParams(*ring)
         for _ in range(1000):
             z = Quaternion(params, *(rng.randint(-10**6, 10**6) for _ in range(4)))
-            total = Quaternion.scalar(params, 0)
-            for r in identity_6z(z):
-                total = total + r * r * r
-            assert total == 6 * z
-            total = Quaternion.scalar(params, 0)
-            for r in identity_6z3(z):
-                total = total + r * r * r
-            assert total == 6 * z + 3
+            for plus3, want in ((False, 6 * z), (True, 6 * z + 3)):
+                total = Quaternion.scalar(params, 0)
+                for c in _identity(*z.coefficients(), plus3):
+                    r = Quaternion(params, *c)
+                    total = total + r * r * r
+                assert total == want
     _report(3, f"both four-cube identities exact for 1000 z in each of {len(SHOWCASE_RINGS)} rings")
 
 

@@ -23,8 +23,6 @@ from quatcube import (
     cube,
     cube_root_congruence,
     decompose,
-    identity_6z,
-    identity_6z3,
     in_S,
     in_T2,
     in_T3,
@@ -61,6 +59,11 @@ def cube_congruent(x, alpha):
     return d[0] % 3 == 0 and all(c % 6 == 0 for c in d[1:])
 
 
+def identity_roots(z, plus3):
+    # decompose._identity's four roots whose cubes sum to 6z, or to 6z + 3
+    return [Quaternion(z.params, *r) for r in decompose_module._identity(*z.coefficients(), plus3)]
+
+
 small_rings = st.builds(RingParams, st.integers(1, 30), st.integers(1, 30))
 
 
@@ -71,42 +74,42 @@ def quaternions(rings=small_rings, coeff=st.integers(-10**6, 10**6)):
 class TestIdentities:
     def test_six_z_at_one(self):
         p = RingParams(5, 7)
-        roots = identity_6z(Quaternion.scalar(p, 1))
+        roots = identity_roots(Quaternion.scalar(p, 1), False)
         assert [r.coefficients()[0] for r in roots] == [2, 0, -1, -1]
         assert cubes_sum(roots, p) == Quaternion.scalar(p, 6)
 
     def test_six_z_at_zero(self):
         p = RingParams(1, 1)
-        roots = identity_6z(Quaternion.scalar(p, 0))
+        roots = identity_roots(Quaternion.scalar(p, 0), False)
         assert cubes_sum(roots, p) == Quaternion.scalar(p, 0)
 
     def test_six_z_at_i(self):
         p = RingParams(1, 1)
         z = q(p, 0, 1, 0, 0)
-        assert cubes_sum(identity_6z(z), p) == q(p, 0, 6, 0, 0)
+        assert cubes_sum(identity_roots(z, False), p) == q(p, 0, 6, 0, 0)
 
     def test_six_z_plus_three_at_zero(self):
         p = RingParams(2, 5)
-        roots = identity_6z3(Quaternion.scalar(p, 0))
+        roots = identity_roots(Quaternion.scalar(p, 0), True)
         assert [r.coefficients()[0] for r in roots] == [-5, 1, -6, 7]
         assert cubes_sum(roots, p) == Quaternion.scalar(p, 3)
 
     def test_six_z_plus_three_at_one(self):
         p = RingParams(1, 1)
-        roots = identity_6z3(Quaternion.scalar(p, 1))
+        roots = identity_roots(Quaternion.scalar(p, 1), True)
         assert [r.coefficients()[0] for r in roots] == [-6, 2, -8, 9]
         assert cubes_sum(roots, p) == Quaternion.scalar(p, 9)
 
     def test_six_z_plus_three_at_j(self):
         p = RingParams(1, 1)
         z = q(p, 0, 0, 1, 0)
-        assert cubes_sum(identity_6z3(z), p) == q(p, 3, 0, 6, 0)
+        assert cubes_sum(identity_roots(z, True), p) == q(p, 3, 0, 6, 0)
 
     @given(quaternions())
     @settings(deadline=None)
     def test_identities_hold_for_any_element(self, z):
-        assert cubes_sum(identity_6z(z), z.params) == 6 * z
-        assert cubes_sum(identity_6z3(z), z.params) == 6 * z + 3
+        assert cubes_sum(identity_roots(z, False), z.params) == 6 * z
+        assert cubes_sum(identity_roots(z, True), z.params) == 6 * z + 3
 
 
 class TestCubeRootCongruence:

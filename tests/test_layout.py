@@ -17,14 +17,15 @@ from quatcube import box, mod9, search
 
 PACKAGE = Path(quatcube.__file__).resolve().parent
 
-# quatcube.__all__ before the search was split
+# quatcube.__all__ before the search was split, less identity_6z,
+# identity_6z3 and p_value, which only tests called
 ALL = [
     "Case", "CaseTag", "Decomposition", "InvalidResidues", "LemmaReport", "MixedRings",
     "NotRepresentable", "ParseError", "PreconditionViolated", "QuatcubeError", "Quaternion",
     "ResidueClass", "RingParams", "SearchConfig", "VerificationFailed", "classify_case", "cube",
-    "cube_coeffs", "cube_root_congruence", "decompose", "delta", "identity_6z", "identity_6z3",
-    "in_S", "in_T2", "in_T3", "lemma_residue_check", "lnr6", "member_cube_subgroup",
-    "min_cubes_search", "p_value", "parse_quaternion", "select_pair", "swap_iso",
+    "cube_coeffs", "cube_root_congruence", "decompose", "delta", "in_S", "in_T2", "in_T3",
+    "lemma_residue_check", "lnr6", "member_cube_subgroup", "min_cubes_search",
+    "parse_quaternion", "select_pair", "swap_iso",
     "three_cube_residues_mod9", "two_cube_obstruction", "verify",
 ]
 

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from quatcube import MixedRings, Quaternion, RingParams, cube, cube_coeffs, p_value, swap_iso
+from quatcube import MixedRings, Quaternion, RingParams, cube, cube_coeffs, swap_iso
 from quatcube.quat import cube_sum
 
 LIPSCHITZ = RingParams(1, 1)
@@ -45,9 +45,6 @@ class TestRingParams:
             RingParams(0, 1)
         with pytest.raises(ValueError):
             RingParams(3, -2)
-
-    def test_swapped(self):
-        assert RingParams(2, 3).swapped() == RingParams(3, 2)
 
 
 class TestAddSub:
@@ -111,26 +108,34 @@ class TestMul:
         assert (y + z) * x == y * x + z * x
 
 
-class TestPValue:
+def norm_form(x):
+    """P = a*c1**2 + b*c2**2 + a*b*c3**2, the norm form of x's pure part,
+    which ``cube_coeffs`` reads."""
+    a, b = x.params.a, x.params.b
+    return a * x.c1 * x.c1 + b * x.c2 * x.c2 + a * b * x.c3 * x.c3
+
+
+class TestNormForm:
     def test_formula(self):
-        assert p_value(q(RingParams(2, 3), 1, 1, 1, 1)) == 2 + 3 + 6
-        assert p_value(q(LIPSCHITZ, 1, 1, 1, 1)) == 3
+        # the real part of a cube is (c0**2 - 3P)*c0, and P = 2 + 3 + 6 here
+        assert cube_coeffs(2, 3, (1, 1, 1, 1))[0] == 1 - 3 * (2 + 3 + 6)
+        assert norm_form(q(LIPSCHITZ, 1, 1, 1, 1)) == 3
 
     def test_scalar_is_zero(self):
-        assert p_value(q(RingParams(7, 9), 17, 0, 0, 0)) == 0
+        assert norm_form(q(RingParams(7, 9), 17, 0, 0, 0)) == 0
 
     @given(quaternions())
     @settings(deadline=None)
     def test_nonnegative_zero_iff_scalar(self, x):
-        p = p_value(x)
+        p = norm_form(x)
         assert p >= 0
-        assert (p == 0) == x.is_scalar()
+        assert (p == 0) == (x.imaginary() == (0, 0, 0))
 
     @given(quaternions(coeff=st.integers(-10**3, 10**3)))
     @settings(deadline=None)
     def test_pure_square_is_minus_p(self, x):
         v = Quaternion(x.params, 0, x.c1, x.c2, x.c3)
-        assert v * v == Quaternion.scalar(x.params, -p_value(v))
+        assert v * v == Quaternion.scalar(x.params, -norm_form(v))
 
 
 class TestCube:

@@ -16,6 +16,7 @@ from quatcube import (
     in_T2,
     in_T3,
     lnr6,
+    select_pair,
 )
 
 
@@ -115,11 +116,14 @@ class TestClassSets:
         assert t3 == 96
 
     def test_depends_only_on_class_not_lift(self):
+        # the recipe reads a target only through its residues mod 6
         params = RingParams(2, 1)
+        tags = [CaseTag(case) for case in Case]
         for r in product(range(6), repeat=4):
             base = Quaternion(params, *r)
             shifted = Quaternion(params, r[0] + 6, r[1] - 12, r[2] + 600, r[3] - 6)
-            assert ResidueClass.of(base).residues() == ResidueClass.of(shifted).residues()
+            assert [delta(base, t) for t in tags] == [delta(shifted, t) for t in tags]
+            assert select_pair(base, tags[0]) == select_pair(shifted, tags[0])
 
 
 class TestDelta:
@@ -144,7 +148,7 @@ class TestDelta:
     @settings(deadline=None)
     def test_class_signature_agrees(self, x, case):
         # the selector computed from the residues mod 6 alone
-        r0, r1, r2, r3 = ResidueClass.of(x).residues()
+        r0, r1, r2, r3 = (c % 6 for c in x.coefficients())
         a6, b6 = x.params.a % 6, x.params.b % 6
         p_odd = (a6 * r1 * r1 + b6 * r2 * r2 + a6 * b6 * r3 * r3) % 2
         expected = int(p_odd == r0 % 2) if case is Case.CASE3 else p_odd

@@ -616,6 +616,8 @@ class TestMinCubesSearch:
         ((1, 1), 2, (64, 0, 0, 0), (-2, -2, -2, -2)),
         # the same root at a bound far beyond any list of the box
         ((1, 1), 10**20 - 1, (64, 0, 0, 0), (-2, -2, -2, -2)),
+        # 10**21 + 9 has a norm that is no cube, so no x0 is scanned
+        ((1, 1), 10**20 - 1, (10**21 + 9, 0, 0, 0), None),
     ])
     def test_least_root_named_cubes(self, ring, bound, cube, root):
         assert _SearchSpace(RingParams(*ring), bound).least_root(cube) == root
