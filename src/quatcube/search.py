@@ -25,9 +25,9 @@ XOR to the target's parity.  A target whose pure part is 0, which every
 pure part meets, is scanned in box order instead.
 k >= 3 cubes scan the outer root in lexicographic order and search each
 remainder at level k - 1, which ends at once when the remainder's
-signature is not in S_(k-1).  With N workers, the search's process and
-N - 1 helpers, each on its own CPU, take a 3- or 4-cube stage's
-``(w0, w1)`` cells of the outer box in turn, and the least cell that
+signature is not in S_(k-1).  With N workers, N helpers, each on its
+own CPUs, take a 3- or 4-cube stage's ``(w0, w1)`` cells of the outer
+box in turn while the search's process waits, and the least cell that
 hits gives the witness.  The scans visit only
 the outer roots least in their orbit under the target's symmetries
 (:meth:`_SearchSpace.outer_roots`).  That symmetry and the mod-9 and
@@ -251,29 +251,17 @@ def _clamp_workers(requested: int, chunks: int, cpus: list[int] | None) -> int:
     return max(1, min(requested, n or 1, chunks))
 
 
-def _pin(cpus) -> None:
-    """Keep the calling thread on ``cpus``; None (no affinity set) moves
-    nothing, and where the OS refuses, it stays where it was."""
-    if not cpus:
-        return
-    try:
-        os.sched_setaffinity(0, cpus)
-    except OSError:
-        pass
-
-
-def _take_cells(space, t, k, outer, next_cell, least_hit, before_cell=lambda: None):
+def _take_cells(space, t, k, outer, next_cell, least_hit):
     """Scan the k-cube cells, the outer roots' (w0, w1) in lexicographic
     order, numbered by the shared counter ``next_cell`` until one hits or
     none is left before ``least_hit``; return ``(cell number, witness)``
-    or None, calling ``before_cell`` before each cell is taken.  No lock
-    guards the two ints: a race may hand a cell to two processes but
-    skips none (the first write past n is n + 1 from a process that read
-    n), and may leave ``least_hit`` above the least hit cell, never below it."""
+    or None.  No lock guards the two ints: a race may hand a cell to two
+    processes but skips none (the first write past n is n + 1 from a
+    process that read n), and may leave ``least_hit`` above the least hit
+    cell, never below it."""
     rows = space.outer_roots(t, outer)
     w1_values = list(rows)
     while True:
-        before_cell()
         n = next_cell.value
         next_cell.value = n + 1
         if n >= least_hit.value:
@@ -287,17 +275,29 @@ def _take_cells(space, t, k, outer, next_cell, least_hit, before_cell=lambda: No
 
 
 def _cell_worker(params, bound, t, k, outer, next_cell, least_hit, conn, cpus) -> None:
-    """A helper process of a parallel level: move to ``cpus`` first (see
-    :func:`_pin`), then send what :func:`_take_cells` returns."""
-    _pin(cpus)
+    """A helper process of a parallel level: move to ``cpus`` first, if
+    given (where the OS refuses, it stays where it was), then send what
+    :func:`_take_cells` returns.  ``cpus`` is given only where
+    :func:`_affinity` read a set, and CPython defines sched_getaffinity
+    and sched_setaffinity together."""
+    if cpus:
+        try:
+            os.sched_setaffinity(0, cpus)
+        except OSError:
+            pass
     conn.send(_take_cells(_SearchSpace(params, bound), t, k, outer, next_cell, least_hit))
 
 
 def _scan_cells(
     space: _SearchSpace, t: Coeffs, k: int, outer: int, workers: int
 ) -> tuple[Coeffs, ...] | None:
-    """Level k >= 3 of :func:`_scan`, its cells taken by this process and
-    at most ``workers - 1`` helpers, started here and joined before it returns.
+    """Level k >= 3 of :func:`_scan`, its cells taken by at most
+    ``workers`` helpers, started here and joined before it returns.
+
+    This process only waits on the helpers' pipes.  It returns the least
+    hit cell's witness, which is the serial result, since every cell
+    before the least hit runs to its end; a helper whose pipe reads EOF
+    before it sent a result has died, and is reported at once.
 
     Each helper builds the cube groups its cells meet, as a serial scan
     does.  When this process has no other thread (counted by the OS, so
@@ -309,14 +309,11 @@ def _scan_cells(
     arguments.  No process takes a lock another shares, so the helpers
     can be terminated at any moment.
 
-    Each process gets its own CPUs of this thread's affinity set, read
-    once: helper i moves itself to the i-th CPU as it starts, and once
-    every helper has started this thread keeps the CPUs no helper took,
-    until the level ends, however it ends.  Left to the OS, a forked
+    Helper i of n moves itself to every n-th CPU of this thread's
+    affinity set, read once, from the i-th on, so the helpers share the
+    whole set and no two share a CPU.  Left to the OS, a forked
     helper shares its parent's CPU for about half a second, longer than
-    a small level lasts.  This thread moves only after the helpers have
-    started, so a spawned helper's interpreter starts with the whole
-    set.  Where the OS refuses a move, that process stays where it was.
+    a small level lasts.  This thread never moves.
     """
     cells = (2 * outer + 1) * len(space.outer_roots(t, outer))
     cpus = _affinity()
@@ -324,6 +321,7 @@ def _scan_cells(
     if workers == 1:
         return _scan(space, t, k, outer)
     import multiprocessing  # only here, so importing the package stays light
+    from multiprocessing.connection import wait
 
     try:
         single_thread = len(os.listdir("/proc/self/task")) == 1
@@ -331,61 +329,40 @@ def _scan_cells(
         single_thread = False
     ctx = multiprocessing.get_context("fork" if single_thread else "spawn")
     next_cell, least_hit = ctx.RawValue("i", 0), ctx.RawValue("i", cells)
-    # clamped to the set, so each helper has a CPU and this thread keeps one;
-    # CPython defines sched_getaffinity and sched_setaffinity together
-    procs = []
+    procs = {}
     try:
-        for i in range(workers - 1):
+        for i in range(workers):
             reader, writer = ctx.Pipe(duplex=False)
-            # the parent keeps no write end, so a dead worker's pipe reads EOF
+            # the parent keeps no write end, so a dead helper's pipe reads EOF
             with writer:
                 proc = ctx.Process(
                     target=_cell_worker,
                     args=(space.params, space.bound, t, k, outer, next_cell, least_hit, writer,
-                          cpus and cpus[i:i + 1]),
+                          cpus and cpus[i::workers]),
                     daemon=True,
                 )
                 proc.start()
-            procs.append((proc, reader))
-        _pin(cpus and cpus[workers - 1:])
-        return _own_cells(space, t, k, outer, next_cell, least_hit, procs)
+            procs[reader] = proc
+        pending, hits = dict(procs), []
+        while pending:
+            for reader in wait(list(pending)):
+                proc = pending.pop(reader)
+                try:
+                    hits.append(reader.recv())
+                except EOFError:
+                    proc.join()
+                    raise QuatcubeError(
+                        f"a search worker process exited with code {proc.exitcode}; a script "
+                        "that searches with workers > 1 must guard its entry point "
+                        "with if __name__ == '__main__':"
+                    ) from None
+        return min(filter(None, hits), default=(None, None))[1]
     finally:
-        _pin(cpus)
-        for proc, _ in procs:
+        for proc in procs.values():
             proc.terminate()
-        for proc, reader in procs:
+        for reader, proc in procs.items():
             proc.join()
             reader.close()
-
-
-def _own_cells(space, t, k, outer, next_cell, least_hit, procs) -> tuple[Coeffs, ...] | None:
-    """This process's share of :func:`_scan_cells`, beside the started
-    helpers ``procs``, each with the read end of its one-way pipe."""
-    from multiprocessing.connection import wait
-
-    # This process takes cells as the workers do.  The cell holding the
-    # least witness runs to its end, so the least hit cell gives the serial result.
-    pending = {reader: proc for proc, reader in procs}
-    hits = []
-
-    def collect(timeout):
-        # polled between this process's own cells: a dead worker's pipe reads EOF
-        for reader in wait(list(pending), timeout):
-            proc = pending.pop(reader)
-            try:
-                hits.append(reader.recv())
-            except EOFError:
-                proc.join()
-                raise QuatcubeError(
-                    f"a search worker process exited with code {proc.exitcode}; a script "
-                    "that searches with workers > 1 must guard its entry point "
-                    "with if __name__ == '__main__':"
-                ) from None
-
-    hits.append(_take_cells(space, t, k, outer, next_cell, least_hit, lambda: collect(0)))
-    while pending:
-        collect(None)
-    return min(filter(None, hits), default=(None, None))[1]
 
 
 def min_cubes_search(
@@ -412,15 +389,16 @@ def min_cubes_search(
     target's symmetries, which keeps the least witness.
     ``workers`` > 1 cuts the scan of each stage k >= 3 that runs into
     ``(w0, w1)`` cells of the outer root's first two coefficients, which
-    this process and ``workers - 1`` helper ones (no more than the CPUs
-    or the cells in all) take in turn; every cell before the least hit
+    ``workers`` helper processes (no more than the CPUs or the cells)
+    take in turn while this one waits; every cell before the least hit
     runs to its end, so the result is identical to a serial run.  The
     helpers start with that stage and end with it, so a witness of 1 or
     2 cubes starts none; :func:`_scan_cells` says how they start and on
-    which CPUs each process of the stage runs.  A dying helper is
-    reported before this process takes its next cell; a script that
-    calls this with ``workers`` > 1 from a process with other threads
-    must guard its entry point with ``if __name__ == "__main__":``.  A
+    which CPUs each runs.  The calling thread's CPU affinity never
+    changes.  A dying helper is reported as soon as its pipe closes; a
+    script that calls this with ``workers`` > 1 from a process with
+    other threads must guard its entry point with
+    ``if __name__ == "__main__":``.  A
     ``workers`` that is not an int raises ``TypeError``, and one below 1
     ``ValueError``, before any level runs.
     """

@@ -33,6 +33,31 @@ def _run(argv, timeout=120):
     )
 
 
+def _run_in_session(argv, timeout, what):
+    """Run a script in its own session, so that a hang, its workers
+    included, can be killed and fail the test instead of stalling it;
+    return the process and its stdout and stderr."""
+    proc = subprocess.Popen(
+        [sys.executable, *argv], env=_env(), stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE, text=True, start_new_session=True,
+    )
+    try:
+        out, err = proc.communicate(timeout=timeout)
+    except subprocess.TimeoutExpired:
+        os.killpg(proc.pid, signal.SIGKILL)
+        proc.communicate()
+        pytest.fail(f"{what} did not end in {timeout} s")
+    return proc, out, err
+
+
+def _last_line_first(err):
+    """An assertion message for a script's stderr: its last line, which
+    names the failed check, then the whole of it, so that a cut log
+    still keeps the line."""
+    lines = err.strip().splitlines()
+    return f"{lines[-1] if lines else '(no stderr)'}\n{err}"
+
+
 _OPTIMIZED = """
 import sys
 if __debug__:
@@ -239,14 +264,15 @@ if __name__ == "__main__":
 def test_workers_fork_only_when_the_search_has_no_other_thread(
     tmp_path, other_thread, method, tracker
 ):
-    # a forked worker needs no new interpreter and no resource tracker; a
-    # process with another thread spawns, as a fork could copy a held lock
+    # a forked helper needs no new interpreter and no resource tracker; a
+    # process with another thread spawns, as a fork could copy a held lock;
+    # either way two workers are two helpers
     script = tmp_path / "start_method.py"
     script.write_text(_START_METHOD)
     proc = _run([str(script), other_thread], timeout=60)
     assert proc.returncode == 0, proc.stderr
     got = json.loads(proc.stdout)
-    assert got == {"same": True, "methods": [method], "tracker": tracker, "children": 0}
+    assert got == {"same": True, "methods": [method] * 2, "tracker": tracker, "children": 0}
 
 
 _KILLED_WORKER = """
@@ -261,8 +287,8 @@ from quatcube import QuatcubeError, Quaternion, RingParams, SearchConfig, min_cu
 
 
 def kill_one_worker():
-    # with two workers one process is spawned; wait for it, then for it
-    # to build its first groups
+    # with two workers two processes are spawned; wait for one, then for
+    # it to build its first groups
     while not multiprocessing.active_children():
         time.sleep(0.01)
     time.sleep(0.5)
@@ -289,21 +315,10 @@ if __name__ == "__main__":
 
 @pytest.mark.skipif(CPUS < 2, reason="3-cube workers need two CPUs")
 def test_search_worker_killed_mid_scan_raises(tmp_path):
-    # The script runs in its own session so that a hang, workers included,
-    # can be killed and fail the test instead of stalling it.
     script = tmp_path / "killed_worker.py"
     script.write_text(_KILLED_WORKER)
-    proc = subprocess.Popen(
-        [sys.executable, str(script)], env=_env(), stdout=subprocess.PIPE,
-        stderr=subprocess.PIPE, text=True, start_new_session=True,
-    )
-    try:
-        out, err = proc.communicate(timeout=60)
-    except subprocess.TimeoutExpired:
-        os.killpg(proc.pid, signal.SIGKILL)
-        proc.communicate()
-        pytest.fail("a search with a killed worker did not end in 60 s")
-    assert proc.returncode == 0, err
+    proc, out, err = _run_in_session([str(script)], 60, "a search with a killed worker")
+    assert proc.returncode == 0, _last_line_first(err)
     assert "exited with code -9" in out
 
 
@@ -354,17 +369,10 @@ def test_forked_search_worker_killed_mid_scan_raises(tmp_path, level):
     # at the 3-cube and at the 4-cube stage
     script = tmp_path / "killed_forked_worker.py"
     script.write_text(_KILLED_FORKED_WORKER)
-    proc = subprocess.Popen(
-        [sys.executable, str(script), level], env=_env(), stdout=subprocess.PIPE,
-        stderr=subprocess.PIPE, text=True, start_new_session=True,
+    proc, out, err = _run_in_session(
+        [str(script), level], 60, "a search with a killed forked worker"
     )
-    try:
-        out, err = proc.communicate(timeout=60)
-    except subprocess.TimeoutExpired:
-        os.killpg(proc.pid, signal.SIGKILL)
-        proc.communicate()
-        pytest.fail("a search with a killed forked worker did not end in 60 s")
-    assert proc.returncode == 0, err
+    assert proc.returncode == 0, _last_line_first(err)
     assert "exited with code -9" in out and out.endswith(f" fork {level}\n")
 
 
@@ -399,21 +407,12 @@ if __name__ == "__main__":
 def test_repeated_parallel_searches_from_threads_never_hang(tmp_path):
     # Stopping the workers once a hit is found must not hang the search,
     # not even in a fraction of a percent of searches, so many rounds run.
-    # The searches run in their own session so that a hang, workers
-    # included, can be killed and fail the test instead of stalling it.
     script = tmp_path / "threaded_searches.py"
     script.write_text(_THREADED_SEARCHES)
-    proc = subprocess.Popen(
-        [sys.executable, str(script), "30"], env=_env(), stdout=subprocess.PIPE,
-        stderr=subprocess.PIPE, text=True, start_new_session=True,
+    proc, _, err = _run_in_session(
+        [str(script), "30"], 180, "30 rounds of two threaded parallel searches"
     )
-    try:
-        _, err = proc.communicate(timeout=180)
-    except subprocess.TimeoutExpired:
-        os.killpg(proc.pid, signal.SIGKILL)
-        proc.communicate()
-        pytest.fail("30 rounds of two threaded parallel searches did not end in 180 s")
-    assert proc.returncode == 0, err
+    assert proc.returncode == 0, _last_line_first(err)
 
 
 _FORKED_SEARCHES = _RECORD_STARTS + """
@@ -439,7 +438,8 @@ if __name__ == "__main__":
             left = multiprocessing.active_children()
             if left:
                 sys.exit(f"worker processes left: {left}")
-    if [proc._start_method for proc in started] != ["fork"] * 2 * rounds:
+    # two of the three targets reach the 3-cube stage, which forks two helpers
+    if [proc._start_method for proc in started] != ["fork"] * 4 * rounds:
         sys.exit("the workers were not all forked, or a 2-cube search started one")
     if not any(proc.exitcode == -signal.SIGTERM for proc in started):
         sys.exit("no worker was terminated")
@@ -449,24 +449,15 @@ if __name__ == "__main__":
 @pytest.mark.skipif(CPUS < 2, reason="3-cube workers need two CPUs")
 def test_repeated_forked_parallel_searches_never_hang(tmp_path):
     # The single-threaded counterpart of the test above: every search that
-    # reaches the 3-cube stage forks its worker there and terminates it,
-    # often mid-scan, once a hit is found.
-    # The searches run in their own session so that a hang, workers
-    # included, can be killed and fail the test instead of stalling it,
-    # and so that any process left behind can be found by its group.
+    # reaches the 3-cube stage forks its helpers there and terminates them,
+    # often mid-scan, once a hit is found.  The session also lets any
+    # process left behind be found by its group.
     script = tmp_path / "forked_searches.py"
     script.write_text(_FORKED_SEARCHES)
-    proc = subprocess.Popen(
-        [sys.executable, str(script), "50"], env=_env(), stdout=subprocess.PIPE,
-        stderr=subprocess.PIPE, text=True, start_new_session=True,
+    proc, _, err = _run_in_session(
+        [str(script), "50"], 180, "50 rounds of three forked parallel searches"
     )
-    try:
-        _, err = proc.communicate(timeout=180)
-    except subprocess.TimeoutExpired:
-        os.killpg(proc.pid, signal.SIGKILL)
-        proc.communicate()
-        pytest.fail("50 rounds of three forked parallel searches did not end in 180 s")
-    assert proc.returncode == 0, err
+    assert proc.returncode == 0, _last_line_first(err)
     with pytest.raises(ProcessLookupError):
         os.killpg(proc.pid, 0)
 
@@ -499,9 +490,9 @@ def recorded_worker(*args):
     cell_worker(*args)
 
 
-def recorded_take(*args, **kwargs):
+def recorded_take(*args):
     record("scan")
-    return take_cells(*args, **kwargs)
+    return take_cells(*args)
 
 
 search._cell_worker, search._take_cells = recorded_worker, recorded_take
@@ -527,8 +518,9 @@ if __name__ == "__main__":
     [("none", 2), ("thread", 2)] + ([("none", min(CPUS, 4))] if CPUS > 2 else []),
 )
 def test_each_process_of_a_parallel_level_scans_on_its_own_cpus(tmp_path, other_thread, workers):
-    # helpers start with the caller's whole set and each moves to one CPU
-    # of it; the caller then keeps the rest, and gets the whole set back
+    # helpers start with the caller's whole set and helper i of n moves to
+    # every n-th CPU of it from the i-th on; the caller scans no cell and
+    # never moves
     script, log = tmp_path / "placement.py", tmp_path / "placement.log"
     script.write_text(_PLACEMENT)
     before = sorted(os.sched_getaffinity(0))
@@ -546,12 +538,66 @@ def test_each_process_of_a_parallel_level_scans_on_its_own_cpus(tmp_path, other_
     for level in levels[:-1]:
         inherited = {pid: cpus for what, pid, cpus in level if what == "inherited"}
         scans = {pid: cpus for what, pid, cpus in level if what == "scan"}
-        assert len(inherited) == workers - 1 and caller not in inherited
-        assert list(inherited.values()) == [before] * (workers - 1)
-        assert set(scans) == {caller, *inherited}
-        helper_cpus = [cpu for pid, cpus in scans.items() if pid != caller for cpu in cpus]
-        assert all(len(scans[pid]) == 1 for pid in inherited)
-        assert sorted(helper_cpus + scans[caller]) == before
+        assert len(inherited) == workers and caller not in inherited
+        assert list(inherited.values()) == [before] * workers
+        assert set(scans) == set(inherited)
+        assert sorted(map(tuple, scans.values())) == [tuple(before[i::workers]) for i in range(workers)]
+
+
+# logs the (w0, w1) cell of each outer root that any process of the
+# parallel level scans, and prints the search's result and its own pid
+_CELLS = """
+import json
+import os
+import sys
+import threading
+
+from quatcube import Quaternion, RingParams, SearchConfig, min_cubes_search, search
+
+LOG = sys.argv[1]
+scan_cell = search._scan_cell
+
+
+def recorded(space, k, t, outer, rows, w0, w1, stop=None):
+    with open(LOG, "a") as f:
+        f.write(json.dumps([os.getpid(), w0, w1]) + "\\n")
+    return scan_cell(space, k, t, outer, rows, w0, w1, stop)
+
+
+# patched outside the guard, so a spawned helper, which runs this file
+# again, logs too
+search._scan_cell = recorded
+
+if __name__ == "__main__":
+    if sys.argv[2] == "thread":
+        threading.Thread(target=threading.Event().wait, daemon=True).start()
+    # no witness in this box of 81 cells, so no cell stops early
+    target = Quaternion(RingParams(2, 1), 3, 37, -3, 0)
+    print(json.dumps([min_cubes_search(target, SearchConfig(3, 2, 4), workers=2), os.getpid()]))
+"""
+
+
+@pytest.mark.skipif(CPUS < 2, reason="search workers need two CPUs")
+@pytest.mark.parametrize("other_thread", ["none", "thread"])
+def test_helpers_scan_every_cell_of_a_level_with_no_witness(tmp_path, other_thread):
+    # forked or spawned, the two helpers' cells together cover the level,
+    # and the search's own process scans none of them
+    from quatcube import RingParams
+    from quatcube.box import _SearchSpace
+
+    script, log = tmp_path / "cells.py", tmp_path / "cells.log"
+    script.write_text(_CELLS)
+    proc = _run([str(script), str(log), other_thread], timeout=60)
+    assert proc.returncode == 0, _last_line_first(proc.stderr)
+    found, caller = json.loads(proc.stdout)
+    rows = _SearchSpace(RingParams(2, 1), 2).outer_roots((3, 37, -3, 0), 4)
+    cells = {(w0, w1) for w0 in range(-4, 5) for w1 in rows}
+    scanned = [tuple(entry) for entry in map(json.loads, log.read_text().splitlines())]
+    by_pid = {pid for pid, _, _ in scanned}
+    assert found is None and len(cells) == 81
+    # a race may give one cell to both helpers, but skips none
+    assert {(w0, w1) for _, w0, w1 in scanned} == cells
+    assert by_pid and caller not in by_pid and len(by_pid) <= 2
 
 
 _DEAD_HELPER_CPUS = _RECORD_STARTS + """
@@ -585,7 +631,7 @@ if __name__ == "__main__":
 
 
 @pytest.mark.skipif(CPUS < 2, reason="placement needs two CPUs")
-def test_search_with_a_dead_helper_gives_the_caller_its_cpus_back(tmp_path):
+def test_search_with_a_dead_helper_leaves_the_caller_on_its_cpus(tmp_path):
     script = tmp_path / "dead_helper_cpus.py"
     script.write_text(_DEAD_HELPER_CPUS)
     proc = _run([str(script)], timeout=60)

@@ -1,7 +1,9 @@
 import errno
 import multiprocessing
+import multiprocessing.connection
 import os
 import random
+import signal
 import sys
 import threading
 import time
@@ -805,8 +807,8 @@ class TestMinCubesSearch:
         assert serial[0] == Quaternion(params, 2, 0, -2, 0)
         started = _record_started(monkeypatch)
         assert min_cubes_search(target, cfg, workers=2) == serial
-        # two workers are the search's own process and one spawned one
-        assert len(started) == _clamp_workers(2, 25, search._affinity()) - 1
+        # two workers are two spawned helpers, while the search's own process waits
+        assert len(started) == _clamp_workers(2, 25, search._affinity())
 
     def test_concurrent_parallel_searches_from_threads(self):
         cfg = SearchConfig(max_cubes=3, coeff_bound=2, outer_bound=2)
@@ -854,15 +856,15 @@ class TestMinCubesSearch:
     @pytest.mark.skipif(CPUS < 2, reason="search workers need two CPUs")
     @pytest.mark.parametrize("coeffs, bounds, levels", [
         # S_3 leaves out 4's signature, so only level 4 runs, and finds 1+1+1+1
-        ((4, 0, 0, 0), (1, 1), [4]),
-        # no witness: levels 3 and 4 each start and end their own helper
-        ((1000, 300, 600, -900), (2, 1), [3, 4]),
+        ((4, 0, 0, 0), (1, 1), [4, 4]),
+        # no witness: levels 3 and 4 each start and end their own two helpers
+        ((1000, 300, 600, -900), (2, 1), [3, 3, 4, 4]),
     ])
     def test_top_four_cube_stage_runs_on_helpers(self, monkeypatch, coeffs, bounds, levels):
         target = Quaternion(RingParams(3, 3), *coeffs)
         cfg = SearchConfig(4, *bounds)
         serial = min_cubes_search(target, cfg)
-        assert (serial is None) == (levels == [3, 4])
+        assert (serial is None) == (levels[0] == 3)
         started = _record_started(monkeypatch)
         assert min_cubes_search(target, cfg, workers=2) == serial
         # a helper's arguments are (params, bound, t, k, ...)
@@ -886,42 +888,41 @@ class TestMinCubesSearch:
         assert sent[0][0] == 22 and [Quaternion(params, *c) for c in sent[0][1]] == serial
         assert sent[1:] == [None] and least_hits == [22, 23]
 
-    def test_own_cells_beat_a_later_worker_hit(self):
-        # the search's own process scans with the cell loop its workers run:
-        # its hit in cell 22, which holds the least witness, must beat a
-        # spawned worker's hit in cell 23
+    def test_least_of_two_helper_hits_wins(self, monkeypatch):
+        # the least witness sits in cell 22 of 25; whichever helper's hit
+        # the search reads first, the hit in cell 22 must beat one in cell 23
         params, t = RingParams(2, 1), (-192, -16, -16, 0)
-        serial = min_cubes_search(Quaternion(params, *t), SearchConfig(3, 2, 2))
-        space = _SearchSpace(params, 2)
-        next_cell = multiprocessing.RawValue("i", 22)
-        least_hit = multiprocessing.RawValue("i", 23)
-        n, got = search._take_cells(space, t, 3, 2, next_cell, least_hit)
-        assert n == 22 and [Quaternion(params, *c) for c in got] == serial
-        assert least_hit.value == 22
-        next_cell.value, least_hit.value = 22, 25
-        reader, writer = multiprocessing.Pipe(duplex=False)
-        with reader, writer:
-            writer.send((23, ((0, 0, 0, 0),) * 3))
-            worker = types.SimpleNamespace(exitcode=None, join=lambda: None)
-            got = search._own_cells(space, t, 3, 2, next_cell, least_hit, [(worker, reader)])
-        assert [Quaternion(params, *c) for c in got] == serial
+        cfg = SearchConfig(3, 2, 2)
+        serial = min_cubes_search(Quaternion(params, *t), cfg)
+        least = (22, tuple(q.coefficients() for q in serial))
+        later = (23, ((0, 0, 0, 0),) * 3)
+        for replies in ([later, least], [least, later]):
+            monkeypatch.setattr(search, "_affinity", lambda: [0, 1])
+            monkeypatch.setattr(multiprocessing, "get_context", _ScriptedHelpers(replies))
+            assert min_cubes_search(Quaternion(params, *t), cfg, workers=2) == serial
 
-    def test_dead_worker_stops_own_cells_at_once(self):
-        # a spawned worker that died starting (its exit code set, its pipe
-        # at EOF) is reported before this process takes its next cell, not
-        # after it has scanned every cell of a box with no witness
-        params, t, outer = RingParams(2, 1), (3, 37, -3, 0), 4
-        space = _SearchSpace(params, 2)
-        cells = (2 * outer + 1) * len(space.outer_roots(t, outer))
-        next_cell = multiprocessing.RawValue("i", 0)
-        least_hit = multiprocessing.RawValue("i", cells)
-        reader, writer = multiprocessing.Pipe(duplex=False)
-        writer.close()
-        with reader:
-            worker = types.SimpleNamespace(exitcode=1, join=lambda: None)
-            with pytest.raises(QuatcubeError, match="exited with code 1"):
-                search._own_cells(space, t, 3, outer, next_cell, least_hit, [(worker, reader)])
-        assert cells == 81 and next_cell.value <= 1
+    @pytest.mark.skipif(CPUS < 2, reason="search workers need two CPUs")
+    def test_dead_helper_is_reported_while_cells_are_left(self, monkeypatch):
+        # a helper killed as it starts is reported at once, while the other
+        # helper still has most of a box with no witness to scan
+        target = Quaternion(LIPSCHITZ, 4001, 2999, -1234, 777)
+        cfg = SearchConfig(3, 10, 4)
+        cells = 9 * len(_SearchSpace(LIPSCHITZ, 10).outer_roots(target.coefficients(), 4))
+        started = _record_started(monkeypatch)
+        start = multiprocessing.process.BaseProcess.start
+
+        def killing(proc):
+            start(proc)
+            if len(started) == 1:
+                os.kill(proc.pid, signal.SIGKILL)
+
+        monkeypatch.setattr(multiprocessing.process.BaseProcess, "start", killing)
+        with pytest.raises(QuatcubeError, match="exited with code -9"):
+            min_cubes_search(target, cfg, workers=2)
+        # a helper's arguments are (params, bound, t, k, outer, next_cell, ...)
+        next_cell = started[0][1][5]
+        assert len(started) == 2 and cells == 81 and next_cell.value < cells
+        assert multiprocessing.active_children() == []
 
     def test_cell_counter_without_a_lock_skips_no_cell(self, monkeypatch):
         # threads take cells from one counter that no lock guards, and each
@@ -991,30 +992,32 @@ class TestMinCubesSearch:
 
     @pytest.mark.skipif(CPUS < 2, reason="placement needs two CPUs")
     @pytest.mark.parametrize("coeffs", [(-192, -16, -16, 0), (3, 37, -3, 0)])
-    def test_parallel_level_moves_the_caller_and_gives_its_cpus_back(self, monkeypatch, coeffs):
+    def test_parallel_level_leaves_the_caller_on_its_cpus(self, monkeypatch, coeffs):
         # the least witness of the first target sits in cell 22 of 25, the
-        # second has none in the box: either way the search's thread scans
-        # on the CPUs its helper did not take and ends on the ones it began on
+        # second has none in the box: either way the search's thread waits
+        # on the CPUs it began on, ends on them and asks the OS for no move
         target = Quaternion(RingParams(2, 1), *coeffs)
         cfg = SearchConfig(3, 2, 2)
         serial = min_cubes_search(target, cfg)
         assert (serial is None) == (coeffs[0] == 3)
         before = os.sched_getaffinity(0)
-        during = []
-        own_cells = search._own_cells
+        during, asked = [], []
+        wait = multiprocessing.connection.wait
 
         def recorded(*args):
             during.append(os.sched_getaffinity(0))
-            return own_cells(*args)
+            return wait(*args)
 
-        monkeypatch.setattr(search, "_own_cells", recorded)
+        monkeypatch.setattr(multiprocessing.connection, "wait", recorded)
+        monkeypatch.setattr(os, "sched_setaffinity", lambda pid, cpus: asked.append(cpus))
         assert min_cubes_search(target, cfg, workers=2) == serial
-        assert during == [set(sorted(before)[1:])]
-        assert os.sched_getaffinity(0) == before
+        assert during and during == [before] * len(during)
+        assert os.sched_getaffinity(0) == before and asked == []
 
     @pytest.mark.skipif(CPUS < 2, reason="placement needs two CPUs")
     def test_refused_placement_changes_no_result(self, monkeypatch):
-        # an OS that refuses every move leaves each process where it was
+        # an OS that refuses every move in this process refuses none that
+        # the search's thread asks for, as it asks for none
         target = Quaternion(RingParams(2, 1), -192, -16, -16, 0)
         cfg = SearchConfig(3, 2, 2)
         serial = min_cubes_search(target, cfg)
@@ -1027,9 +1030,20 @@ class TestMinCubesSearch:
 
         monkeypatch.setattr(os, "sched_setaffinity", refuse)
         assert min_cubes_search(target, cfg, workers=2) == serial
-        # this thread asked to move, and to move back, and stayed put
-        assert asked == [set(sorted(before)[1:]), before]
-        assert os.sched_getaffinity(0) == before
+        assert asked == [] and os.sched_getaffinity(0) == before
+        assert multiprocessing.active_children() == []
+
+    def test_helpers_share_the_whole_affinity_set(self, monkeypatch):
+        # helper i of n moves to every n-th CPU from the i-th on, so fewer
+        # helpers than CPUs leave none out; where a CPU of its share does
+        # not exist here, the OS refuses the move and the result is the same
+        target = Quaternion(RingParams(2, 1), -192, -16, -16, 0)
+        cfg = SearchConfig(3, 2, 2)
+        serial = min_cubes_search(target, cfg)
+        monkeypatch.setattr(search, "_affinity", lambda: list(range(8)))
+        started = _record_started(monkeypatch)
+        assert min_cubes_search(target, cfg, workers=3) == serial
+        assert [args[-1] for _, args in started] == [[0, 3, 6], [1, 4, 7], [2, 5]]
         assert multiprocessing.active_children() == []
 
     def test_four_cube_search(self):
@@ -1060,6 +1074,28 @@ def _record_started(monkeypatch):
 
     monkeypatch.setattr(multiprocessing.process.BaseProcess, "start", recorded)
     return started
+
+
+class _ScriptedHelpers:
+    """Stands in for ``multiprocessing.get_context``: the context it gives
+    starts helpers that scan nothing; helper i sends ``replies[i]`` as it
+    starts and exits with code 0, so only the caller's side of a parallel
+    level runs."""
+
+    def __init__(self, replies):
+        self.replies = iter(replies)
+
+    def __call__(self, method):
+        return self
+
+    RawValue = staticmethod(multiprocessing.RawValue)
+    Pipe = staticmethod(multiprocessing.Pipe)
+
+    def Process(self, target, args, daemon):
+        conn, reply = args[7], next(self.replies)
+        return types.SimpleNamespace(
+            start=lambda: conn.send(reply), terminate=lambda: None, join=lambda: None, exitcode=0
+        )
 
 
 def _random_sums(params, n_cubes, count, seed, keep=lambda t: t[1] == 0):
