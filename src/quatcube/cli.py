@@ -7,11 +7,12 @@ of stdout goes away before the output is written.  ``--json`` switches
 to a machine-readable form in which all coefficients are decimal strings
 (the integers here routinely exceed what JSON consumers parse exactly).
 
-Each subcommand computes one result: the ``--json`` payload, the text
-lines built from that payload's strings, and the exit code.  ``main``
-alone writes stdout, once, as JSON or as text, so the exit code does not
-depend on ``--json``.  A usage error inside a command writes its one
-stderr line and nothing to stdout.
+Each subcommand computes one result: the ``--json`` payload, whose
+coefficients one ``_strs`` call writes as decimal strings, the text
+lines that print those same strings (no round trip through int), and
+the exit code.  ``main`` alone writes stdout, once, as JSON or as text,
+so the exit code does not depend on ``--json``.  A usage error inside a
+command writes its one stderr line and nothing to stdout.
 """
 
 from __future__ import annotations
@@ -65,24 +66,33 @@ def _echo(text: str) -> str:
     return repr(text) if len(text) <= _ECHO_CHARS else f"{text[:_ECHO_CHARS]!r}..."
 
 
+def _refused(text: str, parts: list[str], otherwise: str) -> argparse.ArgumentTypeError:
+    # the usage error for text, some part of which int() refused: a part it
+    # will not read for its length is named as such, else otherwise stands
+    limit = sys.get_int_max_str_digits()
+    for m in map(_INT_TEXT.fullmatch, parts):
+        if m and limit and len(m[1]) > limit:
+            return argparse.ArgumentTypeError(f"integer of {len(m[1])} digits exceeds the limit "
+                                              f"of {limit} digits, got {_echo(text)}")
+    return argparse.ArgumentTypeError(otherwise)
+
+
+def _int(text: str) -> int:
+    # type=int, refused in one short line: argparse's own echoes all of text
+    try:
+        return int(text)
+    except ValueError:
+        raise _refused(text, [text], f"invalid int value: {_echo(text)}") from None
+
+
 def _int_pair(text: str, expected: str) -> tuple[int, int]:
-    # "A,B" as two ints; anything else is refused with what was expected,
-    # and an integer int() will not read for its length is refused as such
+    # "A,B" as two ints; anything else is refused with what was expected
     parts = text.split(",")
     try:
         a, b = parts
         return int(a), int(b)
     except ValueError:
-        pass
-    limit = sys.get_int_max_str_digits()
-    for part in parts:
-        m = _INT_TEXT.fullmatch(part)
-        if m and limit and len(m[1]) > limit:
-            raise argparse.ArgumentTypeError(
-                f"integer of {len(m[1])} digits exceeds the limit of {limit} digits, "
-                f"got {_echo(text)}"
-            )
-    raise argparse.ArgumentTypeError(f"expected {expected}, got {_echo(text)}")
+        raise _refused(text, parts, f"expected {expected}, got {_echo(text)}") from None
 
 
 def _ring(text: str) -> RingParams:
@@ -103,21 +113,15 @@ def _residue_pair(text: str) -> tuple[int, int]:
     return a6, b6
 
 
-def _too_many_digits() -> QuatcubeError:
-    return QuatcubeError(
-        f"a coefficient has more than {sys.get_int_max_str_digits()} digits, too many to print"
-    )
-
-
-def _strs(c: Coeffs) -> list[str]:
+def _strs(*cs: Coeffs) -> list[list[str]]:
+    # each coefficient tuple as the decimal strings both the JSON and the text
+    # print: the one place a payload turns ints into text, or refuses to
     try:
-        return [str(c[0]), str(c[1]), str(c[2]), str(c[3])]
+        return [[str(c0), str(c1), str(c2), str(c3)] for c0, c1, c2, c3 in cs]
     except ValueError:  # beyond sys.get_int_max_str_digits()
-        raise _too_many_digits() from None
-
-
-def _coeffs(q: Quaternion) -> list[str]:
-    return _strs(q.coefficients())
+        raise QuatcubeError(
+            f"a coefficient has more than {sys.get_int_max_str_digits()} digits, too many to print"
+        ) from None
 
 
 def _ring_json(params: RingParams) -> list[str]:
@@ -132,13 +136,10 @@ def decompose_payload(alpha: Quaternion) -> dict:
     dec = decompose(alpha)
     if not verify(dec):
         raise VerificationFailed("decompose returned an unverified decomposition")
-    try:
-        roots = [[str(c0), str(c1), str(c2), str(c3)] for c0, c1, c2, c3 in dec.root_coeffs]
-    except ValueError:  # beyond sys.get_int_max_str_digits()
-        raise _too_many_digits() from None
+    target, *roots = _strs(alpha.coefficients(), *dec.root_coeffs)
     return {
         "ring": _ring_json(alpha.params),
-        "target": _coeffs(alpha),
+        "target": target,
         "case": str(dec.case),
         "roots": roots,
         "count": len(roots),
@@ -157,15 +158,16 @@ def search_payload(alpha: Quaternion, cfg: SearchConfig, workers: int = 1) -> di
         verified = verify(Decomposition(alpha, roots, classify_case(alpha.params)))
         if not verified:
             raise VerificationFailed("search returned roots that do not sum to the target")
+    target, *strs = _strs(alpha.coefficients(), *(r.coefficients() for r in roots or ()))
     return {
         "ring": _ring_json(alpha.params),
-        "target": _coeffs(alpha),
+        "target": target,
         "max_cubes": cfg.max_cubes,
         "coeff_bound": cfg.coeff_bound,
         "outer_bound": cfg.outer,
         "found": found,
         "count": len(roots) if found else None,
-        "roots": [_coeffs(r) for r in roots] if found else None,
+        "roots": strs if found else None,
         "verified": verified,
     }
 
@@ -201,13 +203,8 @@ def lower_bounds_payload(params: RingParams) -> dict:
 _Result = tuple[dict | None, list[str], int]
 
 
-def _quat_text(c: list[str]) -> str:
-    # a payload's decimal strings, already within the digit limit, as text
-    return coeffs_text(tuple(map(int, c)))
-
-
 def _root_lines(roots: list[list[str]]) -> list[str]:
-    return [f"  root {idx}: {_quat_text(r)}" for idx, r in enumerate(roots, 1)]
+    return [f"  root {idx}: {coeffs_text(r)}" for idx, r in enumerate(roots, 1)]
 
 
 def _ring_line(payload: dict) -> str:
@@ -221,11 +218,11 @@ def _cmd_decompose(args) -> _Result:
     except NotRepresentable:
         if not args.json:
             raise  # main prints its "error: ..." line
-        return {"ring": _ring_json(args.ring), "target": _coeffs(alpha),
+        return {"ring": _ring_json(args.ring), "target": _strs(alpha.coefficients())[0],
                 "error": "NotRepresentable"}, [], 1
     return payload, [
         _ring_line(payload),
-        f"target: {_quat_text(payload['target'])}",
+        f"target: {coeffs_text(payload['target'])}",
         *_root_lines(payload["roots"]),
         f"count: {payload['count']}   verified: {str(payload['verified']).lower()}",
     ], 0
@@ -233,14 +230,16 @@ def _cmd_decompose(args) -> _Result:
 
 def _cmd_cube(args) -> _Result:
     x = parse_quaternion(args.quaternion, args.ring)
-    payload = {"ring": _ring_json(args.ring), "input": _coeffs(x), "cube": _coeffs(cube(x))}
-    return payload, [f"({_quat_text(payload['input'])})^3 = {_quat_text(payload['cube'])}"], 0
+    given, cubed = _strs(x.coefficients(), cube(x).coefficients())
+    payload = {"ring": _ring_json(args.ring), "input": given, "cube": cubed}
+    return payload, [f"({coeffs_text(given)})^3 = {coeffs_text(cubed)}"], 0
 
 
 def _cmd_member(args) -> _Result:
     alpha = parse_quaternion(args.quaternion, args.ring)
     ok = member_cube_subgroup(alpha)
-    payload = {"ring": _ring_json(args.ring), "target": _coeffs(alpha), "member": ok}
+    target = _strs(alpha.coefficients())[0]
+    payload = {"ring": _ring_json(args.ring), "target": target, "member": ok}
     return payload, [str(ok).lower()], 0 if ok else 1
 
 
@@ -269,7 +268,7 @@ def _cmd_search(args) -> _Result:
             "absence within a box is not a proof of non-representability"
         ], 1
     return payload, [
-        f"{_quat_text(payload['target'])} is a sum of {payload['count']} cubes within the box:",
+        f"{coeffs_text(payload['target'])} is a sum of {payload['count']} cubes within the box:",
         *_root_lines(payload["roots"]),
         f"verified: {str(payload['verified']).lower()}",
     ], 0
@@ -347,12 +346,12 @@ def build_parser() -> argparse.ArgumentParser:
     add_ring(p)
     add_json(p)
     p.add_argument("quaternion")
-    p.add_argument("--max-cubes", type=int, default=3, metavar="K")
-    p.add_argument("--bound", type=int, default=10, metavar="B",
+    p.add_argument("--max-cubes", type=_int, default=3, metavar="K")
+    p.add_argument("--bound", type=_int, default=10, metavar="B",
                    help="coefficient box |c| <= B for each root")
-    p.add_argument("--outer-bound", type=int, default=None, metavar="B1",
+    p.add_argument("--outer-bound", type=_int, default=None, metavar="B1",
                    help="reduced box for the outermost root (3- and 4-cube searches)")
-    p.add_argument("--workers", type=int, default=1, metavar="N",
+    p.add_argument("--workers", type=_int, default=1, metavar="N",
                    help="processes for the 3- and 4-cube stages, at most one per CPU; "
                    "output is identical to a serial run")
     p.set_defaults(func=_cmd_search)

@@ -374,7 +374,7 @@ def _shown(c: Coeffs) -> str:
     """c as text for a message, or "the target" when a coefficient has
     more digits than ``sys.get_int_max_str_digits()`` allows to print."""
     try:
-        return coeffs_text(c)
+        return coeffs_text(map(str, c))
     except ValueError:
         return "the target"
 

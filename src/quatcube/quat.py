@@ -32,6 +32,9 @@ The mirror map onto the ring with a and b exchanged is spelled once, by
 :func:`_swap` on coefficients: :func:`swap_iso` applies it to a
 ``Quaternion``, and the decomposer and its lemma check call it directly,
 so the tests of ``swap_iso`` certify the map they use.
+
+:func:`coeffs_text` writes text from the coefficients' decimal strings,
+so the CLI prints its JSON payload's strings with no round trip through int.
 """
 
 from __future__ import annotations
@@ -194,28 +197,22 @@ class Quaternion(_Frozen):
         return NotImplemented
 
     def __str__(self) -> str:
-        return coeffs_text(self.coefficients())
+        # str() of a coefficient past sys.get_int_max_str_digits() raises ValueError
+        return coeffs_text(map(str, self.coefficients()))
 
     def __repr__(self) -> str:
         return f"Quaternion(({self.params.a},{self.params.b}); {self})"
 
 
-def coeffs_text(c: Coeffs) -> str:
-    """c0 + c1*i + c2*j + c3*k as text, e.g. "3-i+2k"; "0" when all vanish."""
-    parts: list[tuple[str, str]] = []
-    for value, unit in zip(c, ("", "i", "j", "k")):
-        if value == 0:
-            continue
-        sign = "-" if value < 0 else "+"
-        mag = -value if value < 0 else value
-        body = unit if (mag == 1 and unit) else f"{mag}{unit}"
-        parts.append((sign, body))
-    if not parts:
-        return "0"
-    out = ("-" if parts[0][0] == "-" else "") + parts[0][1]
-    for sign, body in parts[1:]:
-        out += sign + body
-    return out
+def coeffs_text(c: Iterable[str]) -> str:
+    """The decimal strings of c0, c1, c2, c3 as the text of
+    c0 + c1*i + c2*j + c3*k, e.g. "3-i+2k"; "0" when all are "0"."""
+    out = ""
+    for s, unit in zip(c, ("", "i", "j", "k")):
+        if s != "0":
+            sign, mag = ("-", s[1:]) if s[0] == "-" else ("+" if out else "", s)
+            out += sign + (unit if mag == "1" and unit else mag + unit)
+    return out or "0"
 
 
 def cube_coeffs(a: int, b: int, c: Coeffs) -> Coeffs:

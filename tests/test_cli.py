@@ -302,6 +302,10 @@ class TestCliDigitLimit:
         ["decompose", "--ring", "1,{}", "6"],
         ["decompose", "--ring", "-{},1", "6"],
         ["check-lemmas", "--residues", "{},0"],
+        ["search", "--bound", "{}", "--ring", "1,1", "3+3i"],
+        ["search", "--outer-bound", "-{}", "--ring", "1,1", "3+3i"],
+        ["search", "--max-cubes", "{}", "--ring", "1,1", "3+3i"],
+        ["search", "--workers", "{}", "--ring", "1,1", "3+3i"],
     ])
     def test_argument_beyond_the_limit_is_one_short_usage_line(self, capsys, argv):
         # the message names the limit and echoes only a prefix of the argument
@@ -334,12 +338,15 @@ class TestCliDigitLimit:
     @pytest.mark.parametrize("flags", [("--json",), ()])
     def test_unrepresentable_sum_beyond_the_limit_exit_1(self, capsys, flags):
         # each literal is at the limit, but their sum has one digit more,
-        # and 3 divides both parameters, so the target is not representable
+        # and 3 divides both parameters, so the target is not representable;
+        # the JSON cannot print the target, and the text's message names none
         nines = "9" * _DIGIT_LIMIT
         code, out, err = run_cli(capsys, "decompose", "--ring", "3,3", *flags, f"{nines}+{nines}+i")
-        assert code == 1
-        assert out == ""
-        assert err.startswith("error: ") and err.count("\n") == 1
+        assert (code, out) == (1, "")
+        assert err == "error: " + (
+            f"a coefficient has more than {_DIGIT_LIMIT} digits, too many to print\n" if flags
+            else "the target is not in the cube subgroup of (3,3)\n"
+        )
 
     def test_unrepresentable_message_names_a_printable_target(self, capsys):
         code, out, err = run_cli(capsys, "decompose", "--ring", "3,3", "1+i")

@@ -218,3 +218,9 @@ def test_str_rendering():
     assert str(q(LIPSCHITZ, 3, 3, 0, 0)) == "3+3i"
     assert str(q(LIPSCHITZ, 0, -1, 2, -2)) == "-i+2j-2k"
     assert str(q(LIPSCHITZ, -5, 0, 0, 1)) == "-5+k"
+    # a magnitude of 1 prints no digit, except on the real part
+    assert str(q(LIPSCHITZ, 1, 0, 0, 0)) == "1"
+    assert str(q(LIPSCHITZ, -1, 0, 0, 0)) == "-1"
+    assert str(q(LIPSCHITZ, -1, -1, 0, 0)) == "-1-i"
+    assert str(q(LIPSCHITZ, 1, 0, 0, -1)) == "1-k"
+    assert str(q(LIPSCHITZ, 0, -1, 1, 0)) == "-i+j"
